@@ -71,19 +71,20 @@ fn bench_analytic(c: &mut Criterion) {
     });
     group.finish();
 
-    // Elaboration-cache contract on the repeated-seed workload: the
-    // same 8-point grid swept at 8 seeds. Uncached, every one of the 64
+    // Elaboration-cache contract on the repeated-sweep workload: the
+    // same 8-point grid swept 8 times. Uncached, every one of the 64
     // evaluations re-flattens; cached, only the first 8 do — and since
     // flattening dominates the analytic per-point cost (the PR 2
     // finding that motivated the cache), the cached sweep must be at
     // least 1.5× the uncached throughput. Measured best-of-3 to shrug
     // off scheduler noise before the timed comparison groups run.
     let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-    let sweep_8_seeds = |no_elab_cache: bool| {
-        for seed in [1u64, 2, 3, 4, 5, 6, 7, 8] {
-            let mut cfg = config(Backend::Analytic);
-            cfg.no_elab_cache = no_elab_cache;
-            cfg.options.seed = seed;
+    let sweep_8_times = |no_elab_cache: bool| {
+        let cfg = SweepConfig {
+            no_elab_cache,
+            ..config(Backend::Analytic)
+        };
+        for _ in 0..8 {
             assert_eq!(session.sweep_with(&grid8, &cfg, |_, _| {}).failures(), 0);
         }
     };
@@ -91,13 +92,13 @@ fn bench_analytic(c: &mut Criterion) {
         (0..3)
             .map(|_| {
                 let t0 = std::time::Instant::now();
-                sweep_8_seeds(no_elab_cache);
+                sweep_8_times(no_elab_cache);
                 t0.elapsed()
             })
             .min()
             .unwrap()
     };
-    sweep_8_seeds(false); // warm the cache and the branch predictors
+    sweep_8_times(false); // warm the cache and the branch predictors
 
     // Shared CI runners can deschedule a whole measurement window, so
     // give the wall-clock guard a few attempts before declaring the
@@ -114,15 +115,15 @@ fn bench_analytic(c: &mut Criterion) {
     }
     assert!(
         speedup >= 1.5,
-        "cached repeated-seed sweep must be >= 1.5x uncached in at least one of \
+        "cached repeated sweep must be >= 1.5x uncached in at least one of \
          3 attempts, best was {speedup:.2}x"
     );
-    println!("elab cache speedup on 8pt x 8seed analytic sweep: {speedup:.2}x");
+    println!("elab cache speedup on 8pt x 8 analytic sweeps: {speedup:.2}x");
 
-    let mut group = c.benchmark_group("analytic/jacobi_8pt_x8seed_sweep");
+    let mut group = c.benchmark_group("analytic/jacobi_8pt_x8_sweep");
     group.sample_size(10);
-    group.bench_function("elab_cached", |b| b.iter(|| sweep_8_seeds(false)));
-    group.bench_function("elab_uncached", |b| b.iter(|| sweep_8_seeds(true)));
+    group.bench_function("elab_cached", |b| b.iter(|| sweep_8_times(false)));
+    group.bench_function("elab_uncached", |b| b.iter(|| sweep_8_times(true)));
     group.finish();
 
     // Batch-path floor: a cached analytic sweep dispatches whole chunks

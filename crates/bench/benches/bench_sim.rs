@@ -1,13 +1,8 @@
-//! Experiment E3 + ablation A3: simulation-engine throughput.
-//!
-//! Event throughput of the CSIM-substitute kernel on an M/M/c facility
-//! workload, with both calendar implementations (binary heap vs
-//! insertion-sorted vec).
+//! Simulation-engine throughput: events per second of the
+//! CSIM-substitute kernel on an M/M/c facility workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prophet_sim::{
-    Action, CalendarKind, Config, Discipline, FacilityId, ProcCtx, Process, Resumed, Simulator,
-};
+use prophet_sim::{Action, Config, FacilityId, ProcCtx, Process, Resumed, Simulator};
 
 struct Worker {
     cpu: FacilityId,
@@ -31,12 +26,9 @@ impl Process for Worker {
     }
 }
 
-fn run_load(kind: CalendarKind, workers: usize, jobs_each: u32) -> u64 {
-    let mut sim = Simulator::new(Config {
-        calendar: kind,
-        ..Default::default()
-    });
-    let cpu = sim.add_facility("cpu", 4, Discipline::Fcfs);
+fn run_load(workers: usize, jobs_each: u32) -> u64 {
+    let mut sim = Simulator::new(Config::default());
+    let cpu = sim.add_facility("cpu", 4);
     for w in 0..workers {
         sim.spawn(
             &format!("w{w}"),
@@ -55,17 +47,12 @@ fn bench_sim(c: &mut Criterion) {
     for &workers in &[8usize, 64, 256] {
         let jobs = 100u32;
         // Event count is deterministic; use it as the throughput unit.
-        let events = run_load(CalendarKind::BinaryHeap, workers, jobs);
+        let events = run_load(workers, jobs);
         group.throughput(Throughput::Elements(events));
         group.bench_with_input(
             BenchmarkId::new("binary_heap", workers),
             &workers,
-            |b, &w| b.iter(|| run_load(CalendarKind::BinaryHeap, w, jobs)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sorted_vec", workers),
-            &workers,
-            |b, &w| b.iter(|| run_load(CalendarKind::SortedVec, w, jobs)),
+            |b, &w| b.iter(|| run_load(w, jobs)),
         );
     }
     group.finish();

@@ -1,4 +1,4 @@
-//! Experiment E4: SP sweeps — serial vs parallel execution of
+//! SP sweeps: serial vs parallel execution of
 //! independent simulations, the compile-once [`Session`] path vs
 //! recompiling per call (the pre-`Session` workflow), and the
 //! flatten-once elaboration cache vs per-evaluation elaboration.
@@ -6,8 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use prophet_bench::trajectory::Trajectory;
 use prophet_core::{
-    flatten_invocations, mpi_grid, transform_invocations, Backend, EstimatorOptions, Session,
-    SweepConfig, SweepPoint,
+    flatten_invocations, mpi_grid, transform_invocations, Backend, Session, SweepConfig, SweepPoint,
 };
 use prophet_workloads::models::jacobi_model;
 
@@ -51,23 +50,16 @@ fn bench_sweep(c: &mut Criterion) {
     );
 
     // Guard the flatten-once elaboration contract (the CI smoke run of
-    // this bench is the gate): a cached sweep over 8 SP points × 4 seeds
-    // elaborates exactly once per distinct SP point — misses == points,
+    // this bench is the gate): 4 cached sweeps over 8 SP points
+    // elaborate exactly once per distinct SP point — misses == points,
     // every later evaluation is a hit, and a repeat sweep performs zero
     // `flatten_for_process` calls at all (pure cache hits).
     {
         let session = Session::new(model.clone()).expect("compile");
         let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-        let seeds: [u64; 4] = [11, 22, 33, 44];
-        for seed in seeds {
-            let config = SweepConfig {
-                options: EstimatorOptions {
-                    seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            assert_eq!(session.sweep_with(&grid8, &config, |_, _| {}).failures(), 0);
+        let repeats = 4;
+        for _ in 0..repeats {
+            assert_eq!(session.sweep(&grid8).failures(), 0);
         }
         let stats = session.elab_stats();
         assert_eq!(
@@ -77,7 +69,7 @@ fn bench_sweep(c: &mut Criterion) {
         );
         assert_eq!(
             stats.hits,
-            (grid8.len() * (seeds.len() - 1)) as u64,
+            (grid8.len() * (repeats - 1)) as u64,
             "every repeat evaluation must be a cache hit: {stats:?}"
         );
         let flattens_before = flatten_invocations();
@@ -118,29 +110,25 @@ fn bench_sweep(c: &mut Criterion) {
     group.bench_function("session_sweep", |b| b.iter(|| session.sweep(&big)));
     group.finish();
 
-    // The repeated-seed workload the elaboration cache exists for: the
-    // same 8-point grid swept at 4 seeds. Cached, the 8 elaborations are
+    // The repeated-sweep workload the elaboration cache exists for: the
+    // same 8-point grid swept 4 times. Cached, the 8 elaborations are
     // amortized across all 32 evaluations (and across bench iterations);
     // uncached, every evaluation re-flattens.
     let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-    let sweep_4_seeds = |no_elab_cache: bool| {
-        for seed in [11u64, 22, 33, 44] {
-            let config = SweepConfig {
-                threads: 1,
-                no_elab_cache,
-                options: EstimatorOptions {
-                    seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
+    let sweep_4_times = |no_elab_cache: bool| {
+        let config = SweepConfig {
+            threads: 1,
+            no_elab_cache,
+            ..Default::default()
+        };
+        for _ in 0..4 {
             assert_eq!(session.sweep_with(&grid8, &config, |_, _| {}).failures(), 0);
         }
     };
-    let mut group = c.benchmark_group("sweep/jacobi_8pts_x4seeds");
+    let mut group = c.benchmark_group("sweep/jacobi_8pts_x4");
     group.sample_size(10);
-    group.bench_function("elab_cached", |b| b.iter(|| sweep_4_seeds(false)));
-    group.bench_function("elab_uncached", |b| b.iter(|| sweep_4_seeds(true)));
+    group.bench_function("elab_cached", |b| b.iter(|| sweep_4_times(false)));
+    group.bench_function("elab_uncached", |b| b.iter(|| sweep_4_times(true)));
     group.finish();
 
     // Trajectory snapshot (BENCH_sweep.json under PROPHET_BENCH_WRITE=1):
@@ -175,9 +163,9 @@ fn bench_sweep(c: &mut Criterion) {
         }
     });
     trajectory.measure(
-        "elab_cached_8pt_x4seed_points_per_sec",
+        "elab_cached_8pt_x4_points_per_sec",
         (grid8.len() * 4) as u64,
-        || sweep_4_seeds(false),
+        || sweep_4_times(false),
     );
     trajectory.write_if_requested();
 }

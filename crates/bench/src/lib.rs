@@ -1,6 +1,6 @@
 //! Shared helpers for the benchmark harness: synthetic model generators
 //! sized by element count, used by the transformation/checker/traverser
-//! scaling experiments (E2, E6, A2 in DESIGN.md), plus the
+//! scaling benches, plus the
 //! [`trajectory`] recorder behind the committed `BENCH_*.json`
 //! perf-trajectory files.
 

@@ -17,6 +17,7 @@
 //! PROPHET_BENCH_WRITE=1 cargo bench -p prophet-bench --bench bench_router
 //! ```
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -98,19 +99,33 @@ impl Trajectory {
         out
     }
 
-    /// Write `BENCH_<area>.json` at the repo root when
+    /// Write `BENCH_<area>.json` into [`output_dir`] when
     /// [`WRITE_ENV`]`=1`; returns the written path, `None` when gated
     /// off. Panics on I/O failure — a requested write must not vanish.
     pub fn write_if_requested(&self) -> Option<PathBuf> {
         if std::env::var(WRITE_ENV).ok().as_deref() != Some("1") {
             return None;
         }
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(format!("BENCH_{}.json", self.area));
+        let path = output_dir().join(format!("BENCH_{}.json", self.area));
         std::fs::write(&path, self.render(calibration_mib_per_sec()))
             .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
         Some(path)
+    }
+}
+
+/// Where trajectory files go, resolved when the bench runs (not when it
+/// is built, so a binary built in one checkout and run from another
+/// writes into the one it runs in): the repo root two levels above the
+/// bench crate when cargo runs the bench (`CARGO_MANIFEST_DIR` is set),
+/// else the current directory.
+pub fn output_dir() -> PathBuf {
+    output_dir_for(std::env::var_os("CARGO_MANIFEST_DIR"))
+}
+
+fn output_dir_for(manifest_dir: Option<OsString>) -> PathBuf {
+    match manifest_dir {
+        Some(dir) => PathBuf::from(dir).join("../.."),
+        None => PathBuf::from("."),
     }
 }
 
@@ -141,6 +156,19 @@ mod tests {
         // Two points: exactly one comma-terminated, the last one bare.
         assert_eq!(doc.matches("},\n").count(), 1, "{doc}");
         assert_eq!(doc.matches("}\n").count(), 2, "{doc}");
+    }
+
+    #[test]
+    fn output_dir_is_resolved_at_run_time() {
+        assert_eq!(
+            output_dir_for(Some("/checkout/crates/bench".into())),
+            PathBuf::from("/checkout/crates/bench/../..")
+        );
+        assert_eq!(output_dir_for(None), PathBuf::from("."));
+        // Under cargo the run-time variable names this crate's directory.
+        let here = std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo sets it for tests");
+        assert_eq!(output_dir(), PathBuf::from(here).join("../.."));
+        assert!(output_dir().join("Cargo.toml").is_file());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   activity-diagram graph: linear chains, decision→merge regions
 //!   (if/else-if), fork→join regions, and composite bodies. The resulting
 //!   [`flow::FlowNode`] tree drives both this crate's C++ emission and the
-//!   estimator lowering in prophet-core ("one traversal, two targets",
-//!   DESIGN.md §5),
+//!   estimator lowering in prophet-core ("one traversal, two targets"),
 //! * [`cpp`] — the Figure-5 algorithm phase by phase: perf-element
 //!   collection (lines 1–8), globals (9–12), cost functions (13–18),
 //!   locals (20–23), element declarations (24–28), and control flow

@@ -1,9 +1,7 @@
 //! The unified pipeline error.
 //!
 //! Every stage of the compile/evaluate pipeline reports through one
-//! [`Error`] enum with [`std::error::Error::source`] chaining, replacing
-//! the stringly-typed `ProjectError::Machine(String)` and the
-//! `Result<f64, String>` sweep outcomes of the old `Project` API.
+//! [`Error`] enum with [`std::error::Error::source`] chaining.
 
 use crate::transform::TransformError;
 use prophet_check::Diagnostic;

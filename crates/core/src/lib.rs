@@ -18,8 +18,8 @@
 //!   lock-free. Each session owns a shared
 //!   [`ElaborationCache`]: the per-rank op
 //!   lists are flattened once per distinct `(SP, comm, limits)` point
-//!   and served to every evaluation, seed, worker thread and backend
-//!   that asks again ([`Session::elab_stats`] exposes the hit/miss
+//!   and served to every evaluation, worker thread and backend that
+//!   asks again ([`Session::elab_stats`] exposes the hit/miss
 //!   counters; `SweepConfig::no_elab_cache` / `--no-elab-cache` opt
 //!   out),
 //! * [`store`] — the persistent compiled-artifact store: compiled
@@ -28,10 +28,7 @@
 //!   deployment-lifetime property — `Session::compile_stored` skips
 //!   check + transform entirely on a store hit, and corrupt or
 //!   stale-format entries read back as clean misses,
-//! * [`error`] — the unified [`Error`] enum with `source()` chaining,
-//! * [`project`] / [`sweep`] — the deprecated single-shot API, kept as
-//!   thin shims over [`Session`] (see the [`project`] module docs for
-//!   the migration map).
+//! * [`error`] — the unified [`Error`] enum with `source()` chaining.
 //!
 //! ## Quickstart
 //!
@@ -64,28 +61,22 @@
 //! # Ok::<(), prophet_core::Error>(())
 //! ```
 //!
-//! Heterogeneous scenario sets (different interconnects, seeds — not
+//! Heterogeneous scenario sets (different interconnects or limits — not
 //! just SP grids) go through [`Session::batch`]; progress streaming for
 //! both goes through [`Session::sweep_with`] / [`Session::batch_with`].
 
 pub mod error;
-pub mod project;
 pub mod ring;
 pub mod session;
 pub mod store;
-pub mod sweep;
 pub mod transform;
 
 pub use error::{render_chain, render_chain_inline, Error};
 // Re-exported so `Scenario`/`Session` callers don't need a direct
 // prophet-estimator dependency for the types in the API surface.
-#[allow(deprecated)]
-pub use project::{Project, ProjectError, RunArtifacts};
 pub use prophet_estimator::{
     flatten_invocations, Backend, ElabStats, ElaborationCache, EstimatorOptions, Evaluation,
 };
 pub use session::{mpi_grid, PointResult, Scenario, Session, SweepConfig, SweepPoint, SweepReport};
 pub use store::{ArtifactKey, ArtifactStore, GcReport, StoreStats};
-#[allow(deprecated)]
-pub use sweep::{sweep_parallel, sweep_serial, SweepResult};
 pub use transform::{to_cpp, to_program, transform_invocations, TransformError};

@@ -14,8 +14,7 @@
 //! * **serve** — [`Session::evaluate`] answers one [`Scenario`];
 //!   [`Session::sweep`] fans an SP grid out over scoped worker threads;
 //!   [`Session::batch`] does the same for heterogeneous scenario sets
-//!   (different communication parameters, seeds, calendars — not just
-//!   SP grids).
+//!   (different communication parameters or limits — not just SP grids).
 //!
 //! Every serve entry point takes a [`Backend`] selector (on the
 //! [`Scenario`] or the [`SweepConfig`]): `Backend::Simulation` replays
@@ -51,12 +50,12 @@ pub struct Scenario {
     pub system: SystemParams,
     /// Communication parameters of the machine model.
     pub comm: CommParams,
-    /// Estimator options (seed, tracing, limits, calendar).
+    /// Estimator options (tracing, limits).
     pub options: EstimatorOptions,
     /// Evaluation engine: DES simulation (default) or closed-form
-    /// analytic. The analytic backend records no trace and ignores
-    /// seed/calendar; see `prophet_estimator::analytic` for the
-    /// agreement contract between the two.
+    /// analytic. The analytic backend records no trace; see
+    /// `prophet_estimator::analytic` for the agreement contract between
+    /// the two.
     pub backend: Backend,
     /// Escape hatch: when `true`, this scenario elaborates its op lists
     /// from scratch instead of using the session's shared
@@ -84,12 +83,6 @@ impl Scenario {
     /// Replace the estimator options.
     pub fn with_options(mut self, options: EstimatorOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replace the simulation seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
         self
     }
 
@@ -321,18 +314,12 @@ impl Session {
         prophet_uml::xmi::model_to_xml(&self.model)
     }
 
-    /// Decompose into the owned compile artifacts
-    /// (diagnostics, C++ PMP, executable IR).
-    pub fn into_artifacts(self) -> (Vec<Diagnostic>, CppUnit, Program) {
-        (self.diagnostics, self.cpp, self.program)
-    }
-
     /// Evaluate one scenario against the compiled program.
     ///
     /// The per-rank op lists come from the session's shared
     /// [`ElaborationCache`] (flattened once per distinct
-    /// `(SP, comm, limits)` key across evaluations, sweeps, seeds and
-    /// backends) unless the scenario sets
+    /// `(SP, comm, limits)` key across evaluations, sweeps and backends)
+    /// unless the scenario sets
     /// [`no_elab_cache`](Scenario::no_elab_cache).
     ///
     /// # Errors
@@ -383,17 +370,72 @@ impl Session {
         &self,
         points: &[SweepPoint],
         config: &SweepConfig,
-        on_point: impl FnMut(usize, &PointResult),
+        mut on_point: impl FnMut(usize, &PointResult),
     ) -> SweepReport {
-        let cache = (!config.no_elab_cache).then_some(&*self.elab);
-        sweep_program(&self.program, cache, points, config, on_point)
+        let program = &self.program;
+        let elab = (!config.no_elab_cache).then_some(&*self.elab);
+        // Trace files are per-evaluation artifacts; a sweep only needs
+        // predicted times, so force tracing off exactly once here.
+        let options = EstimatorOptions {
+            trace: false,
+            ..config.options.clone()
+        };
+        let comm = config.comm;
+        let backend = config.backend;
+        let results = match (backend, elab) {
+            // Cached analytic sweeps go through the batch path: workers
+            // claim whole chunks off the cursor and replay each point into
+            // their own reusable scratch (predictions are bit-identical to
+            // the per-point path — see `prophet_estimator::batch`).
+            (Backend::Analytic, Some(cache)) => run_indexed_chunked(
+                points.len(),
+                config.threads,
+                ANALYTIC_CHUNK,
+                BatchScratch::new,
+                |scratch, i| {
+                    let sp = points[i].sp;
+                    let outcome =
+                        MachineModel::new(sp, comm)
+                            .map_err(Error::from)
+                            .and_then(|machine| {
+                                Estimator::run_analytic_batched(
+                                    program, &machine, &options, cache, scratch,
+                                )
+                                .map(|e| e.predicted_time)
+                                .map_err(Error::from)
+                            });
+                    PointResult { sp, outcome }
+                },
+                &mut on_point,
+            ),
+            _ => run_indexed(
+                points.len(),
+                config.threads,
+                |i| {
+                    let sp = points[i].sp;
+                    let outcome =
+                        MachineModel::new(sp, comm)
+                            .map_err(Error::from)
+                            .and_then(|machine| {
+                                Estimator::run_backend_cached(
+                                    backend, program, &machine, &options, elab,
+                                )
+                                .map(|e| e.predicted_time)
+                                .map_err(Error::from)
+                            });
+                    PointResult { sp, outcome }
+                },
+                &mut on_point,
+            ),
+        };
+        SweepReport { points: results }
     }
 
     /// Evaluate heterogeneous scenarios in parallel (input order kept).
     ///
     /// Unlike [`Session::sweep`], every scenario may vary communication
-    /// parameters, seeds, calendars and limits — the compile artifacts
-    /// are still shared untouched.
+    /// parameters and limits — the compile artifacts are still shared
+    /// untouched.
     pub fn batch(&self, scenarios: &[Scenario]) -> Vec<Result<Evaluation, Error>> {
         self.batch_with(scenarios, 0, |_, _| {})
     }
@@ -413,78 +455,6 @@ impl Session {
             &mut on_result,
         )
     }
-}
-
-/// The sweep core: evaluate an SP grid against one compiled `Program`.
-///
-/// Tracing is disabled once for the whole sweep — options are built one
-/// time and shared by reference across workers, never cloned per point.
-/// Results are reassembled into input order regardless of completion
-/// order. `pub(crate)` so the deprecated shims can sweep a bare
-/// `Program` without paying for a full [`Session`] compile (they pass
-/// `elab: None` — no cache, the legacy per-call elaboration semantics).
-pub(crate) fn sweep_program(
-    program: &Program,
-    elab: Option<&ElaborationCache>,
-    points: &[SweepPoint],
-    config: &SweepConfig,
-    mut on_point: impl FnMut(usize, &PointResult),
-) -> SweepReport {
-    // Trace files are per-evaluation artifacts; a sweep only needs
-    // predicted times, so force tracing off exactly once here.
-    let options = EstimatorOptions {
-        trace: false,
-        ..config.options.clone()
-    };
-    let comm = config.comm;
-    let backend = config.backend;
-    let results = match (backend, elab) {
-        // Cached analytic sweeps go through the batch path: workers
-        // claim whole chunks off the cursor and replay each point into
-        // their own reusable scratch (predictions are bit-identical to
-        // the per-point path — see `prophet_estimator::batch`).
-        (Backend::Analytic, Some(cache)) => run_indexed_chunked(
-            points.len(),
-            config.threads,
-            ANALYTIC_CHUNK,
-            BatchScratch::new,
-            |scratch, i| {
-                let sp = points[i].sp;
-                let outcome =
-                    MachineModel::new(sp, comm)
-                        .map_err(Error::from)
-                        .and_then(|machine| {
-                            Estimator::run_analytic_batched(
-                                program, &machine, &options, cache, scratch,
-                            )
-                            .map(|e| e.predicted_time)
-                            .map_err(Error::from)
-                        });
-                PointResult { sp, outcome }
-            },
-            &mut on_point,
-        ),
-        _ => run_indexed(
-            points.len(),
-            config.threads,
-            |i| {
-                let sp = points[i].sp;
-                let outcome =
-                    MachineModel::new(sp, comm)
-                        .map_err(Error::from)
-                        .and_then(|machine| {
-                            Estimator::run_backend_cached(
-                                backend, program, &machine, &options, elab,
-                            )
-                            .map(|e| e.predicted_time)
-                            .map_err(Error::from)
-                        });
-                PointResult { sp, outcome }
-            },
-            &mut on_point,
-        ),
-    };
-    SweepReport { points: results }
 }
 
 /// Cursor claim size of batch-path analytic sweeps: large enough to
@@ -669,7 +639,6 @@ mod tests {
             Scenario::new(SystemParams::flat_mpi(2, 1)).without_trace(),
             Scenario::new(SystemParams::flat_mpi(2, 1))
                 .with_comm(CommParams::fast_interconnect())
-                .with_seed(7)
                 .without_trace(),
             // Invalid: fewer processes than nodes.
             Scenario::new(SystemParams {
@@ -723,16 +692,12 @@ mod tests {
     fn sweep_flattens_once_per_sp_point() {
         let session = Session::new(amdahl_model()).unwrap();
         let points = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-        // 8 SP points × 4 seeds × both backends: 8 elaborations total.
+        // 8 SP points × 4 repeats × both backends: 8 elaborations total.
         let mut expected_lookups = 0u64;
-        for seed in [1u64, 2, 3, 4] {
+        for _ in 0..4 {
             for backend in [Backend::Simulation, Backend::Analytic] {
                 let config = SweepConfig {
                     backend,
-                    options: EstimatorOptions {
-                        seed,
-                        ..Default::default()
-                    },
                     ..Default::default()
                 };
                 let report = session.sweep_with(&points, &config, |_, _| {});

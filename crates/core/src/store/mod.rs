@@ -52,9 +52,13 @@ use crate::session::Session;
 use codec::{DecodeError, Reader, Writer};
 use prophet_check::McfConfig;
 use prophet_uml::Model;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide probe counter: the pid alone does not keep two opens in
+/// one process from deleting each other's probe file.
+static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// On-disk format version. Bump on any payload or header change: a
 /// version mismatch reads as a clean miss (plus eviction), never as a
@@ -264,9 +268,27 @@ impl ArtifactStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let probe = dir.join(format!(".probe-{}", std::process::id()));
-        std::fs::write(&probe, b"ok")?;
-        std::fs::remove_file(&probe)?;
+        // A probe name is claimed by `create_new`, so no other open owns
+        // it; one left behind by a crashed process just moves us on.
+        let (probe, mut file) = loop {
+            let seq = PROBE_SEQ.fetch_add(1, Ordering::Relaxed);
+            let probe = dir.join(format!(".probe-{}-{seq}", std::process::id()));
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&probe)
+            {
+                Ok(file) => break (probe, file),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        file.write_all(b"ok")?;
+        drop(file);
+        match std::fs::remove_file(&probe) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         Ok(Self {
             dir,
             disk_hits: AtomicU64::new(0),
@@ -1014,6 +1036,33 @@ mod tests {
             "content digest must disagree with the entry's key"
         );
         assert_eq!(store.stats().evictions, 1);
+    }
+
+    #[test]
+    fn concurrent_opens_of_one_directory_all_succeed() {
+        let dir =
+            std::env::temp_dir().join(format!("prophet-store-open-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let barrier = std::sync::Barrier::new(16);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..16)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        ArtifactStore::open(&dir).map(|_| ())
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle
+                    .join()
+                    .unwrap()
+                    .expect("every concurrent open succeeds");
+            }
+        });
+        // Every probe was cleaned up.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Error-path coverage for the unified `prophet_core::Error`: `source()`
-//! chains, `Display` formats, invalid-SP and parse-failure scenarios —
-//! through both the `Session` engine and the deprecated `Project` shim.
+//! chains, `Display` formats, invalid-SP and parse-failure scenarios
+//! through the `Session` engine.
 
 use prophet_core::{render_chain, Error, Scenario, Session};
 use prophet_machine::SystemParams;
@@ -161,43 +161,4 @@ fn sweep_reports_typed_errors_per_point() {
     assert!(matches!(report.points[1].outcome, Err(Error::Machine(_))));
     assert_eq!(report.failures(), 1);
     assert_eq!(report.times(), vec![Some(1.0), None]);
-}
-
-#[test]
-#[allow(deprecated)]
-fn project_shim_maps_machine_errors() {
-    use prophet_core::{Project, ProjectError};
-    let err = Project::new(good_model())
-        .with_system(invalid_sp())
-        .run()
-        .unwrap_err();
-    match err {
-        ProjectError::Machine(machine) => {
-            assert!(machine.to_string().contains("processes must be >= nodes"));
-        }
-        other => panic!("expected machine error, got {other}"),
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn project_shim_maps_check_errors_and_displays_findings() {
-    use prophet_core::{Project, ProjectError};
-    let err = Project::new(bad_cost_model()).run().unwrap_err();
-    let text = err.to_string();
-    match err {
-        ProjectError::Check(diags) => assert!(!diags.is_empty()),
-        other => panic!("expected check error, got {other}"),
-    }
-    assert!(text.contains("model check failed"), "{text}");
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_sweep_carries_error_text() {
-    use prophet_core::{sweep_parallel, Project, SweepPoint};
-    let project = Project::new(good_model());
-    let results = sweep_parallel(&project, &[SweepPoint { sp: invalid_sp() }], 2);
-    let msg = results[0].outcome.as_ref().unwrap_err();
-    assert!(msg.contains("processes must be >= nodes"), "{msg}");
 }

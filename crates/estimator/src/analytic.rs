@@ -54,9 +54,7 @@
 //!
 //! The analytic backend never touches the DES kernel: the returned
 //! [`Evaluation`] has a report with zero events and no facilities, and
-//! an empty trace. `seed`, `calendar` and `until` in
-//! [`EstimatorOptions`] are ignored — the evaluation is deterministic by
-//! construction.
+//! an empty trace; `trace` in [`EstimatorOptions`] is ignored.
 
 use crate::elab::{flatten_all, RankOps};
 use crate::estimator::{EstimatorError, EstimatorOptions, Evaluation};
@@ -101,7 +99,7 @@ pub fn evaluate_ops(
 ) -> Result<Evaluation, EstimatorError> {
     let sp = machine.sp;
     debug_assert_eq!(rank_ops.len(), sp.processes, "elaboration/machine mismatch");
-    let _ = options; // seed/calendar/until are meaningless in closed form
+    let _ = options; // no trace, and elaboration already applied the limits
 
     let mut replay = Replay {
         machine,
@@ -120,7 +118,6 @@ pub fn evaluate_ops(
             processes_completed: sp.processes,
             processes_spawned: sp.processes,
             facilities: Vec::new(),
-            hit_time_limit: false,
         },
         trace: TraceFile::new(name.to_string(), sp.processes),
     })
@@ -681,27 +678,5 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other}"),
         }
-    }
-
-    #[test]
-    fn seed_and_calendar_do_not_matter() {
-        let mut p = Program::new("det");
-        p.body = Step::Seq(vec![
-            exec("A", "0.5 + 0.125 * pid"),
-            Step::Mpi {
-                name: "b".into(),
-                op: MpiOp::Barrier,
-            },
-        ]);
-        let time = |seed: u64| {
-            let options = EstimatorOptions {
-                seed,
-                ..Default::default()
-            };
-            evaluate_analytic(&p, &machine(4, 1), &options)
-                .unwrap()
-                .predicted_time
-        };
-        assert_eq!(time(1).to_bits(), time(u64::MAX).to_bits());
     }
 }

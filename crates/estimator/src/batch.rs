@@ -291,7 +291,6 @@ impl BatchProgram {
                 processes_completed: n,
                 processes_spawned: n,
                 facilities: Vec::new(),
-                hit_time_limit: false,
             },
             trace: TraceFile::new(name.to_string(), n),
         })

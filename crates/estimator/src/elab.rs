@@ -8,9 +8,9 @@
 //! it.
 //!
 //! Elaboration is a pure function of `(Program, SystemParams,
-//! CommParams, FlattenLimits)` — it never reads the seed, calendar,
-//! trace flag, time cutoff, or backend — so a sweep over S SP points ×
-//! R seeds × both backends only has S distinct elaborations, not S×R×2.
+//! CommParams, FlattenLimits)` — it never reads the trace flag or the
+//! backend — so R sweeps over S SP points on both backends only have S
+//! distinct elaborations, not S×R×2.
 //! [`ElaborationCache`] memoizes them:
 //!
 //! * **Keying.** `ElabKey` is a content key over the machine model and

@@ -6,7 +6,7 @@ use crate::flatten::{FlattenError, FlattenLimits};
 use crate::interp::OpProcess;
 use crate::program::Program;
 use prophet_machine::MachineModel;
-use prophet_sim::{CalendarKind, Config, SimError, SimReport, Simulator};
+use prophet_sim::{Config, SimError, SimReport, Simulator};
 use prophet_trace::TraceFile;
 use std::cell::RefCell;
 use std::fmt;
@@ -55,26 +55,17 @@ impl std::str::FromStr for Backend {
 /// Options for one evaluation run.
 #[derive(Debug, Clone)]
 pub struct EstimatorOptions {
-    /// Master seed for the simulation's random streams.
-    pub seed: u64,
     /// Whether to record a trace file (TF). Disable for large sweeps.
     pub trace: bool,
     /// Elaboration limits.
     pub limits: FlattenLimits,
-    /// Optional simulated-time cutoff.
-    pub until: Option<f64>,
-    /// Calendar implementation (ablation A3).
-    pub calendar: CalendarKind,
 }
 
 impl Default for EstimatorOptions {
     fn default() -> Self {
         Self {
-            seed: 0x5EED,
             trace: true,
             limits: FlattenLimits::default(),
-            until: None,
-            calendar: CalendarKind::BinaryHeap,
         }
     }
 }
@@ -172,8 +163,8 @@ impl Estimator {
 
     /// [`Estimator::run_backend`] with a shared [`ElaborationCache`]:
     /// the per-rank op lists come from the cache (flattened at most once
-    /// per distinct `(SP, comm, limits)` key, shared across threads,
-    /// seeds and backends) instead of being rebuilt per evaluation.
+    /// per distinct `(SP, comm, limits)` key, shared across threads and
+    /// backends) instead of being rebuilt per evaluation.
     ///
     /// The cache must be dedicated to this `program` — `Session` owns
     /// one per compiled model; pass `None` to elaborate uncached.
@@ -253,12 +244,7 @@ impl Estimator {
         debug_assert_eq!(rank_ops.len(), sp.processes, "elaboration/machine mismatch");
 
         // Integrate with the machine model in a fresh simulator.
-        let mut sim = Simulator::new(Config {
-            seed: options.seed,
-            until: options.until,
-            calendar: options.calendar,
-            ..Default::default()
-        });
+        let mut sim = Simulator::new(Config::default());
         let layout = machine.instantiate(&mut sim);
         let mailboxes = Rc::new(layout.proc_mailboxes.clone());
         let trace_sink = if options.trace {
@@ -274,13 +260,7 @@ impl Estimator {
         for (pid, ops) in rank_ops.iter().enumerate() {
             // One 1-server facility per `<<critical+>>` lock of this rank.
             let locks: Vec<_> = (0..crate::flatten::lock_count(ops))
-                .map(|l| {
-                    sim.add_facility(
-                        &format!("rank{pid}.lock{l}"),
-                        1,
-                        prophet_sim::Discipline::Fcfs,
-                    )
-                })
+                .map(|l| sim.add_facility(&format!("rank{pid}.lock{l}"), 1))
                 .collect();
             let proc = OpProcess::master(
                 pid,

@@ -382,7 +382,6 @@ impl Process for OpProcess {
                     _ => self.fail(ctx, format!("unexpected message (tag {})", msg.tag)),
                 }
             }
-            other => self.fail(ctx, format!("unexpected wake-up {other:?}")),
         }
     }
 }

@@ -18,8 +18,8 @@
 //!   (compute / send / recv / collective / thread team),
 //! * [`elab`] — memoized elaboration: [`elab::ElaborationCache`] interns
 //!   the flattened op lists per `(SP, comm, limits)` content key as
-//!   shared `Arc<[PrimOp]>` lists, so a sweep over S SP points × R seeds
-//!   × both backends flattens S times, not S×R×2 (the sweep hot path
+//!   shared `Arc<[PrimOp]>` lists, so R sweeps over S SP points on both
+//!   backends flatten S times, not S×R×2 (the sweep hot path
 //!   was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
 //! * [`interp`] — the simulation process that replays primitive ops on
 //!   the CSIM-substitute engine (CPU facilities, mailboxes),
@@ -49,7 +49,7 @@
 //! models; see the [`analytic`] module docs for the full conformance
 //! contract.
 //!
-//! ## Semantics notes (substitutions documented in DESIGN.md)
+//! ## Semantics notes
 //!
 //! * Point-to-point messages are *eager*: the sender pays a small CPU
 //!   overhead, the receiver completes at

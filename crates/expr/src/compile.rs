@@ -1,4 +1,4 @@
-//! Slot-resolved precompiled expressions (ablation A1 in DESIGN.md).
+//! Slot-resolved precompiled expressions.
 //!
 //! The tree-walking evaluator in [`crate::eval`] looks variables up in a
 //! hash map on every reference. During simulation the same cost function is

@@ -164,9 +164,8 @@ impl Env {
 
     /// Look up a builtin by name, returning `(arity, fn)`.
     pub(crate) fn builtin(name: &str) -> Option<(usize, Builtin)> {
-        // All builtins are pure and deterministic; anything stochastic
-        // lives in the simulation engine's random streams instead, so that
-        // model evaluation is reproducible (DESIGN.md §5).
+        // All builtins are pure and deterministic, so model evaluation
+        // is reproducible.
         let b: (usize, Builtin) = match name {
             "abs" => (1, |a| Ok(a[0].abs())),
             "floor" => (1, |a| Ok(a[0].floor())),

@@ -24,8 +24,7 @@
 //! * [`mod@env`] — evaluation environment (variables, user functions,
 //!   deterministic builtins),
 //! * [`eval`] — tree-walking evaluator with recursion/iteration limits,
-//! * [`compile`] — slot-resolved precompiled form (ablation A1 in
-//!   DESIGN.md),
+//! * [`compile`] — slot-resolved precompiled form,
 //! * [`cpp`] — C++ emission used by the PMP generator, so the emitted
 //!   model text matches the paper's Figure 8 listing shape.
 //!

@@ -16,7 +16,7 @@
 //!   (`node_of`, `cpu_facility_of`).
 //!
 //! The original system evaluated models on clusters described by SP; this
-//! crate is the simulated stand-in (see DESIGN.md substitution table).
+//! crate is the simulated stand-in.
 
 pub mod comm;
 pub mod error;

@@ -3,7 +3,7 @@
 use crate::comm::{CommModel, CommParams};
 use crate::error::MachineError;
 use crate::params::SystemParams;
-use prophet_sim::{Discipline, FacilityId, MailboxId, Simulator};
+use prophet_sim::{FacilityId, MailboxId, Simulator};
 
 /// Ids of the simulation resources that make up one instantiated machine.
 #[derive(Debug, Clone)]
@@ -49,13 +49,7 @@ impl MachineModel {
     /// the estimator spawns the program processes on top.
     pub fn instantiate(&self, sim: &mut Simulator) -> MachineLayout {
         let node_cpus = (0..self.sp.nodes)
-            .map(|n| {
-                sim.add_facility(
-                    &format!("node{n}.cpu"),
-                    self.sp.cpus_per_node,
-                    Discipline::Fcfs,
-                )
-            })
+            .map(|n| sim.add_facility(&format!("node{n}.cpu"), self.sp.cpus_per_node))
             .collect();
         let proc_mailboxes = (0..self.sp.processes)
             .map(|p| sim.add_mailbox(&format!("proc{p}.inbox")))

@@ -609,10 +609,38 @@ mod tests {
 
     #[test]
     fn join_then_leave_moves_keys_with_warm_handoff() {
-        let (a, b) = (shard(), shard());
+        let a = shard();
         let router = router(vec![a.addr()]);
-        let names = ["sample", "jacobi", "pipeline", "master_worker"];
-        for name in names {
+        let keys: Vec<(&str, prophet_core::ArtifactKey)> = prophet_serve::api::demo_models()
+            .into_iter()
+            .map(|(name, _)| {
+                let model = prophet_serve::api::demo_model(name).unwrap();
+                (
+                    name,
+                    prophet_core::ArtifactKey::of(&model, &Default::default()),
+                )
+            })
+            .collect();
+        let names: Vec<&str> = keys.iter().map(|&(name, _)| name).collect();
+        // Pick the joiner so the post-join ring hands it at least one
+        // demo model. Placement hangs on the ephemeral port; each model
+        // lands on the joiner with probability about 1/2, so the first
+        // candidate almost always qualifies.
+        let (b, moving) = loop {
+            let b = shard();
+            let labels = [a.addr().to_string(), b.addr().to_string()];
+            let ring = Ring::new(&labels);
+            let moving: Vec<prophet_core::ArtifactKey> = keys
+                .iter()
+                .map(|&(_, key)| key)
+                .filter(|&key| ring.route(route_key(key)) == 1)
+                .collect();
+            if !moving.is_empty() {
+                break (b, moving);
+            }
+            b.shutdown();
+        };
+        for &name in &names {
             let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
         }
@@ -637,13 +665,21 @@ mod tests {
         assert_eq!(r.body.get("epoch").unwrap().as_f64(), Some(1.0));
         assert_eq!(r.body.get("shards").unwrap().as_f64(), Some(2.0));
         let moved = r.body.get("moved").unwrap().as_f64().unwrap();
-        assert!(moved >= 1.0, "four keys over two shards must move some");
+        assert_eq!(
+            moved,
+            moving.len() as f64,
+            "exactly the keys the post-join ring hands to the joiner move"
+        );
+        let state = router.state();
+        for &key in &moving {
+            assert_eq!(state.shards()[state.owner_of(key)].addr(), b.addr());
+        }
         assert_eq!(r.body.get("primed").unwrap().as_f64(), Some(moved));
         assert_eq!(r.body.get("evicted").unwrap().as_f64(), Some(moved));
 
         // Every repeat is a pool reuse: moved keys were pre-warmed on
         // the joiner, unmoved keys stayed warm on a.
-        for name in names {
+        for &name in &names {
             let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
             assert_eq!(
@@ -670,7 +706,7 @@ mod tests {
         let r = client::post(router.addr(), "/v1/shards", &leave).unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(r.body.get("epoch").unwrap().as_f64(), Some(2.0));
-        for name in names {
+        for &name in &names {
             let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
             assert_eq!(

@@ -475,13 +475,15 @@ fn handle_estimate(state: &AppState, req: &Request, spans: &mut SpanSet) -> Resp
         Ok(pair) => pair,
         Err(r) => return r,
     };
-    let mut scenario = Scenario::new(sp).with_backend(backend).without_trace();
-    if let Some(seed) = body.get("seed") {
-        match seed.as_usize() {
-            Some(seed) => scenario = scenario.with_seed(seed as u64),
-            None => return error_response(400, "`seed` must be a non-negative integer"),
-        }
+    // `seed` predates the deterministic engine: still validated so old
+    // clients keep their 400s, but no prediction reads it.
+    if body
+        .get("seed")
+        .is_some_and(|seed| seed.as_usize().is_none())
+    {
+        return error_response(400, "`seed` must be a non-negative integer");
     }
+    let scenario = Scenario::new(sp).with_backend(backend).without_trace();
     spans.mark(Phase::Parse);
     let (session, reused) = match resolve_session(state, &body, spans) {
         Ok(pair) => pair,
@@ -1192,12 +1194,42 @@ mod tests {
             (r#"{"model_name":"sample","model":"<x/>"}"#, 400),
             (r#"{"model_name":"sample","nodes":-1}"#, 400),
             (r#"{"model_name":"sample","backend":"quantum"}"#, 400),
+            (r#"{"model_name":"sample","seed":-1}"#, 400),
+            (r#"{"model_name":"sample","seed":"7"}"#, 400),
             (r#"{"model_name":"sample","nodes":4,"processes":2}"#, 422),
             (r#"{"model":"<model><broken"}"#, 422),
         ] {
             let (r, _) = handle(&state, &post("/v1/estimate", body));
             assert_eq!(r.status, status, "{body} -> {}", r.body);
             assert!(body_of(&r).get("error").is_some(), "{body}");
+        }
+    }
+
+    #[test]
+    fn estimate_seed_changes_no_prediction() {
+        let state = AppState::default();
+        let predict = |name: &str, backend: &str, seed: Option<&str>| {
+            let seed = seed.map(|s| format!(r#","seed":{s}"#)).unwrap_or_default();
+            let body =
+                format!(r#"{{"model_name":"{name}","nodes":2,"backend":"{backend}"{seed}}}"#);
+            let (r, _) = handle(&state, &post("/v1/estimate", &body));
+            (
+                r.status,
+                body_of(&r).get("predicted_time").and_then(Json::as_f64),
+            )
+        };
+        for (name, _) in demo_models() {
+            for backend in ["simulation", "analytic"] {
+                let (status, plain) = predict(name, backend, None);
+                assert_eq!(status, 200, "{name}/{backend}");
+                let (status, seeded) = predict(name, backend, Some("7"));
+                assert_eq!(status, 200, "{name}/{backend} with seed");
+                assert_eq!(
+                    seeded.map(f64::to_bits),
+                    plain.map(f64::to_bits),
+                    "{name}/{backend}: the seed must not move the prediction"
+                );
+            }
         }
     }
 

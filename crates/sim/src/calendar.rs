@@ -1,14 +1,8 @@
 //! The event calendar: pending simulation events ordered by time.
 //!
-//! Two implementations share the [`Calendar`] trait so DESIGN.md ablation
-//! A3 can compare them under `bench_sim`:
-//!
-//! * [`BinaryHeapCalendar`] — `O(log n)` push/pop, the production default;
-//! * [`SortedVecCalendar`] — insertion-sorted vec, `O(n)` insert,
-//!   `O(1)` pop. Competitive only at very small pending-set sizes.
-//!
-//! Both are deterministic: ties in time are broken by a monotonically
-//! increasing sequence number assigned at insertion.
+//! A binary heap (`O(log n)` push/pop). It is deterministic: ties in time
+//! are broken by a monotonically increasing sequence number assigned at
+//! insertion.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -42,32 +36,6 @@ impl<T: Eq> Ord for Entry<T> {
 }
 
 /// Pending-event set ordered by `(time, seq)`.
-pub trait Calendar<T> {
-    /// Schedule `payload` at `time`. Returns the assigned sequence number.
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64;
-    /// Remove and return the earliest entry.
-    fn pop(&mut self) -> Option<Entry<T>>;
-    /// Time of the earliest entry without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending entries.
-    fn len(&self) -> usize;
-    /// True when no entries are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Which calendar implementation a [`crate::Simulator`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// Binary heap (default).
-    #[default]
-    BinaryHeap,
-    /// Insertion-sorted vector (ablation A3).
-    SortedVec,
-}
-
-/// Binary-heap calendar (production default).
 #[derive(Debug)]
 pub struct BinaryHeapCalendar<T: Eq> {
     heap: BinaryHeap<Entry<T>>,
@@ -88,83 +56,28 @@ impl<T: Eq> BinaryHeapCalendar<T> {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<T: Eq> Calendar<T> for BinaryHeapCalendar<T> {
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
+    /// Schedule `payload` at `time`. Returns the assigned sequence number.
+    pub fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, payload });
         seq
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
+    /// Remove and return the earliest entry.
+    pub fn pop(&mut self) -> Option<Entry<T>> {
         self.heap.pop()
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
+    /// Number of pending entries.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
-}
 
-/// Insertion-sorted vector calendar, kept in *reverse* order so `pop` is
-/// `Vec::pop` (`O(1)`).
-#[derive(Debug)]
-pub struct SortedVecCalendar<T: Eq> {
-    // Sorted descending by (time, seq): the next event is at the end.
-    entries: Vec<Entry<T>>,
-    next_seq: u64,
-}
-
-impl<T: Eq> Default for SortedVecCalendar<T> {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<T: Eq> SortedVecCalendar<T> {
-    /// Empty calendar.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<T: Eq> Calendar<T> for SortedVecCalendar<T> {
-    fn schedule(&mut self, time: SimTime, payload: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry { time, seq, payload };
-        // Find insertion point from the back (new events are usually late,
-        // i.e. near the front of the reversed vec).
-        let key = (entry.time, entry.seq);
-        let idx = self
-            .entries
-            .binary_search_by(|probe| {
-                // Descending order: larger keys first.
-                key.cmp(&(probe.time, probe.seq))
-            })
-            .unwrap_or_else(|i| i);
-        self.entries.insert(idx, entry);
-        seq
-    }
-
-    fn pop(&mut self) -> Option<Entry<T>> {
-        self.entries.pop()
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.entries.last().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// True when no entries are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -172,7 +85,9 @@ impl<T: Eq> Calendar<T> for SortedVecCalendar<T> {
 mod tests {
     use super::*;
 
-    fn exercise(cal: &mut dyn Calendar<u32>) {
+    #[test]
+    fn heap_ordering_and_ties() {
+        let mut cal = BinaryHeapCalendar::new();
         cal.schedule(SimTime::new(3.0), 30);
         cal.schedule(SimTime::new(1.0), 10);
         cal.schedule(SimTime::new(2.0), 20);
@@ -180,8 +95,8 @@ mod tests {
         cal.schedule(SimTime::new(1.0), 11);
 
         assert_eq!(cal.len(), 4);
-        assert_eq!(cal.peek_time(), Some(SimTime::new(1.0)));
-        assert_eq!(cal.pop().unwrap().payload, 10);
+        let first = cal.pop().unwrap();
+        assert_eq!((first.time, first.payload), (SimTime::new(1.0), 10));
         assert_eq!(cal.pop().unwrap().payload, 11);
         assert_eq!(cal.pop().unwrap().payload, 20);
         assert_eq!(cal.pop().unwrap().payload, 30);
@@ -190,19 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_ordering_and_ties() {
-        exercise(&mut BinaryHeapCalendar::new());
-    }
-
-    #[test]
-    fn sorted_vec_ordering_and_ties() {
-        exercise(&mut SortedVecCalendar::new());
-    }
-
-    #[test]
-    fn implementations_agree_on_random_schedule() {
+    fn heap_matches_a_stable_sort_on_random_schedule() {
         let mut heap = BinaryHeapCalendar::new();
-        let mut vec = SortedVecCalendar::new();
+        let mut reference = Vec::new();
         // Deterministic pseudo-random times (LCG), including duplicates.
         let mut x: u64 = 12345;
         for i in 0..1000u32 {
@@ -211,14 +116,15 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let t = ((x >> 33) % 100) as f64 * 0.5;
             heap.schedule(SimTime::new(t), i);
-            vec.schedule(SimTime::new(t), i);
+            reference.push((SimTime::new(t), i));
         }
-        for _ in 0..1000 {
-            let a = heap.pop().unwrap();
-            let b = vec.pop().unwrap();
-            assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
+        // A stable sort by time keeps insertion order within ties.
+        reference.sort_by_key(|&(t, _)| t);
+        for (t, i) in reference {
+            let e = heap.pop().unwrap();
+            assert_eq!((e.time, e.payload), (t, i));
         }
-        assert!(heap.pop().is_none() && vec.pop().is_none());
+        assert!(heap.pop().is_none());
     }
 
     #[test]

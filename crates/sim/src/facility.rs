@@ -8,23 +8,10 @@ use crate::kernel::ProcessId;
 use crate::stats::{Tally, TimeWeighted};
 use std::collections::VecDeque;
 
-/// Queueing discipline for a facility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Discipline {
-    /// First-come first-served (default; CSIM's default too).
-    #[default]
-    Fcfs,
-    /// Higher `priority` values are served first; FIFO within a priority.
-    Priority,
-}
-
 #[derive(Debug, Clone)]
 struct Waiter {
     pid: ProcessId,
-    priority: i64,
     enqueued_at: f64,
-    /// FIFO tie-break within a priority class.
-    seq: u64,
 }
 
 /// Per-facility statistics snapshot.
@@ -50,14 +37,13 @@ pub struct FacilityStats {
     pub busy_integral: f64,
 }
 
-/// A multi-server service facility.
+/// A multi-server service facility with one first-come first-served
+/// queue (CSIM's default discipline).
 #[derive(Debug)]
 pub struct Facility {
     name: String,
     servers: Vec<Option<ProcessId>>,
     queue: VecDeque<Waiter>,
-    discipline: Discipline,
-    next_seq: u64,
     busy: TimeWeighted,
     queue_len: TimeWeighted,
     waits: Tally,
@@ -69,14 +55,12 @@ impl Facility {
     ///
     /// # Panics
     /// Panics if `servers == 0`.
-    pub fn new(name: impl Into<String>, servers: usize, discipline: Discipline) -> Self {
+    pub fn new(name: impl Into<String>, servers: usize) -> Self {
         assert!(servers > 0, "a facility needs at least one server");
         Self {
             name: name.into(),
             servers: vec![None; servers],
             queue: VecDeque::new(),
-            discipline,
-            next_seq: 0,
             busy: TimeWeighted::new(0.0, 0.0),
             queue_len: TimeWeighted::new(0.0, 0.0),
             waits: Tally::new(),
@@ -108,20 +92,16 @@ impl Facility {
     ///
     /// Returns `true` if granted immediately; otherwise the process is
     /// queued and will be granted by a future [`Facility::release`].
-    pub fn reserve(&mut self, pid: ProcessId, priority: i64, now: f64) -> bool {
+    pub fn reserve(&mut self, pid: ProcessId, now: f64) -> bool {
         if let Some(slot) = self.servers.iter_mut().find(|s| s.is_none()) {
             *slot = Some(pid);
             self.busy.add(1.0, now);
             self.waits.record(0.0);
             true
         } else {
-            let seq = self.next_seq;
-            self.next_seq += 1;
             self.queue.push_back(Waiter {
                 pid,
-                priority,
                 enqueued_at: now,
-                seq,
             });
             self.queue_len.add(1.0, now);
             false
@@ -144,7 +124,7 @@ impl Facility {
         };
         *slot = None;
         self.completions += 1;
-        match self.pop_next() {
+        match self.queue.pop_front() {
             Some(w) => {
                 // Server stays busy: hand it to the next waiter directly.
                 *self
@@ -159,21 +139,6 @@ impl Facility {
             None => {
                 self.busy.add(-1.0, now);
                 Ok(None)
-            }
-        }
-    }
-
-    fn pop_next(&mut self) -> Option<Waiter> {
-        match self.discipline {
-            Discipline::Fcfs => self.queue.pop_front(),
-            Discipline::Priority => {
-                let best = self
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| a.priority.cmp(&b.priority).then(b.seq.cmp(&a.seq)))
-                    .map(|(i, _)| i)?;
-                self.queue.remove(best)
             }
         }
     }
@@ -210,20 +175,20 @@ mod tests {
 
     #[test]
     fn immediate_grant_until_full() {
-        let mut f = Facility::new("cpu", 2, Discipline::Fcfs);
-        assert!(f.reserve(pid(1), 0, 0.0));
-        assert!(f.reserve(pid(2), 0, 0.0));
-        assert!(!f.reserve(pid(3), 0, 0.0));
+        let mut f = Facility::new("cpu", 2);
+        assert!(f.reserve(pid(1), 0.0));
+        assert!(f.reserve(pid(2), 0.0));
+        assert!(!f.reserve(pid(3), 0.0));
         assert_eq!(f.busy_count(), 2);
         assert_eq!(f.queue_len(), 1);
     }
 
     #[test]
     fn release_grants_fifo() {
-        let mut f = Facility::new("cpu", 1, Discipline::Fcfs);
-        assert!(f.reserve(pid(1), 0, 0.0));
-        assert!(!f.reserve(pid(2), 0, 1.0));
-        assert!(!f.reserve(pid(3), 0, 2.0));
+        let mut f = Facility::new("cpu", 1);
+        assert!(f.reserve(pid(1), 0.0));
+        assert!(!f.reserve(pid(2), 1.0));
+        assert!(!f.reserve(pid(3), 2.0));
         let next = f.release(pid(1), 5.0).unwrap();
         assert_eq!(next, Some(pid(2)));
         let next = f.release(pid(2), 6.0).unwrap();
@@ -234,27 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn priority_discipline() {
-        let mut f = Facility::new("cpu", 1, Discipline::Priority);
-        assert!(f.reserve(pid(1), 0, 0.0));
-        assert!(!f.reserve(pid(2), 1, 0.5)); // low prio, earlier
-        assert!(!f.reserve(pid(3), 5, 1.0)); // high prio, later
-        assert!(!f.reserve(pid(4), 5, 2.0)); // same high prio, even later
-        assert_eq!(f.release(pid(1), 3.0).unwrap(), Some(pid(3)));
-        assert_eq!(f.release(pid(3), 4.0).unwrap(), Some(pid(4)));
-        assert_eq!(f.release(pid(4), 5.0).unwrap(), Some(pid(2)));
-    }
-
-    #[test]
     fn release_without_hold_is_error() {
-        let mut f = Facility::new("cpu", 1, Discipline::Fcfs);
+        let mut f = Facility::new("cpu", 1);
         assert!(f.release(pid(9), 0.0).is_err());
     }
 
     #[test]
     fn utilization_accounting() {
-        let mut f = Facility::new("cpu", 1, Discipline::Fcfs);
-        assert!(f.reserve(pid(1), 0, 0.0));
+        let mut f = Facility::new("cpu", 1);
+        assert!(f.reserve(pid(1), 0.0));
         f.release(pid(1), 4.0).unwrap();
         // Busy 4 of 8 seconds.
         let s = f.stats(8.0);
@@ -265,9 +218,9 @@ mod tests {
 
     #[test]
     fn wait_times_recorded() {
-        let mut f = Facility::new("cpu", 1, Discipline::Fcfs);
-        assert!(f.reserve(pid(1), 0, 0.0));
-        assert!(!f.reserve(pid(2), 0, 1.0));
+        let mut f = Facility::new("cpu", 1);
+        assert!(f.reserve(pid(1), 0.0));
+        assert!(!f.reserve(pid(2), 1.0));
         f.release(pid(1), 3.0).unwrap(); // pid2 waited 2.0
         let s = f.stats(3.0);
         // waits: 0.0 (pid1 immediate) and 2.0 (pid2)
@@ -276,8 +229,8 @@ mod tests {
 
     #[test]
     fn holds_query() {
-        let mut f = Facility::new("cpu", 1, Discipline::Fcfs);
-        assert!(f.reserve(pid(1), 0, 0.0));
+        let mut f = Facility::new("cpu", 1);
+        assert!(f.reserve(pid(1), 0.0));
         assert!(f.holds(pid(1)));
         assert!(!f.holds(pid(2)));
     }
@@ -285,6 +238,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
-        let _ = Facility::new("bad", 0, Discipline::Fcfs);
+        let _ = Facility::new("bad", 0);
     }
 }

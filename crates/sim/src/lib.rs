@@ -12,12 +12,10 @@
 //! * **processes** — model entities (one per simulated MPI process or
 //!   OpenMP thread) that alternate between computing and waiting,
 //! * **`hold(t)`** — advance a process through simulated time,
-//! * **facilities** — servers with queues (CPUs, interconnect links),
+//! * **facilities** — servers with one FCFS queue each (CPUs, locks),
 //!   reserved/used/released by processes,
 //! * **mailboxes** — typed message queues used to model MPI messages,
-//! * **events** — binary synchronization flags (barriers, broadcasts),
-//! * **storages** — counting resources (memory, bandwidth tokens),
-//! * **statistics** — utilizations, queue lengths, response times.
+//! * **statistics** — utilizations, queue lengths, waiting times.
 //!
 //! ## Execution model
 //!
@@ -25,8 +23,8 @@
 //! state machines*: the kernel calls [`Process::resume`] with the reason
 //! the process woke up ([`Resumed`]), and the process returns the next
 //! *blocking* request ([`Action`]). Non-blocking operations (sending a
-//! message, releasing a facility, spawning a process, setting an event)
-//! are performed immediately through [`ProcCtx`]. This is the classic
+//! message, releasing a facility, spawning a process) are performed
+//! immediately through [`ProcCtx`]. This is the classic
 //! event-driven encoding of process-oriented simulation; determinism falls
 //! out for free because the kernel is single-threaded and every queue is
 //! FIFO with a stable tie-break.
@@ -65,17 +63,15 @@ pub mod kernel;
 pub mod mailbox;
 pub mod random;
 pub mod stats;
-pub mod storage;
 pub mod time;
 
-pub use calendar::{BinaryHeapCalendar, Calendar, CalendarKind, SortedVecCalendar};
-pub use facility::{Discipline, Facility, FacilityStats};
+pub use calendar::BinaryHeapCalendar;
+pub use facility::{Facility, FacilityStats};
 pub use kernel::{
-    Action, Config, EventId, FacilityId, MailboxId, ProcCtx, Process, ProcessId, Resumed, SimError,
-    SimReport, Simulator, StorageId,
+    Action, Config, FacilityId, MailboxId, ProcCtx, Process, ProcessId, Resumed, SimError,
+    SimReport, Simulator,
 };
 pub use mailbox::{Mailbox, Msg};
 pub use random::RandomStream;
-pub use stats::{Histogram, Tally, TimeWeighted};
-pub use storage::Storage;
+pub use stats::{Tally, TimeWeighted};
 pub use time::SimTime;

@@ -2,7 +2,6 @@
 //! model to carry simulated MPI messages.
 
 use crate::kernel::ProcessId;
-use crate::stats::Tally;
 use std::collections::VecDeque;
 
 /// A simulated message.
@@ -30,8 +29,6 @@ pub struct Mailbox {
     name: String,
     messages: VecDeque<Msg>,
     waiters: VecDeque<ProcessId>,
-    /// Receive latency (time between send and receive completion).
-    latencies: Tally,
     sends: u64,
     receives: u64,
 }
@@ -43,7 +40,6 @@ impl Mailbox {
             name: name.into(),
             messages: VecDeque::new(),
             waiters: VecDeque::new(),
-            latencies: Tally::new(),
             sends: 0,
             receives: 0,
         }
@@ -57,11 +53,10 @@ impl Mailbox {
     /// Deposit a message. If a receiver is waiting, returns
     /// `Some((receiver, msg))` — the kernel must resume that receiver and
     /// hand it the message.
-    pub fn send(&mut self, msg: Msg, now: f64) -> Option<(ProcessId, Msg)> {
+    pub fn send(&mut self, msg: Msg) -> Option<(ProcessId, Msg)> {
         self.sends += 1;
         if let Some(waiter) = self.waiters.pop_front() {
             self.receives += 1;
-            self.latencies.record(now - msg.sent_at);
             Some((waiter, msg))
         } else {
             self.messages.push_back(msg);
@@ -71,10 +66,9 @@ impl Mailbox {
 
     /// Try to receive for `pid`. Returns a message if one is queued;
     /// otherwise registers `pid` as a waiter.
-    pub fn receive(&mut self, pid: ProcessId, now: f64) -> Option<Msg> {
+    pub fn receive(&mut self, pid: ProcessId) -> Option<Msg> {
         if let Some(msg) = self.messages.pop_front() {
             self.receives += 1;
-            self.latencies.record(now - msg.sent_at);
             Some(msg)
         } else {
             self.waiters.push_back(pid);
@@ -92,11 +86,6 @@ impl Mailbox {
         self.waiters.len()
     }
 
-    /// Waiting receivers in order (diagnostics / deadlock reports).
-    pub fn waiters(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.waiters.iter().copied()
-    }
-
     /// Total send count.
     pub fn send_count(&self) -> u64 {
         self.sends
@@ -105,11 +94,6 @@ impl Mailbox {
     /// Total completed receive count.
     pub fn receive_count(&self) -> u64 {
         self.receives
-    }
-
-    /// Latency statistics (send → completed receive).
-    pub fn latencies(&self) -> &Tally {
-        &self.latencies
     }
 }
 
@@ -134,21 +118,19 @@ mod tests {
     #[test]
     fn send_then_receive() {
         let mut mb = Mailbox::new("ch");
-        assert!(mb.send(msg(1, 7, 0.0), 0.0).is_none());
+        assert!(mb.send(msg(1, 7, 0.0)).is_none());
         assert_eq!(mb.queued(), 1);
-        let m = mb.receive(pid(2), 1.5).unwrap();
+        let m = mb.receive(pid(2)).unwrap();
         assert_eq!(m.tag, 7);
         assert_eq!(mb.queued(), 0);
-        // Latency 1.5 recorded.
-        assert_eq!(mb.latencies().mean(), 1.5);
     }
 
     #[test]
     fn receive_blocks_until_send() {
         let mut mb = Mailbox::new("ch");
-        assert!(mb.receive(pid(2), 0.0).is_none());
+        assert!(mb.receive(pid(2)).is_none());
         assert_eq!(mb.waiting(), 1);
-        let handoff = mb.send(msg(1, 3, 1.0), 1.0);
+        let handoff = mb.send(msg(1, 3, 1.0));
         assert_eq!(handoff, Some((pid(2), msg(1, 3, 1.0))));
         assert_eq!(mb.waiting(), 0);
     }
@@ -156,26 +138,26 @@ mod tests {
     #[test]
     fn fifo_message_order() {
         let mut mb = Mailbox::new("ch");
-        mb.send(msg(1, 1, 0.0), 0.0);
-        mb.send(msg(1, 2, 0.0), 0.0);
-        assert_eq!(mb.receive(pid(2), 0.0).unwrap().tag, 1);
-        assert_eq!(mb.receive(pid(2), 0.0).unwrap().tag, 2);
+        mb.send(msg(1, 1, 0.0));
+        mb.send(msg(1, 2, 0.0));
+        assert_eq!(mb.receive(pid(2)).unwrap().tag, 1);
+        assert_eq!(mb.receive(pid(2)).unwrap().tag, 2);
     }
 
     #[test]
     fn fifo_waiter_order() {
         let mut mb = Mailbox::new("ch");
-        assert!(mb.receive(pid(10), 0.0).is_none());
-        assert!(mb.receive(pid(11), 0.0).is_none());
-        assert_eq!(mb.send(msg(1, 1, 0.0), 0.0).unwrap().0, pid(10));
-        assert_eq!(mb.send(msg(1, 2, 0.0), 0.0).unwrap().0, pid(11));
+        assert!(mb.receive(pid(10)).is_none());
+        assert!(mb.receive(pid(11)).is_none());
+        assert_eq!(mb.send(msg(1, 1, 0.0)).unwrap().0, pid(10));
+        assert_eq!(mb.send(msg(1, 2, 0.0)).unwrap().0, pid(11));
     }
 
     #[test]
     fn counts() {
         let mut mb = Mailbox::new("ch");
-        mb.send(msg(1, 1, 0.0), 0.0);
-        mb.receive(pid(2), 0.0);
+        mb.send(msg(1, 1, 0.0));
+        mb.receive(pid(2));
         assert_eq!(mb.send_count(), 1);
         assert_eq!(mb.receive_count(), 1);
     }

@@ -1,8 +1,7 @@
-//! Statistics collectors: tallies, time-weighted averages, histograms.
+//! Statistics collectors: tallies and time-weighted averages.
 //!
-//! These mirror CSIM's `table`/`qtable` reporting facilities, which the
-//! Performance Estimator uses for utilizations, queue lengths and response
-//! times in the trace file (TF).
+//! These mirror CSIM's `table`/`qtable` reporting facilities; facilities use
+//! them for utilizations, queue lengths and waiting times.
 
 /// Streaming mean/variance/min/max over observations (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -87,27 +86,6 @@ impl Tally {
             self.max
         }
     }
-
-    /// Merge another tally into this one (parallel sweep aggregation).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal (queue length,
@@ -183,97 +161,6 @@ impl TimeWeighted {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    tally: Tally,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "Histogram needs at least one bin");
-        assert!(hi > lo, "Histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            tally: Tally::new(),
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.tally.record(x);
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts (not including under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at/above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.tally.count()
-    }
-
-    /// Summary statistics of raw observations.
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// Approximate quantile from bin midpoints (`q` in `[0,1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total: u64 = self.bins.iter().sum::<u64>() + self.underflow + self.overflow;
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.lo;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + (i as f64 + 0.5) * w;
-            }
-        }
-        self.hi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,29 +185,6 @@ mod tests {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
-    }
-
-    #[test]
-    fn tally_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Tally::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]
@@ -350,30 +214,5 @@ mod tests {
         let mut tw = TimeWeighted::new(0.0, 0.0);
         tw.set(1.0, 5.0);
         tw.set(2.0, 4.0);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let median = h.quantile(0.5);
-        assert!((median - 49.5).abs() <= 1.0, "median ≈ {median}");
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests of simulation-kernel invariants under randomized
 //! workloads.
 
-use prophet_sim::{
-    Action, CalendarKind, Config, Discipline, FacilityId, ProcCtx, Process, Resumed, Simulator,
-};
+use prophet_sim::{Action, Config, FacilityId, ProcCtx, Process, Resumed, Simulator};
 use proptest::prelude::*;
 
 /// A process running a fixed schedule of service times on one facility.
@@ -29,12 +27,9 @@ impl Process for Scheduled {
     }
 }
 
-fn run(kind: CalendarKind, servers: usize, schedules: &[Vec<f64>]) -> (f64, u64, f64, u64) {
-    let mut sim = Simulator::new(Config {
-        calendar: kind,
-        ..Default::default()
-    });
-    let cpu = sim.add_facility("cpu", servers, Discipline::Fcfs);
+fn run(servers: usize, schedules: &[Vec<f64>]) -> (f64, u64, f64, u64) {
+    let mut sim = Simulator::new(Config::default());
+    let cpu = sim.add_facility("cpu", servers);
     for (i, times) in schedules.iter().enumerate() {
         sim.spawn(
             &format!("p{i}"),
@@ -71,7 +66,7 @@ proptest! {
         // regardless of interleaving or queueing.
         let total: f64 = schedules.iter().flatten().sum();
         let jobs: u64 = schedules.iter().map(|s| s.len() as u64).sum();
-        let (end, _events, busy, completions) = run(CalendarKind::BinaryHeap, servers, &schedules);
+        let (end, _events, busy, completions) = run(servers, &schedules);
         prop_assert!((busy - total).abs() < 1e-9, "busy {busy} != work {total}");
         prop_assert_eq!(completions, jobs);
         // Makespan bounds: ≥ work/servers (perfect packing), ≥ the longest
@@ -86,17 +81,10 @@ proptest! {
     }
 
     #[test]
-    fn calendars_agree_exactly(schedules in schedules_strategy(), servers in 1usize..4) {
-        let a = run(CalendarKind::BinaryHeap, servers, &schedules);
-        let b = run(CalendarKind::SortedVec, servers, &schedules);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn more_servers_never_slower(schedules in schedules_strategy()) {
-        let (t1, ..) = run(CalendarKind::BinaryHeap, 1, &schedules);
-        let (t2, ..) = run(CalendarKind::BinaryHeap, 2, &schedules);
-        let (t4, ..) = run(CalendarKind::BinaryHeap, 4, &schedules);
+        let (t1, ..) = run(1, &schedules);
+        let (t2, ..) = run(2, &schedules);
+        let (t4, ..) = run(4, &schedules);
         prop_assert!(t2 <= t1 + 1e-9, "2 servers slower: {t2} > {t1}");
         prop_assert!(t4 <= t2 + 1e-9, "4 servers slower: {t4} > {t2}");
     }
@@ -104,7 +92,7 @@ proptest! {
     #[test]
     fn utilization_in_unit_range(schedules in schedules_strategy(), servers in 1usize..4) {
         let mut sim = Simulator::new(Config::default());
-        let cpu = sim.add_facility("cpu", servers, Discipline::Fcfs);
+        let cpu = sim.add_facility("cpu", servers);
         for (i, times) in schedules.iter().enumerate() {
             sim.spawn(&format!("p{i}"), Box::new(Scheduled { cpu, times: times.clone(), next: 0 }));
         }

@@ -1,11 +1,8 @@
 //! Analytic validation of the DES engine against M/M/1 and M/M/c queueing
-//! theory (experiment E3 in DESIGN.md). If the facility/queue machinery is
-//! correct, simulated utilizations and queue lengths must converge to the
-//! closed-form values.
+//! theory. If the facility/queue machinery is correct, simulated
+//! utilizations and queue lengths must converge to the closed-form values.
 
-use prophet_sim::{
-    Action, Config, Discipline, FacilityId, Msg, ProcCtx, Process, Resumed, Simulator,
-};
+use prophet_sim::{Action, Config, FacilityId, Msg, ProcCtx, Process, Resumed, Simulator};
 
 /// Open M/M/c system: a generator spawns customers with exponential
 /// interarrival times; each customer uses one of `c` servers for an
@@ -72,7 +69,7 @@ fn run_mmc(
         seed,
         ..Default::default()
     });
-    let cpu = sim.add_facility("server", servers, Discipline::Fcfs);
+    let cpu = sim.add_facility("server", servers);
     sim.spawn(
         "generator",
         Box::new(Generator {

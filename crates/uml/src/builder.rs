@@ -1,5 +1,5 @@
 //! A fluent model-construction API — the programmatic stand-in for Teuta's
-//! graphical drawing space (see DESIGN.md substitution table).
+//! graphical drawing space.
 
 use crate::model::{
     DiagramId, ElementId, FunctionDecl, Model, NodeKind, VarScope, VarType, Variable,

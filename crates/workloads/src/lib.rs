@@ -1,6 +1,6 @@
 //! # prophet-workloads
 //!
-//! Workloads for the reproduction's experiments (DESIGN.md §4):
+//! Workloads for the reproduction's experiments:
 //!
 //! * [`lfk`] — Rust ports of **Livermore Fortran kernels** (McMahon,
 //!   UCRL-53745), including kernel 6 — the paper's running example

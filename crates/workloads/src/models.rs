@@ -287,7 +287,7 @@ pub fn master_worker_model(tasks: usize, per_task_cost: f64, task_bytes: u64) ->
 }
 
 /// A LAPW0-like hybrid MPI+OpenMP model (companion validation, CISIS
-/// 2008; synthetic per the DESIGN.md substitution table).
+/// 2008; a synthetic stand-in for the real code).
 ///
 /// Phase structure: setup, then a loop over `kpoints` in which each rank
 /// computes its k-point share inside an OpenMP `<<parallel+>>` region and

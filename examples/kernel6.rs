@@ -1,5 +1,5 @@
 //! Kernel 6 end to end — the paper's running example (Figures 3 and 4)
-//! plus the derived prediction-accuracy experiment E1 of EXPERIMENTS.md.
+//! plus a prediction-accuracy check against the measured kernel.
 //!
 //! 1. run the *real* Livermore kernel 6 (Rust port) at a calibration size
 //!    and derive seconds-per-flop (the paper's profiling step),

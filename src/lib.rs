@@ -53,11 +53,8 @@
 //! deterministic communication-free models, within 1e-9 relative on
 //! deterministic message-passing ones.
 //!
-//! Migrating from the deprecated single-shot `Project` API? See the
-//! migration map in [`core::project`].
-//!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction map.
+//! See `examples/` for runnable end-to-end scenarios and
+//! `docs/ARCHITECTURE.md` for how the crates fit together.
 
 pub use prophet_check as check;
 pub use prophet_codegen as codegen;

@@ -162,3 +162,66 @@ fn readme_shows_every_cli_command() {
         );
     }
 }
+
+/// Every `*.md` file name spelled in the sources or docs names a file
+/// that exists: relative to the referencing file's directory or one of
+/// its ancestors up to the repository root.
+#[test]
+fn every_markdown_reference_resolves() {
+    fn walk(dir: &Path, files: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    walk(&path, files);
+                }
+            } else if path
+                .extension()
+                .is_some_and(|e| e == "rs" || e == "md" || e == "toml")
+            {
+                files.push(path);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut files = vec![root.join("README.md")];
+    for dir in ["crates", "src", "tests", "examples", "docs", "perfbench"] {
+        walk(&root.join(dir), &mut files);
+    }
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let bytes = text.as_bytes();
+        let is_name = |b: u8| b.is_ascii_alphanumeric() || b"_./-".contains(&b);
+        for (at, _) in text.match_indices(".md") {
+            let end = at + 3;
+            if bytes.get(end).is_some_and(|b| b.is_ascii_alphanumeric()) {
+                continue;
+            }
+            let start = (0..at).rev().take_while(|&i| is_name(bytes[i])).last();
+            let Some(start) = start else { continue };
+            let name = text[start..end].trim_start_matches("./");
+            checked += 1;
+            let resolves = file
+                .ancestors()
+                .skip(1)
+                .take_while(|dir| dir.starts_with(&root))
+                .any(|dir| dir.join(name).is_file());
+            if !resolves {
+                missing.push(format!(
+                    "{}: {name}",
+                    file.strip_prefix(&root).unwrap().display()
+                ));
+            }
+        }
+    }
+    assert!(
+        checked >= 20,
+        "expected the scan to find the docs links, found {checked}"
+    );
+    assert!(
+        missing.is_empty(),
+        "references to missing files: {missing:#?}"
+    );
+}

@@ -5,7 +5,6 @@
 use prophet::core::{mpi_grid, Error, Scenario, Session, SweepConfig};
 use prophet::estimator::{Estimator, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
-use prophet::sim::CalendarKind;
 use prophet::trace::TraceAnalysis;
 use prophet::uml::{ModelBuilder, TagValue, VarType};
 use prophet::workloads::models::{jacobi_model, master_worker_model, sample_model};
@@ -27,23 +26,6 @@ fn determinism_across_full_pipeline() {
 }
 
 #[test]
-fn calendar_ablation_agrees_end_to_end() {
-    // Ablation A3: both calendar implementations give identical results.
-    let session = Session::new(jacobi_model(100_000, 5, 1e-8)).unwrap();
-    let time_with = |kind: CalendarKind| {
-        let scenario = Scenario::new(SystemParams::flat_mpi(4, 1)).with_options(EstimatorOptions {
-            calendar: kind,
-            ..Default::default()
-        });
-        session.evaluate(&scenario).unwrap().predicted_time
-    };
-    assert_eq!(
-        time_with(CalendarKind::BinaryHeap),
-        time_with(CalendarKind::SortedVec)
-    );
-}
-
-#[test]
 fn serial_and_parallel_sweeps_agree_on_real_model() {
     let session = Session::new(jacobi_model(200_000, 5, 1e-8)).unwrap();
     let points = mpi_grid(&[1, 2, 4, 8], 1);
@@ -61,20 +43,6 @@ fn serial_and_parallel_sweeps_agree_on_real_model() {
         assert_eq!(x.time(), y.time());
         assert_eq!(x.outcome.is_err(), y.outcome.is_err());
     }
-}
-
-#[test]
-fn seed_changes_nothing_for_deterministic_models() {
-    // Our models have no stochastic elements; the seed must not leak into
-    // predictions (it exists for future stochastic cost functions).
-    let session = Session::new(sample_model()).unwrap();
-    let t = |seed: u64| {
-        session
-            .evaluate(&Scenario::default().with_seed(seed))
-            .unwrap()
-            .predicted_time
-    };
-    assert_eq!(t(1), t(999));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Golden tests pinning each figure of the paper to an executable
-//! artifact (experiments F1–F8 in DESIGN.md).
+//! artifact (Figures 1–8).
 
 use prophet::codegen::{build_flow_tree, generate_cpp};
 use prophet::core::transform::{to_cpp, to_program};

@@ -1,5 +1,5 @@
 //! Golden snapshot tests: checked-in expected `Evaluation` values for
-//! every bundled workload model at a fixed seed and SP point.
+//! every bundled workload model at a fixed SP point.
 //!
 //! These pins exist so a future refactor of the transform pipeline, the
 //! flattener, the DES kernel, or the analytic backend cannot *silently*
@@ -24,7 +24,7 @@ use prophet::workloads::models::{
 };
 
 struct Golden {
-    /// Expected predicted time (both backends, seed 0x5EED).
+    /// Expected predicted time (both backends).
     time: f64,
     /// Expected DES event count (simulation backend).
     events: u64,
@@ -40,11 +40,7 @@ struct Golden {
 
 fn check(name: &str, model: Model, sp: SystemParams, golden: Golden) {
     let session = Session::new(model).expect("model compiles");
-    // 0x5EED is also the default seed; pin it explicitly so a future
-    // default change cannot silently shift what these goldens mean.
-    let sim = session
-        .evaluate(&Scenario::new(sp).with_seed(0x5EED))
-        .unwrap();
+    let sim = session.evaluate(&Scenario::new(sp)).unwrap();
     assert!(
         (sim.predicted_time - golden.time).abs() <= golden.time.abs() * 1e-12,
         "{name} simulation predicted_time {:?} != golden {:?}",
