@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use prophet_bench::trajectory::Trajectory;
 use prophet_core::{mpi_grid, Backend, Scenario, Session, SweepConfig, SweepPoint};
-use prophet_machine::SystemParams;
+use prophet_estimator::{analytic, EstimatorOptions};
+use prophet_machine::{CommParams, MachineModel, SystemParams};
 use prophet_workloads::models::jacobi_model;
 
 fn grid_64() -> Vec<SweepPoint> {
@@ -126,13 +127,14 @@ fn bench_analytic(c: &mut Criterion) {
     group.bench_function("elab_uncached", |b| b.iter(|| sweep_8_times(true)));
     group.finish();
 
-    // Batch-path floor: a cached analytic sweep dispatches whole chunks
+    // Batch-path floor: a cached analytic sweep replays each point
     // through `prophet_estimator::batch` (compacted ops, statically
-    // matched messages, reused scratch), while `Session::evaluate` stays
-    // on the per-point oracle. Both sides run warm on the same elab
-    // cache, so the ratio isolates the batch walk itself. The floor is
-    // 3x (typical measured speedup is well above 5x); same best-of-3
-    // x 3-attempt shape as the elab-cache guard above to shrug off
+    // matched messages, reused scratch), while the per-point pass runs
+    // the reference walker (`analytic::evaluate_ops`) over the same
+    // cached op lists. Both sides run warm on the same elab cache, so
+    // the ratio isolates the batch walk itself. The floor is 3x
+    // (typical measured speedup is well above 5x); same best-of-3 x
+    // 3-attempt shape as the elab-cache guard above to shrug off
     // shared-runner scheduler noise.
     let batch_pass = || {
         assert_eq!(
@@ -142,12 +144,20 @@ fn bench_analytic(c: &mut Criterion) {
             0
         );
     };
+    let walker_options = EstimatorOptions {
+        trace: false,
+        ..Default::default()
+    };
     let per_point_pass = || {
         for point in &big {
-            let scenario = Scenario::new(point.sp)
-                .with_backend(Backend::Analytic)
-                .without_trace();
-            std::hint::black_box(session.evaluate(&scenario).unwrap().predicted_time);
+            let machine = MachineModel::new(point.sp, CommParams::default()).unwrap();
+            let ops = session
+                .elab_cache()
+                .get_or_flatten(session.program(), &machine, walker_options.limits)
+                .unwrap();
+            let walked =
+                analytic::evaluate_ops(&session.program().name, &ops, &machine, &walker_options);
+            std::hint::black_box(walked.unwrap().predicted_time);
         }
     };
     batch_pass(); // warm: compiles the BatchProgram into the elab cache
@@ -173,7 +183,7 @@ fn bench_analytic(c: &mut Criterion) {
     }
     assert!(
         batch_speedup >= 3.0,
-        "batched analytic sweep must be >= 3x the per-point oracle on the 64pt \
+        "batched analytic sweep must be >= 3x the per-point walker on the 64pt \
          grid in at least one of 3 attempts, best was {batch_speedup:.2}x"
     );
     println!("batch evaluation speedup on 64pt analytic sweep: {batch_speedup:.2}x");

@@ -334,6 +334,7 @@ impl Session {
             &machine,
             &scenario.options,
             cache,
+            &mut BatchScratch::new(),
         )?)
     }
 
@@ -382,52 +383,34 @@ impl Session {
         };
         let comm = config.comm;
         let backend = config.backend;
-        let results = match (backend, elab) {
-            // Cached analytic sweeps go through the batch path: workers
-            // claim whole chunks off the cursor and replay each point into
-            // their own reusable scratch (predictions are bit-identical to
-            // the per-point path — see `prophet_estimator::batch`).
-            (Backend::Analytic, Some(cache)) => run_indexed_chunked(
-                points.len(),
-                config.threads,
-                ANALYTIC_CHUNK,
-                BatchScratch::new,
-                |scratch, i| {
-                    let sp = points[i].sp;
-                    let outcome =
-                        MachineModel::new(sp, comm)
-                            .map_err(Error::from)
-                            .and_then(|machine| {
-                                Estimator::run_analytic_batched(
-                                    program, &machine, &options, cache, scratch,
-                                )
-                                .map(|e| e.predicted_time)
-                                .map_err(Error::from)
-                            });
-                    PointResult { sp, outcome }
-                },
-                &mut on_point,
-            ),
-            _ => run_indexed(
-                points.len(),
-                config.threads,
-                |i| {
-                    let sp = points[i].sp;
-                    let outcome =
-                        MachineModel::new(sp, comm)
-                            .map_err(Error::from)
-                            .and_then(|machine| {
-                                Estimator::run_backend_cached(
-                                    backend, program, &machine, &options, elab,
-                                )
-                                .map(|e| e.predicted_time)
-                                .map_err(Error::from)
-                            });
-                    PointResult { sp, outcome }
-                },
-                &mut on_point,
-            ),
+        // Analytic workers claim whole chunks off the cursor and replay
+        // each point into their own reusable scratch; DES points are
+        // expensive enough to claim one at a time.
+        let chunk = match backend {
+            Backend::Analytic => ANALYTIC_CHUNK,
+            Backend::Simulation => 1,
         };
+        let results = run_indexed_chunked(
+            points.len(),
+            config.threads,
+            chunk,
+            BatchScratch::new,
+            |scratch, i| {
+                let sp = points[i].sp;
+                let outcome =
+                    MachineModel::new(sp, comm)
+                        .map_err(Error::from)
+                        .and_then(|machine| {
+                            Estimator::run_backend_cached(
+                                backend, program, &machine, &options, elab, scratch,
+                            )
+                            .map(|e| e.predicted_time)
+                            .map_err(Error::from)
+                        });
+                PointResult { sp, outcome }
+            },
+            &mut on_point,
+        );
         SweepReport { points: results }
     }
 
@@ -457,7 +440,7 @@ impl Session {
     }
 }
 
-/// Cursor claim size of batch-path analytic sweeps: large enough to
+/// Cursor claim size of analytic sweeps: large enough to
 /// amortize the atomic `fetch_add` per claim across cheap closed-form
 /// points, small enough that an uneven grid still balances across
 /// workers.
@@ -480,9 +463,9 @@ fn run_indexed<T: Send>(
 
 /// [`run_indexed`] with chunked claims and per-worker state: each worker
 /// builds one `state` with `init` and claims `chunk` consecutive indices
-/// per cursor `fetch_add`, passing the state to every job it runs. The
-/// batch analytic sweep path uses the state as its reusable evaluation
-/// scratch; `chunk == 1` with a unit state degenerates to the plain
+/// per cursor `fetch_add`, passing the state to every job it runs.
+/// Sweeps use the state as the worker's reusable analytic scratch;
+/// `chunk == 1` with a unit state degenerates to the plain
 /// work-stealing loop.
 fn run_indexed_chunked<T: Send, S>(
     count: usize,

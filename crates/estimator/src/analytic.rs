@@ -1,4 +1,12 @@
-//! Closed-form analytic evaluation backend.
+//! Closed-form analytic evaluation: semantics and the reference walker.
+//!
+//! This module defines what an analytic prediction *is*. Production
+//! evaluations run it through [`crate::batch`], which compiles one
+//! elaboration into a compact replay; [`evaluate_ops`] here is the
+//! reference walker the batch replay is tested bit-for-bit against
+//! (unit tests, `tests/conformance.rs`, `tests/model_gen.rs`, the
+//! benches). No production path calls the walker. The thread-team
+//! pricing (`team_time` and its arm profiles) is shared by both.
 //!
 //! [`evaluate_analytic`] walks the same flattened primitive-op lists the
 //! DES interpreter replays ([`crate::interp`]), but resolves completion
@@ -27,8 +35,8 @@
 //! The dependency resolution is a critical-path pass: ranks are advanced
 //! round-robin, each as far as its send/recv dependencies allow, until
 //! the whole op graph is resolved — one deterministic sweep with no
-//! event calendar, which is why analytic sweeps are much faster than
-//! simulated ones (see `bench_analytic`).
+//! event calendar, which is why analytic evaluations are much faster
+//! than simulated ones (see `bench_analytic`).
 //!
 //! ## Agreement contract (differential conformance)
 //!
@@ -66,7 +74,9 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Evaluate `program` on `machine` analytically (no DES kernel).
+/// Evaluate `program` on `machine` analytically (no DES kernel) with
+/// the reference walker, uncached — the differential reference for
+/// `Session` evaluations and sweeps.
 ///
 /// Produces a regular [`Evaluation`] whose `predicted_time` is the
 /// maximum rank completion time; the report carries zero events and no
@@ -85,7 +95,8 @@ pub fn evaluate_analytic(
     evaluate_ops(&program.name, &rank_ops, machine, options)
 }
 
-/// Resolve already-elaborated op lists in closed form.
+/// Resolve already-elaborated op lists in closed form: the reference
+/// walker [`crate::batch::BatchProgram`] replays bit-identically.
 ///
 /// The scenario-dependent half of [`evaluate_analytic`]: `rank_ops` is
 /// the scenario-independent elaboration (from

@@ -1,18 +1,17 @@
-//! Batch analytic evaluation: prepare once, evaluate many SP points.
+//! Batch analytic evaluation: prepare once per elaboration, replay per
+//! SP point. Every analytic prediction goes through here.
 //!
-//! [`crate::analytic::evaluate_ops`] re-walks the full `Arc<[PrimOp]>`
-//! structure per SP point: every evaluation re-skips the trace markers,
-//! re-hashes `(src, dst, tag)` channel keys into a fresh `HashMap` of
-//! `VecDeque`s, re-prices every Hockney transfer and re-schedules every
-//! thread team — even though all of that is a pure function of the
-//! elaboration and the machine model, which the sweep holds fixed per
-//! elaboration-cache entry. During a sweep the same op lists are walked
-//! once per point, so the redundant work dominates the hot loop.
+//! [`crate::analytic::evaluate_ops`] (the reference walker) re-walks
+//! the full `Arc<[PrimOp]>` structure per evaluation: it re-skips the
+//! trace markers, re-hashes `(src, dst, tag)` channel keys into a fresh
+//! `HashMap` of `VecDeque`s, re-prices every Hockney transfer and
+//! re-schedules every thread team — even though all of that is a pure
+//! function of the elaboration and the machine model, which the
+//! elaboration cache holds fixed per entry.
 //!
 //! [`BatchProgram::prepare`] hoists everything scenario-invariant out of
-//! the per-point walk, compiling the op lists into a structure-of-arrays
-//! form the critical-path pass can replay with no allocation and no
-//! hashing:
+//! the walk, compiling the op lists into a structure-of-arrays form the
+//! critical-path pass can replay with no allocation and no hashing:
 //!
 //! * **trace markers and master-flow locks are dropped** — they are
 //!   no-ops in the analytic pass, and they are the *majority* of ops in
@@ -22,8 +21,8 @@
 //!   `(src, dst, tag)` is order-deterministic: the k-th receive on a
 //!   channel always pairs with the k-th send, because both sides post in
 //!   program order. Each send gets a dense slot index; each receive
-//!   stores its partner's slot, so the per-point replay is an array read
-//!   instead of a `HashMap` + `VecDeque` pop,
+//!   stores its partner's slot, so the replay is an array read instead
+//!   of a `HashMap` + `VecDeque` pop,
 //! * **costs are resolved to one `f64` per op** — Hockney transfer
 //!   times, send overheads and thread-team completion times (the full
 //!   FCFS lock schedule) are priced at prepare time,
@@ -32,22 +31,21 @@
 //!   worker clears it per point instead of reallocating.
 //!
 //! The replay is the *same* round-robin critical-path pass as the
-//! per-point oracle, performing the identical floating-point operations
-//! in the identical order, so predictions are **bit-identical** to
+//! walker, performing the identical floating-point operations in the
+//! identical order, so predictions are **bit-identical** to
 //! [`crate::analytic::evaluate_ops`] — pinned by unit tests here, the
-//! conformance suite, and the batch-vs-single differential proptest in
-//! `tests/conformance.rs`. Deadlocks are reported with the exact same
-//! [`SimError::Deadlock`] shape (the compact ops remember their source
-//! op index for the message).
+//! conformance suite, and the walker differentials in
+//! `tests/conformance.rs` and `tests/model_gen.rs`.
 //!
-//! Preparation itself can fail where the oracle would not have — e.g. a
-//! thread team holding a communication op errors at prepare time but
-//! only errors per-point if the replay *reaches* it (the model might
-//! deadlock first). [`prepare`](BatchProgram::prepare) failures are
-//! therefore never surfaced: callers
-//! ([`ElaborationCache::get_or_flatten_batched`](crate::elab::ElaborationCache::get_or_flatten_batched))
-//! fall back to the per-point oracle, keeping observable behavior
-//! identical in every case.
+//! Errors match the walker too. Deadlocks are reported with the exact
+//! same [`SimError::Deadlock`] shape (a stalled rank's compact cursor
+//! maps back to its source op for the message). A thread team the
+//! walker cannot price (communication inside the team) compiles to a
+//! `Fail` op that holds the pricing error: the replay returns it only
+//! when a rank *reaches* the team, so a model that deadlocks first
+//! still reports the deadlock, as the walker does. Preparation is
+//! therefore total over every op list the walker accepts; only
+//! elaborations too large for the compact `u32` indices are rejected.
 
 use crate::elab::RankOps;
 use crate::estimator::{EstimatorError, Evaluation};
@@ -80,12 +78,24 @@ enum Kind {
     /// perturb the bit pattern).
     RecvZero,
     /// A receive with no matching send anywhere in the elaboration:
-    /// blocks forever (the deadlock is reported like the oracle's).
+    /// blocks forever (the deadlock is reported like the walker's).
     RecvNever,
+    /// A thread team whose pricing failed: reaching it returns the
+    /// stored error `fails[arg]`, where the walker would fail.
+    Fail,
 }
 
 /// Sentinel for "send not posted yet" in the scratch arena.
 const UNPOSTED: f64 = f64::NAN;
+
+/// Whether the analytic pass skips `op`: trace markers and master-flow
+/// locks (the master never contends with itself) compile to nothing.
+fn is_noop(op: &PrimOp) -> bool {
+    matches!(
+        op,
+        PrimOp::Enter(_) | PrimOp::Exit(_) | PrimOp::Lock(_) | PrimOp::Unlock(_)
+    )
+}
 
 /// One elaboration compiled for batch evaluation: the scenario-invariant
 /// half of the analytic critical-path pass, resolved once per
@@ -98,17 +108,17 @@ const UNPOSTED: f64 = f64::NAN;
 pub struct BatchProgram {
     /// Structure-of-arrays over compact ops, all ranks concatenated.
     kinds: Vec<Kind>,
-    /// Send-slot index (`Post*`/`Recv*`); unused for `Add`.
+    /// Send-slot index (`Post*`/`Recv*`) or error index (`Fail`);
+    /// unused for `Add`.
     args: Vec<u32>,
     /// Pre-priced cost; meaning depends on the kind.
     vals: Vec<f64>,
-    /// Index of the originating op in its rank's source list — only
-    /// read to format deadlock reports from the original `PrimOp`.
-    orig: Vec<u32>,
     /// Per-rank compact op range into the arrays above.
     ranks: Vec<Range<u32>>,
     /// Total send slots (sizes the scratch arena).
     sends: usize,
+    /// Pricing errors of the teams compiled to `Fail` ops.
+    fails: Vec<EstimatorError>,
     /// The source elaboration (deadlock formatting only).
     ops: RankOps,
 }
@@ -122,7 +132,7 @@ pub struct BatchScratch {
     /// Per-rank clock.
     time: Vec<f64>,
     /// Post time per send slot ([`UNPOSTED`] until the sender reaches
-    /// it) — the arena replacing the oracle's channel map.
+    /// it) — the arena replacing the walker's channel map.
     send_time: Vec<f64>,
 }
 
@@ -136,35 +146,24 @@ impl BatchScratch {
 impl BatchProgram {
     /// Compile `rank_ops` + `machine` into batch form.
     ///
+    /// Thread teams that cannot be priced compile to `Fail` ops; their
+    /// errors surface from [`BatchProgram::evaluate`] when a rank
+    /// reaches them.
+    ///
     /// # Errors
-    /// Anything the per-point pass could raise while pricing
-    /// (communication inside a thread team, invalid team shapes), plus
-    /// elaborations too large for the compact `u32` indices. Callers
-    /// treat any error as "use the per-point oracle for this entry".
+    /// Only for elaborations too large for the compact `u32` indices.
     pub fn prepare(rank_ops: &RankOps, machine: &MachineModel) -> Result<Self, EstimatorError> {
-        let total_ops: usize = rank_ops.iter().map(|r| r.len()).sum();
-        let total_sends: usize = rank_ops
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .filter(|op| matches!(op, PrimOp::SendTo { .. }))
-                    .count()
-            })
-            .sum();
-        if total_ops > u32::MAX as usize || rank_ops.len() > u32::MAX as usize {
-            return Err(EstimatorError::Mismatch(
-                "elaboration too large for batch compilation".into(),
-            ));
-        }
-
         // Pass 1 — static FIFO matching: assign each send a dense slot
         // in (rank, program-order) and queue it on its channel; the
         // replay posts sends in exactly this order, so the k-th pop in
-        // pass 2 is the send the oracle's k-th pop would match.
+        // pass 2 is the send the walker's k-th pop would match. Also
+        // count the ops the compaction keeps, to size it exactly.
         let mut channels: HashMap<(usize, usize, i64), VecDeque<(u32, u64)>> = HashMap::new();
-        let mut slot = 0u32;
+        let mut sends = 0usize;
+        let mut kept = 0usize;
         for (pid, ops) in rank_ops.iter().enumerate() {
-            for op in ops.iter() {
+            for op in ops.iter().filter(|op| !is_noop(op)) {
+                kept += 1;
                 if let PrimOp::SendTo {
                     dest, bytes, tag, ..
                 } = op
@@ -172,28 +171,34 @@ impl BatchProgram {
                     channels
                         .entry((pid, *dest, *tag))
                         .or_default()
-                        .push_back((slot, *bytes));
-                    slot += 1;
+                        .push_back((sends as u32, *bytes));
+                    sends += 1;
                 }
             }
         }
-        debug_assert_eq!(slot as usize, total_sends);
+        // Sends are kept ops, so this bounds every compact index.
+        if kept > u32::MAX as usize {
+            return Err(EstimatorError::Mismatch(
+                "elaboration too large for batch compilation".into(),
+            ));
+        }
 
-        // Pass 2 — compact each rank, dropping analytic no-ops and
-        // pricing everything scenario-invariant.
-        let mut kinds = Vec::with_capacity(total_ops);
-        let mut args = Vec::with_capacity(total_ops);
-        let mut vals = Vec::with_capacity(total_ops);
-        let mut orig = Vec::with_capacity(total_ops);
+        // Pass 2 — compact each rank, pricing everything
+        // scenario-invariant.
+        let mut kinds = Vec::with_capacity(kept);
+        let mut args = Vec::with_capacity(kept);
+        let mut vals = Vec::with_capacity(kept);
         let mut ranks = Vec::with_capacity(rank_ops.len());
+        let mut fails = Vec::new();
         let overhead = machine.comm.params.send_overhead;
         let mut next_slot = 0u32;
         for (pid, ops) in rank_ops.iter().enumerate() {
             let start = kinds.len() as u32;
-            for (at, op) in ops.iter().enumerate() {
+            for op in ops.iter().filter(|op| !is_noop(op)) {
                 let (kind, arg, val) = match op {
-                    PrimOp::Enter(_) | PrimOp::Exit(_) => continue,
-                    PrimOp::Lock(_) | PrimOp::Unlock(_) => continue,
+                    PrimOp::Enter(_) | PrimOp::Exit(_) | PrimOp::Lock(_) | PrimOp::Unlock(_) => {
+                        unreachable!("no-ops are filtered out")
+                    }
                     PrimOp::Compute { seconds, .. } | PrimOp::Wait { seconds, .. } => {
                         (Kind::Add, 0, *seconds)
                     }
@@ -213,23 +218,26 @@ impl BatchProgram {
                         {
                             Some((s, bytes)) if bytes > 0 => {
                                 // The transfer is priced from the *sender's*
-                                // size, as the oracle prices it.
+                                // size, as the walker prices it.
                                 (Kind::Recv, s, machine.comm.ptp_time(*src, pid, bytes))
                             }
                             Some((s, _)) => (Kind::RecvZero, s, 0.0),
                             None => (Kind::RecvNever, 0, 0.0),
                         }
                     }
-                    PrimOp::Threads { arms, .. } => (
-                        Kind::Add,
-                        0,
-                        crate::analytic::team_time(arms, machine.sp.cpus_per_node)?,
-                    ),
+                    PrimOp::Threads { arms, .. } => {
+                        match crate::analytic::team_time(arms, machine.sp.cpus_per_node) {
+                            Ok(span) => (Kind::Add, 0, span),
+                            Err(e) => {
+                                fails.push(e);
+                                (Kind::Fail, fails.len() as u32 - 1, 0.0)
+                            }
+                        }
+                    }
                 };
                 kinds.push(kind);
                 args.push(arg);
                 vals.push(val);
-                orig.push(at as u32);
             }
             ranks.push(start..kinds.len() as u32);
         }
@@ -238,9 +246,9 @@ impl BatchProgram {
             kinds,
             args,
             vals,
-            orig,
             ranks,
-            sends: total_sends,
+            sends,
+            fails,
             ops: rank_ops.clone(),
         })
     }
@@ -249,8 +257,9 @@ impl BatchProgram {
     /// [`crate::analytic::evaluate_ops`], bit-identical by construction.
     ///
     /// # Errors
-    /// [`EstimatorError::Sim`] with the oracle's deadlock shape when the
-    /// send/recv dependency graph has a cycle or an unmatched receive.
+    /// [`EstimatorError::Sim`] with the walker's deadlock shape when the
+    /// send/recv dependency graph has a cycle or an unmatched receive;
+    /// the stored pricing error when a rank reaches a `Fail` team.
     pub fn evaluate(
         &self,
         name: &str,
@@ -267,7 +276,7 @@ impl BatchProgram {
         loop {
             let mut progressed = false;
             for pid in 0..n {
-                progressed |= self.advance(pid, scratch);
+                progressed |= self.advance(pid, scratch)?;
             }
             if scratch
                 .ip
@@ -298,7 +307,7 @@ impl BatchProgram {
 
     /// Advance rank `pid` until it completes or blocks on an unposted
     /// send. Returns whether any op was resolved.
-    fn advance(&self, pid: usize, scratch: &mut BatchScratch) -> bool {
+    fn advance(&self, pid: usize, scratch: &mut BatchScratch) -> Result<bool, EstimatorError> {
         let end = self.ranks[pid].end;
         let mut ip = scratch.ip[pid];
         let mut t = scratch.time[pid];
@@ -327,17 +336,19 @@ impl BatchProgram {
                     t = t.max(sent_at);
                 }
                 Kind::RecvNever => break,
+                Kind::Fail => return Err(self.fails[self.args[i] as usize].clone()),
             }
             ip += 1;
             progressed = true;
         }
         scratch.ip[pid] = ip;
         scratch.time[pid] = t;
-        progressed
+        Ok(progressed)
     }
 
-    /// Shape the stall exactly like the oracle's deadlock report: the
-    /// blocked compact op maps back to its source `PrimOp`.
+    /// Shape the stall exactly like the walker's deadlock report: the
+    /// blocked compact op maps back to its source `PrimOp`, the k-th op
+    /// of its rank the compaction kept.
     fn deadlock(&self, scratch: &BatchScratch) -> SimError {
         let blocked: Vec<String> = self
             .ranks
@@ -345,14 +356,19 @@ impl BatchProgram {
             .zip(&scratch.ip)
             .enumerate()
             .filter(|(_, (range, &ip))| ip < range.end)
-            .map(
-                |(pid, (_, &ip))| match &self.ops[pid][self.orig[ip as usize] as usize] {
+            .map(|(pid, (range, &ip))| {
+                let source = self.ops[pid]
+                    .iter()
+                    .filter(|op| !is_noop(op))
+                    .nth((ip - range.start) as usize)
+                    .expect("every compact op has a source op");
+                match source {
                     PrimOp::RecvFrom { src, tag, .. } => {
                         format!("rank{pid} waiting for message from rank {src} (tag {tag})")
                     }
                     other => format!("rank{pid} stuck at {other:?}"),
-                },
-            )
+                }
+            })
             .collect();
         let at = scratch.time.iter().copied().fold(0.0, f64::max);
         SimError::Deadlock {
@@ -579,26 +595,48 @@ mod tests {
     }
 
     #[test]
-    fn comm_inside_a_team_fails_prepare() {
-        // The oracle only errors if the replay *reaches* the bad op;
-        // prepare prices all teams eagerly and must surface the error so
-        // callers fall back to the oracle.
-        use crate::flatten::PrimOp;
+    fn unpriceable_team_fails_only_when_reached() {
+        // A team holding a send cannot be priced. Prepare still succeeds;
+        // the replay fails where the walker fails: at the team if a rank
+        // reaches it, with the deadlock if an unmatched receive stalls
+        // the rank first.
         let m = machine(2, 1);
-        let bad: RankOps = vec![
-            vec![PrimOp::Threads {
-                element: "T".into(),
-                arms: vec![vec![PrimOp::SendTo {
-                    element: "s".into(),
-                    dest: 1,
-                    bytes: 8,
-                    tag: 0,
-                }]],
-            }]
-            .into(),
-            vec![].into(),
-        ]
-        .into();
-        assert!(BatchProgram::prepare(&bad, &m).is_err());
+        let team = || PrimOp::Threads {
+            element: "T".into(),
+            arms: vec![vec![PrimOp::SendTo {
+                element: "s".into(),
+                dest: 1,
+                bytes: 8,
+                tag: 0,
+            }]],
+        };
+        let reached = vec![
+            PrimOp::Compute {
+                element: "A".into(),
+                seconds: 1.0,
+            },
+            team(),
+        ];
+        let stalled = vec![
+            PrimOp::RecvFrom {
+                element: "r".into(),
+                src: 1,
+                tag: 0,
+                bytes: 0,
+            },
+            team(),
+        ];
+        for (rank0, expected) in [(reached, "Mismatch"), (stalled, "Deadlock")] {
+            let ops: RankOps = vec![rank0.into(), vec![].into()].into();
+            let walker = crate::analytic::evaluate_ops("t", &ops, &m, &EstimatorOptions::default())
+                .unwrap_err();
+            let batch = BatchProgram::prepare(&ops, &m)
+                .unwrap()
+                .evaluate("t", &mut BatchScratch::new())
+                .unwrap_err();
+            let (walker, batch) = (format!("{walker:?}"), format!("{batch:?}"));
+            assert!(walker.contains(expected), "{walker}");
+            assert_eq!(batch, walker);
+        }
     }
 }

@@ -22,7 +22,9 @@
 //!   invariant `Session` maintains by owning its cache privately.
 //! * **Storage.** Each entry holds one [`RankOps`]: an
 //!   `Arc<[Arc<[PrimOp]>]>` — one shared op list per rank. Both backends
-//!   borrow these lists; nothing is cloned per evaluation.
+//!   borrow these lists; nothing is cloned per evaluation. The first
+//!   analytic evaluation of an entry also stores the [`BatchProgram`]
+//!   compiled from them, which every later analytic evaluation replays.
 //! * **Concurrency.** Sharded, insert-only, lock-free index: each shard
 //!   is an atomic singly-linked list pushed with compare-exchange
 //!   (losers rescan, so a key is interned exactly once), and each
@@ -48,6 +50,7 @@
 //! re-walking the program.
 
 use crate::batch::BatchProgram;
+use crate::estimator::EstimatorError;
 use crate::flatten::{flatten_for_process, FlattenError, FlattenLimits, PrimOp};
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
@@ -156,10 +159,9 @@ struct Node {
     key: ElabKey,
     slot: OnceLock<Result<RankOps, FlattenError>>,
     /// The entry's elaboration compiled for batch analytic evaluation,
-    /// built on first [`ElaborationCache::get_or_flatten_batched`] —
-    /// `None` when preparation failed (callers use the per-point
-    /// oracle). Simulation-only sweeps never pay for it.
-    batch: OnceLock<Option<Arc<BatchProgram>>>,
+    /// built on first [`ElaborationCache::get_or_flatten_batched`].
+    /// Simulation-only sessions never pay for it.
+    batch: OnceLock<Arc<BatchProgram>>,
     /// Immutable after publication (set before the CAS that links it).
     next: *mut Node,
 }
@@ -254,7 +256,7 @@ const _: () = {
     thread_safe::<RankOps>();
     thread_safe::<FlattenError>();
     thread_safe::<OnceLock<Result<RankOps, FlattenError>>>();
-    thread_safe::<OnceLock<Option<Arc<BatchProgram>>>>();
+    thread_safe::<OnceLock<Arc<BatchProgram>>>();
     thread_safe::<ElaborationCache>();
 };
 
@@ -310,50 +312,55 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<RankOps, FlattenError> {
-        let key = ElabKey::new(machine, limits);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return flatten_all(program, machine, limits);
-        };
-        let mut filled = false;
-        let result = node.slot.get_or_init(|| {
-            filled = true;
-            flatten_all(program, machine, limits)
-        });
-        if filled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
+        self.lookup(program, machine, limits).1
     }
 
     /// [`ElaborationCache::get_or_flatten`], additionally serving the
     /// entry's [`BatchProgram`] — the elaboration compiled for batch
-    /// analytic evaluation, built at most once per entry and shared
-    /// across sweep workers like the op lists themselves.
-    ///
-    /// Returns `None` for the batch half when preparation failed (the
-    /// caller must evaluate per-point — behavior is identical, see the
-    /// [`crate::batch`] module docs) or when the lookup bypassed the
-    /// cache at capacity (a throwaway batch compilation would cost more
-    /// than it saves). Counts hits/misses/bypasses exactly like
+    /// analytic evaluation, built once per entry and shared across
+    /// sweep workers like the op lists themselves (two workers that
+    /// miss the same fresh entry at once may both prepare it; the first
+    /// stored program wins). A lookup that bypassed the cache at
+    /// capacity prepares a throwaway program. Counts
+    /// hits/misses/bypasses exactly like
     /// [`ElaborationCache::get_or_flatten`].
     ///
     /// # Errors
-    /// The (cached) [`FlattenError`] when elaboration fails.
+    /// The (cached) elaboration failure, or the
+    /// [`BatchProgram::prepare`] size guard.
     pub fn get_or_flatten_batched(
         &self,
         program: &Program,
         machine: &MachineModel,
         limits: FlattenLimits,
-    ) -> Result<(RankOps, Option<Arc<BatchProgram>>), FlattenError> {
+    ) -> Result<(RankOps, Arc<BatchProgram>), EstimatorError> {
+        let (node, ops) = self.lookup(program, machine, limits);
+        let ops = ops?;
+        if let Some(batch) = node.and_then(|node| node.batch.get()) {
+            return Ok((ops, Arc::clone(batch)));
+        }
+        let batch = Arc::new(BatchProgram::prepare(&ops, machine)?);
+        let batch = match node {
+            Some(node) => Arc::clone(node.batch.get_or_init(|| batch)),
+            None => batch,
+        };
+        Ok((ops, batch))
+    }
+
+    /// The lookup both getters share: the interned node (`None` when the
+    /// cache is at capacity and the key bypassed it) and the
+    /// elaboration, counted as a hit, a miss or a bypass.
+    fn lookup(
+        &self,
+        program: &Program,
+        machine: &MachineModel,
+        limits: FlattenLimits,
+    ) -> (Option<&Node>, Result<RankOps, FlattenError>) {
         let key = ElabKey::new(machine, limits);
         let hash = key.hash();
         let Some(node) = self.intern(key, hash) else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return Ok((flatten_all(program, machine, limits)?, None));
+            return (None, flatten_all(program, machine, limits));
         };
         let mut filled = false;
         let result = node.slot.get_or_init(|| {
@@ -365,12 +372,7 @@ impl ElaborationCache {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        let ops = result.clone()?;
-        let batch = node
-            .batch
-            .get_or_init(|| BatchProgram::prepare(&ops, machine).ok().map(Arc::new))
-            .clone();
-        Ok((ops, batch))
+        (Some(node), result.clone())
     }
 
     /// Pre-fill the entry for `(sp, comm, limits)` with an elaboration

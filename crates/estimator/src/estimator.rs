@@ -1,6 +1,7 @@
 //! The estimator driver: integrate program and machine models, simulate,
 //! and report.
 
+use crate::batch::{BatchProgram, BatchScratch};
 use crate::elab::{flatten_all, ElaborationCache, RankOps};
 use crate::flatten::{FlattenError, FlattenLimits};
 use crate::interp::OpProcess;
@@ -146,69 +147,42 @@ impl Estimator {
         Self::run(program, &self.machine, &self.options)
     }
 
-    /// Evaluate `program` on `machine` with the selected `backend`.
+    /// Evaluate `program` on `machine` with the selected `backend` —
+    /// the one entry point behind every session evaluation and sweep.
     ///
-    /// [`Backend::Simulation`] delegates to [`Estimator::run`];
-    /// [`Backend::Analytic`] resolves the same op lists in closed form
-    /// ([`crate::analytic::evaluate_analytic`]) without touching the DES
-    /// kernel.
-    pub fn run_backend(
-        backend: Backend,
-        program: &Program,
-        machine: &MachineModel,
-        options: &EstimatorOptions,
-    ) -> Result<Evaluation, EstimatorError> {
-        Self::run_backend_cached(backend, program, machine, options, None)
-    }
-
-    /// [`Estimator::run_backend`] with a shared [`ElaborationCache`]:
-    /// the per-rank op lists come from the cache (flattened at most once
+    /// The per-rank op lists come from `cache` (flattened at most once
     /// per distinct `(SP, comm, limits)` key, shared across threads and
-    /// backends) instead of being rebuilt per evaluation.
+    /// backends) or, with `None`, are elaborated uncached.
+    /// [`Backend::Simulation`] replays them on the DES kernel
+    /// ([`Estimator::run_ops`]). [`Backend::Analytic`] replays the
+    /// entry's [`BatchProgram`] into `scratch` (prepared once per cache
+    /// entry, or as a throwaway when uncached); the DES kernel is never
+    /// touched.
     ///
     /// The cache must be dedicated to this `program` — `Session` owns
-    /// one per compiled model; pass `None` to elaborate uncached.
+    /// one per compiled model.
     pub fn run_backend_cached(
         backend: Backend,
         program: &Program,
         machine: &MachineModel,
         options: &EstimatorOptions,
         cache: Option<&ElaborationCache>,
+        scratch: &mut BatchScratch,
     ) -> Result<Evaluation, EstimatorError> {
-        let rank_ops = match cache {
-            Some(cache) => cache.get_or_flatten(program, machine, options.limits)?,
-            None => flatten_all(program, machine, options.limits)?,
-        };
-        match backend {
-            Backend::Simulation => Self::run_ops(&program.name, &rank_ops, machine, options),
-            Backend::Analytic => {
-                crate::analytic::evaluate_ops(&program.name, &rank_ops, machine, options)
+        match (backend, cache) {
+            (Backend::Simulation, Some(cache)) => {
+                let rank_ops = cache.get_or_flatten(program, machine, options.limits)?;
+                Self::run_ops(&program.name, &rank_ops, machine, options)
             }
-        }
-    }
-
-    /// Analytic evaluation through the batch path: the cache entry's
-    /// [`BatchProgram`](crate::batch::BatchProgram) replays into
-    /// `scratch` (no per-point allocation), falling back to the
-    /// per-point oracle for entries that could not be batch-compiled or
-    /// that bypassed the cache. Predictions are bit-identical to
-    /// [`Estimator::run_backend_cached`] with [`Backend::Analytic`]
-    /// either way — this is strictly a throughput path for sweeps
-    /// (`prophet_core::Session::sweep` dispatches analytic chunks here).
-    ///
-    /// # Errors
-    /// As [`Estimator::run_backend_cached`].
-    pub fn run_analytic_batched(
-        program: &Program,
-        machine: &MachineModel,
-        options: &EstimatorOptions,
-        cache: &ElaborationCache,
-        scratch: &mut crate::batch::BatchScratch,
-    ) -> Result<Evaluation, EstimatorError> {
-        let (rank_ops, batch) = cache.get_or_flatten_batched(program, machine, options.limits)?;
-        match batch {
-            Some(batch) => batch.evaluate(&program.name, scratch),
-            None => crate::analytic::evaluate_ops(&program.name, &rank_ops, machine, options),
+            (Backend::Simulation, None) => Self::run(program, machine, options),
+            (Backend::Analytic, Some(cache)) => {
+                let (_, batch) = cache.get_or_flatten_batched(program, machine, options.limits)?;
+                batch.evaluate(&program.name, scratch)
+            }
+            (Backend::Analytic, None) => {
+                let rank_ops = flatten_all(program, machine, options.limits)?;
+                BatchProgram::prepare(&rank_ops, machine)?.evaluate(&program.name, scratch)
+            }
         }
     }
 

@@ -23,17 +23,19 @@
 //!   was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
 //! * [`interp`] — the simulation process that replays primitive ops on
 //!   the CSIM-substitute engine (CPU facilities, mailboxes),
-//! * [`analytic`] — the closed-form evaluation backend: the same op
+//! * [`analytic`] — the closed-form backend's semantics: the same op
 //!   lists resolved by a critical-path pass with no DES kernel (and no
-//!   trace) — much faster for sweeps, and an independent oracle for
-//!   differential testing,
-//! * [`batch`] — the analytic backend's sweep accelerator: one
-//!   elaboration compiled into a compact structure-of-arrays replay
-//!   (markers dropped, messages matched statically, costs pre-priced)
-//!   evaluated per SP point into reusable scratch — bit-identical to
-//!   [`analytic`] by construction,
+//!   trace), as a reference walker that tests and benches compare the
+//!   batch replay against; the DES stays the independent oracle,
+//! * [`batch`] — the analytic evaluator: one elaboration compiled into
+//!   a compact structure-of-arrays replay (markers dropped, messages
+//!   matched statically, costs pre-priced) and evaluated per SP point
+//!   into reusable scratch — bit-identical to the [`analytic`] walker
+//!   by construction, and the only analytic path estimates and sweeps
+//!   take,
 //! * [`estimator`] — the driver: integrate program model + machine model,
-//!   run on the selected [`Backend`], produce a
+//!   run on the selected [`Backend`] through
+//!   [`Estimator::run_backend_cached`], produce a
 //!   [`prophet_trace::TraceFile`] (TF, simulation only) and an
 //!   [`Evaluation`].
 //!

@@ -203,11 +203,11 @@ fn backends_agree_on_deadlock() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batch-vs-single differential: analytic sweeps dispatch whole
-    /// chunks through `prophet_estimator::batch` (compact ops, static
-    /// message matching, reused scratch), while `Session::evaluate`
-    /// stays on the per-point oracle. Every sweep point must be
-    /// **bit-identical** to its per-point evaluation — across models,
+    /// Batch-vs-walker differential: analytic sweeps replay each point
+    /// through `prophet_estimator::batch` (compact ops, static message
+    /// matching, reused scratch). Every sweep point must be
+    /// **bit-identical** to the reference walker,
+    /// `evaluate_analytic`, which elaborates uncached — across models,
     /// random grids with repeated points (exercising elab-cache hits
     /// and scratch reuse), and worker counts (exercising the chunked
     /// work-stealing dispatch).
@@ -218,6 +218,8 @@ proptest! {
         threads in 0usize..4,
     ) {
         use prophet::core::{SweepConfig, SweepPoint};
+        use prophet::estimator::{evaluate_analytic, EstimatorOptions};
+        use prophet::machine::{CommParams, MachineModel};
         let (name, model, grid): (_, Model, Vec<SystemParams>) = match model_idx {
             0 => ("kernel6", kernel6_model(100, 5, 2e-9), vec![flat(1), flat(2), flat(4), flat(8)]),
             1 => ("sample", sample_model(), vec![flat(1), flat(2), flat(4), flat(8)]),
@@ -248,15 +250,15 @@ proptest! {
             let batch = result
                 .time()
                 .unwrap_or_else(|| panic!("{name} sweep failed at {:?}", point.sp));
-            let single = session
-                .evaluate(&Scenario::new(point.sp).with_backend(Backend::Analytic).without_trace())
-                .unwrap_or_else(|e| panic!("{name} evaluate {:?}: {e}", point.sp))
+            let machine = MachineModel::new(point.sp, CommParams::default()).unwrap();
+            let walker = evaluate_analytic(session.program(), &machine, &EstimatorOptions::default())
+                .unwrap_or_else(|e| panic!("{name} walker {:?}: {e}", point.sp))
                 .predicted_time;
             prop_assert_eq!(
                 batch.to_bits(),
-                single.to_bits(),
-                "{} at {:?}: batch {} vs single {}",
-                name, point.sp, batch, single
+                walker.to_bits(),
+                "{} at {:?}: batch {} vs walker {}",
+                name, point.sp, batch, walker
             );
         }
     }

@@ -25,7 +25,8 @@
 //! budget with `PROPTEST_CASES`.
 
 use prophet::core::{Backend, Scenario, Session};
-use prophet::machine::SystemParams;
+use prophet::estimator::{evaluate_analytic, EstimatorOptions};
+use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::uml::{DiagramId, ElementId, Model, ModelBuilder, TagValue, VarType};
 use proptest::prelude::*;
 
@@ -348,7 +349,8 @@ proptest! {
 
     /// The differential property: for every generated model and SP
     /// point, simulation and analytic agree within the conformance
-    /// tolerance, and cached evaluation is bit-identical to uncached on
+    /// tolerance, analytic evaluation is bit-identical to the reference
+    /// walker, and cached evaluation is bit-identical to uncached on
     /// both backends.
     #[test]
     fn generated_models_survive_the_whole_pipeline(segs in workload()) {
@@ -375,6 +377,16 @@ proptest! {
                 rel_diff(sim, ana) <= REL_TOL,
                 "backends diverge at {sp:?}: sim {sim:.12e} vs ana {ana:.12e} (rel {:.3e})\nspec: {segs:?}",
                 rel_diff(sim, ana)
+            );
+            // Batch replay vs the reference walker (uncached, so the
+            // cache counters below are untouched), bit-exact.
+            let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+            let walker = evaluate_analytic(session.program(), &machine, &EstimatorOptions::default())
+                .map_err(|e| TestCaseError::fail(format!("walker {sp:?}: {e}\nspec: {segs:?}")))?
+                .predicted_time;
+            prop_assert_eq!(
+                ana.to_bits(), walker.to_bits(),
+                "batch analytic diverged from the walker at {:?}\nspec: {:?}", sp, segs
             );
             // Cache transparency, both backends, bit-exact.
             let sim_raw = eval(Backend::Simulation, true).unwrap();
