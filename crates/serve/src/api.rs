@@ -1758,4 +1758,52 @@ mod tests {
             .unwrap()
             .contains("unknown metrics format"));
     }
+
+    /// A deterministic shard state for the exposition tests: one pooled
+    /// estimate (compiled on a scratch state, so its wall-clock spans
+    /// stay out), fixed endpoint latencies, and fixed phase spans.
+    fn pinned_state() -> AppState {
+        let scratch = AppState::default();
+        let (r, _) = handle(&scratch, &post("/v1/estimate", r#"{"model_name":"sample"}"#));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let state = AppState::with_pool(scratch.pool);
+        for (method, path, us, error) in [
+            ("POST", "/v1/estimate", 40, false),
+            ("POST", "/v1/estimate", 40, false),
+            ("POST", "/v1/estimate", 3_000, true),
+            ("POST", "/v1/check", 5, false),
+            ("GET", "/v1/metrics", 250, false),
+            ("GET", "/nope", 2, true),
+        ] {
+            state
+                .metrics
+                .endpoint(method, path)
+                .record(std::time::Duration::from_micros(us), error);
+        }
+        let mut spans = SpanSet::start();
+        spans.add_us(Phase::Parse, 7);
+        spans.add_us(Phase::Pool, 30);
+        spans.add_us(Phase::Evaluate, 1_500);
+        spans.add_us(Phase::Encode, 12);
+        state.spans.record("t-pinned", 1, 200, &spans);
+        state
+    }
+
+    #[test]
+    fn shard_exposition_matches_the_pinned_text() {
+        let state = pinned_state();
+        let mut req = get("/v1/metrics");
+        req.query = "format=prometheus".into();
+        let (r, _) = handle(&state, &req);
+        assert_eq!(r.status, 200);
+        let expected = include_str!("../tests/data/shard_exposition.prom");
+        if r.body != expected {
+            let first = r
+                .body
+                .lines()
+                .zip(expected.lines())
+                .position(|(got, want)| got != want);
+            panic!("exposition drifted (first differing line {first:?}):\n{}", r.body);
+        }
+    }
 }
