@@ -11,13 +11,13 @@
 //!
 //! **Elastic membership** (`POST /v1/shards`, body
 //! `{"add": ["h:p", ...], "remove": ["h:p", ...]}`) rebuilds the ring
-//! under an epoch-stamped snapshot swap: readers route on an immutable
-//! [`FleetView`] loaded from an atomic pointer — no locks on the hot
-//! path — while the single writer validates the change, warms every
-//! moved key's *new* owner (`POST /v1/warm` on the shard: a disk hit
-//! under a shared store, a compile-prime otherwise), installs the new
-//! view, and only then evicts the moved keys from their surviving old
-//! owners. Consistent hashing bounds the churn: only ~K/N of the keys
+//! under an epoch-stamped snapshot swap: each request clones an `Arc`
+//! of the immutable [`FleetView`] under a momentary read lock and
+//! routes on it, while the single writer validates the change, warms
+//! every moved key's *new* owner (`POST /v1/warm` on the shard: a disk
+//! hit under a shared store, a compile-prime otherwise), installs the
+//! new view, and only then evicts the moved keys from their surviving
+//! old owners. Consistent hashing bounds the churn: only ~K/N of the keys
 //! change owner on a single join or leave, and never between
 //! survivors.
 //!
@@ -42,10 +42,11 @@ use prophet_serve::api::{bearer_authorized, resolve_mcf, resolve_model};
 use prophet_serve::http::{Request, Response};
 use prophet_serve::json::{self, Json};
 use prophet_serve::metrics::Metrics;
+use prophet_serve::prometheus::{fleet_families, render};
 use prophet_serve::Handler;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 /// Routing counters, all relaxed atomics (same discipline as the serve
@@ -103,20 +104,14 @@ const RECIPE_CAPACITY: usize = 1024;
 /// Everything the router's workers share.
 #[derive(Debug)]
 pub struct RouterState {
-    /// The live [`FleetView`]. The hot path loads this pointer and
-    /// routes on the snapshot — no locks; writers install a new view
-    /// under the `views` mutex.
-    view: AtomicPtr<FleetView>,
-    /// Writer serialization *and* the ownership of every view ever
-    /// installed, the live one included. Retired views are never freed
-    /// while the state lives, so a reader's borrowed snapshot cannot
-    /// dangle; membership changes are operator-rare, so retention
-    /// stays bounded in practice.
-    // The boxes are the point (not clippy's redundant indirection):
-    // `view` holds a raw pointer into an element, so every view needs
-    // an address that survives the Vec growing.
-    #[allow(clippy::vec_box)]
-    views: Mutex<Vec<Box<FleetView>>>,
+    /// The live [`FleetView`]. A request clones the `Arc` under a
+    /// momentary read lock and routes on that snapshot; a retired view
+    /// (and any shard only it holds, with its connection pool) is
+    /// freed when its last in-flight request drops it.
+    view: RwLock<Arc<FleetView>>,
+    /// Serializes reconfigurations. Separate from `view`, so the slow
+    /// warm-up of moved keys never blocks routing.
+    reconfiguring: Mutex<()>,
     /// The router's own per-endpoint request metrics.
     pub metrics: Metrics,
     /// Routing counters.
@@ -142,11 +137,9 @@ impl RouterState {
             .into_iter()
             .map(|addr| Arc::new(Shard::new(addr, io_timeout)))
             .collect();
-        let first = Box::new(FleetView::new(0, shards));
-        let view = AtomicPtr::new(Box::as_ref(&first) as *const FleetView as *mut FleetView);
         Self {
-            view,
-            views: Mutex::new(vec![first]),
+            view: RwLock::new(Arc::new(FleetView::new(0, shards))),
+            reconfiguring: Mutex::new(()),
             metrics: Metrics::default(),
             counters: RouterCounters::default(),
             token,
@@ -156,17 +149,9 @@ impl RouterState {
         }
     }
 
-    /// The live fleet snapshot. Lock-free: one atomic load.
-    pub fn view(&self) -> &FleetView {
-        // Safety: the pointee is owned by `self.views`, which only
-        // ever grows; it is freed when `self` drops, strictly after
-        // this `&self` borrow ends.
-        unsafe { &*self.view.load(Ordering::Acquire) }
-    }
-
-    /// The current shard fleet (for the prober and tests).
-    pub fn shards(&self) -> &[Arc<Shard>] {
-        self.view().shards()
+    /// The live fleet snapshot.
+    pub fn view(&self) -> Arc<FleetView> {
+        Arc::clone(&self.view.read().expect("fleet view lock"))
     }
 
     /// How often the prober sweeps the fleet.
@@ -250,7 +235,7 @@ impl RouterState {
         let key = ArtifactKey::of(&model, &mcf);
         self.remember_recipe(key, &body);
         let view = self.view();
-        self.try_in_order(view, &view.ring.successors(route_key(key)), req)
+        self.try_in_order(&view, &view.ring.successors(route_key(key)), req)
     }
 
     /// Record the prime recipe for a routed key: the body members that
@@ -275,24 +260,25 @@ impl RouterState {
         let n = view.shards.len();
         let start = self.counters.rr.fetch_add(1, Ordering::Relaxed) % n;
         let order: Vec<usize> = (0..n).map(|offset| (start + offset) % n).collect();
-        self.try_in_order(view, &order, req)
+        self.try_in_order(&view, &order, req)
     }
 
     /// `GET /v1/metrics`: the router's own counters, every shard's
     /// metrics document, and fleet-wide totals summed across shards.
-    /// `?format=prometheus` renders the whole fleet as one exposition
-    /// with per-shard labels instead.
+    /// `?format=prometheus` renders that same document through
+    /// [`fleet_families`]: one exposition with per-shard labels, the
+    /// `fleet` sums left to PromQL's `sum by`.
     fn aggregate_metrics(&self, req: &Request) -> Response {
-        match req.query_param("format") {
-            Some("prometheus") => return self.fleet_prometheus(),
-            None | Some("json") => {}
+        let exposition = match req.query_param("format") {
+            Some("prometheus") => true,
+            None | Some("json") => false,
             Some(other) => {
                 return error_response(
                     400,
                     format!("unknown metrics format `{other}`; use `json` or `prometheus`"),
                 )
             }
-        }
+        };
         let view = self.view();
         let mut shard_sections = Vec::with_capacity(view.shards.len());
         let mut fleet = FleetTotals::default();
@@ -317,26 +303,26 @@ impl RouterState {
             }
             shard_sections.push(Json::Object(section));
         }
-        Response::json(
-            200,
-            Json::object([
-                (
-                    "router",
-                    Json::object([
-                        ("endpoints", self.metrics.to_json()),
-                        ("routing", self.routing_json()),
-                    ]),
-                ),
-                ("shards", Json::Array(shard_sections)),
-                ("fleet", fleet.to_json()),
-            ])
-            .encode(),
-        )
+        let doc = Json::object([
+            (
+                "router",
+                Json::object([
+                    ("endpoints", self.metrics.to_json()),
+                    ("routing", self.routing_json(&view)),
+                ]),
+            ),
+            ("shards", Json::Array(shard_sections)),
+            ("fleet", fleet.to_json()),
+        ]);
+        if exposition {
+            Response::prometheus(render(&doc, &fleet_families()))
+        } else {
+            Response::json(200, doc.encode())
+        }
     }
 
-    /// The `routing` counter section.
-    fn routing_json(&self) -> Json {
-        let view = self.view();
+    /// The `routing` counter section for `view`.
+    fn routing_json(&self, view: &FleetView) -> Json {
         let healthy = view
             .shards
             .iter()
@@ -361,148 +347,10 @@ impl RouterState {
         ])
     }
 
-    /// `GET /v1/metrics?format=prometheus`: the fleet in one
-    /// exposition — the router's routing counters and endpoint
-    /// metrics, per-shard health gauges, and every reachable shard's
-    /// endpoint counters and latency/phase histograms re-exposed under
-    /// a `shard="addr"` label. Families are emitted once with all
-    /// their shard series grouped under a single `# TYPE` line.
-    fn fleet_prometheus(&self) -> Response {
-        use prophet_serve::metrics::ENDPOINT_NAMES;
-        use prophet_serve::prometheus::{histogram_from_json, Exposition};
-        let view = self.view();
-        // Fan out first, so family emission below can group series.
-        let docs: Vec<(String, Option<Json>)> = view
-            .shards
-            .iter()
-            .map(|shard| {
-                let doc = shard
-                    .send("GET", "/v1/metrics", None, &[])
-                    .ok()
-                    .filter(|answer| answer.status == 200)
-                    .and_then(|answer| json::parse(&answer.body).ok());
-                (shard.addr().to_string(), doc)
-            })
-            .collect();
-        let mut e = Exposition::new();
-        e.family("prophet_router_requests_total", "counter");
-        for (i, name) in ENDPOINT_NAMES.iter().enumerate() {
-            e.sample(
-                "prophet_router_requests_total",
-                &[("endpoint", name)],
-                self.metrics.by_index(i).requests(),
-            );
-        }
-        e.family("prophet_router_request_duration_seconds", "histogram");
-        for (i, name) in ENDPOINT_NAMES.iter().enumerate() {
-            e.histogram_snapshot(
-                "prophet_router_request_duration_seconds",
-                &[("endpoint", name)],
-                &self.metrics.by_index(i).latency_snapshot(),
-            );
-        }
-        for (name, value) in [
-            (
-                "prophet_router_forwards_total",
-                self.counters.forwards.load(Ordering::Relaxed),
-            ),
-            (
-                "prophet_router_retries_total",
-                self.counters.retries.load(Ordering::Relaxed),
-            ),
-            (
-                "prophet_router_no_shard_total",
-                self.counters.no_shard.load(Ordering::Relaxed),
-            ),
-        ] {
-            e.family(name, "counter");
-            e.sample(name, &[], value);
-        }
-        e.family("prophet_router_shard_healthy", "gauge");
-        for shard in &view.shards {
-            let addr = shard.addr().to_string();
-            e.sample(
-                "prophet_router_shard_healthy",
-                &[("shard", &addr)],
-                u64::from(shard.health().is_healthy()),
-            );
-        }
-        e.family("prophet_router_shard_consecutive_failures", "gauge");
-        for shard in &view.shards {
-            let addr = shard.addr().to_string();
-            e.sample(
-                "prophet_router_shard_consecutive_failures",
-                &[("shard", &addr)],
-                shard.health().consecutive_failures(),
-            );
-        }
-        e.family("prophet_router_shard_last_probe_ms_ago", "gauge");
-        for shard in &view.shards {
-            let addr = shard.addr().to_string();
-            if let Some(ms) = shard.health().last_probe_ms_ago() {
-                e.sample(
-                    "prophet_router_shard_last_probe_ms_ago",
-                    &[("shard", &addr)],
-                    ms,
-                );
-            }
-        }
-        // Per-shard re-exposition: the same families the shards serve,
-        // with the shard's address as an extra label.
-        e.family("prophet_requests_total", "counter");
-        for_each_endpoint(&docs, |addr, name, section| {
-            e.sample(
-                "prophet_requests_total",
-                &[("shard", addr), ("endpoint", name)],
-                counter(section, &["requests"]),
-            );
-        });
-        e.family("prophet_request_errors_total", "counter");
-        for_each_endpoint(&docs, |addr, name, section| {
-            e.sample(
-                "prophet_request_errors_total",
-                &[("shard", addr), ("endpoint", name)],
-                counter(section, &["errors"]),
-            );
-        });
-        e.family("prophet_request_duration_seconds", "histogram");
-        for_each_endpoint(&docs, |addr, name, section| {
-            if let Some((bounds, counts, total)) =
-                section.get("latency").and_then(histogram_from_json)
-            {
-                e.histogram(
-                    "prophet_request_duration_seconds",
-                    &[("shard", addr), ("endpoint", name)],
-                    &bounds,
-                    &counts,
-                    total,
-                );
-            }
-        });
-        e.family("prophet_phase_duration_seconds", "histogram");
-        for (addr, doc) in &docs {
-            let Some(Json::Object(phases)) = doc.as_ref().and_then(|d| d.get("phases")) else {
-                continue;
-            };
-            for (phase, section) in phases {
-                if let Some((bounds, counts, total)) = histogram_from_json(section) {
-                    e.histogram(
-                        "prophet_phase_duration_seconds",
-                        &[("shard", addr), ("phase", phase)],
-                        &bounds,
-                        &counts,
-                        total,
-                    );
-                }
-            }
-        }
-        Response::prometheus(e.finish())
-    }
-
     /// `GET /v1/shards`: the router's live view of its fleet.
     fn shards_json(&self) -> Response {
-        let shards: Vec<Json> = self
-            .view()
+        let view = self.view();
+        let shards: Vec<Json> = view
             .shards
             .iter()
             .map(|shard| Json::Object(shard_entry(shard.as_ref())))
@@ -511,7 +359,7 @@ impl RouterState {
             200,
             Json::object([
                 ("shards", Json::Array(shards)),
-                ("routing", self.routing_json()),
+                ("routing", self.routing_json(&view)),
             ])
             .encode(),
         )
@@ -559,10 +407,11 @@ impl RouterState {
     /// emptied fleet), build the next view reusing the survivors'
     /// shard handles (their connection pools and health state carry
     /// over), warm every moved key's new owner, install the view with
-    /// one atomic pointer store (epoch + 1), and only then evict the
-    /// moved keys from surviving old owners. In-flight requests keep
-    /// routing on the old snapshot throughout; requests started after
-    /// the store route on the new one.
+    /// one `Arc` swap (epoch + 1), and only then evict the moved keys
+    /// from surviving old owners. In-flight requests keep routing on
+    /// the old snapshot throughout; requests started after the swap
+    /// route on the new one. A removed shard's handle, and its pooled
+    /// keep-alive connections, drop with the last view holding it.
     fn reconfigure(&self, req: &Request) -> Response {
         let body = match json::parse(&req.body) {
             Ok(body @ Json::Object(_)) => body,
@@ -591,11 +440,10 @@ impl RouterState {
             }
         }
 
-        // One writer at a time; the lock also owns the view history.
-        let mut views = self.views.lock().expect("fleet view history lock");
-        // Safety: same argument as `Self::view` — and under the lock
-        // this is the newest view, the one the change applies to.
-        let current: &FleetView = unsafe { &*self.view.load(Ordering::Acquire) };
+        // One writer at a time: under the lock, the live view is the
+        // one the change applies to.
+        let _writer = self.reconfiguring.lock().expect("reconfigure lock");
+        let current = self.view();
         let labels: Vec<String> = current
             .shards
             .iter()
@@ -631,7 +479,7 @@ impl RouterState {
                 .iter()
                 .map(|(_, addr)| Arc::new(Shard::new(*addr, self.io_timeout))),
         );
-        let next = Box::new(FleetView::new(current.epoch + 1, next_shards));
+        let next = Arc::new(FleetView::new(current.epoch + 1, next_shards));
 
         // The handoff set: every remembered key whose owner changes.
         let moved: Vec<(ArtifactKey, String, usize, usize)> = {
@@ -665,14 +513,8 @@ impl RouterState {
             }
         }
 
-        // Install: readers see the whole new view or the whole old one.
-        let ptr = Box::as_ref(&next) as *const FleetView as *mut FleetView;
-        let epoch = next.epoch;
-        let shard_count = next.shards.len();
-        // Group evictions by surviving old owner before `next` moves
-        // into the history (removed shards keep their whole pool;
-        // nothing to evict there — their idle connections are closed
-        // after the swap instead).
+        // Group evictions by surviving old owner (removed shards keep
+        // their whole pool; nothing to evict there).
         let mut evict_by_owner: HashMap<String, Vec<ArtifactKey>> = HashMap::new();
         for (key, _, before, _) in &moved {
             let owner = current.shards[*before].addr().to_string();
@@ -680,16 +522,15 @@ impl RouterState {
                 evict_by_owner.entry(owner).or_default().push(*key);
             }
         }
-        views.push(next);
-        self.view.store(ptr, Ordering::Release);
-        let view = self.view();
+        // Install: readers see the whole new view or the whole old one.
+        *self.view.write().expect("fleet view lock") = Arc::clone(&next);
 
         // Old owners drop their moved entries only now, after the
         // swap: they kept answering for those keys until no new
         // request could route to them.
         let mut evicted = 0u64;
         for (owner, keys) in &evict_by_owner {
-            let Some(shard) = view.shards.iter().find(|s| &s.addr().to_string() == owner) else {
+            let Some(shard) = next.shards.iter().find(|s| &s.addr().to_string() == owner) else {
                 continue;
             };
             let items: Vec<Json> = keys
@@ -712,21 +553,12 @@ impl RouterState {
                 }
             }
         }
-        // Removed shards' handles live on in the view history, so shed
-        // their idle keep-alive connections now — each one pins a
-        // worker on the remote serve process until its idle timeout,
-        // and a later re-join would dial a fresh pool anyway.
-        for shard in &current.shards {
-            if remove.contains(&shard.addr().to_string()) {
-                shard.disconnect();
-            }
-        }
         Response::json(
             200,
             Json::object([
                 ("ok", Json::from(true)),
-                ("epoch", Json::from(epoch)),
-                ("shards", Json::from(shard_count)),
+                ("epoch", Json::from(next.epoch)),
+                ("shards", Json::from(next.shards.len())),
                 ("added", Json::from(add.len())),
                 ("removed", Json::from(remove.len())),
                 ("moved", Json::from(moved.len())),
@@ -827,22 +659,6 @@ fn shard_entry(shard: &Shard) -> Vec<(String, Json)> {
             Json::from(health.consecutive_failures()),
         ),
     ]
-}
-
-/// Visit every `(shard addr, endpoint name, endpoint section)` of the
-/// fetched shard metrics documents, skipping unreachable shards.
-fn for_each_endpoint<'a>(
-    docs: &'a [(String, Option<Json>)],
-    mut visit: impl FnMut(&'a str, &'a str, &'a Json),
-) {
-    for (addr, doc) in docs {
-        let Some(Json::Object(endpoints)) = doc.as_ref().and_then(|d| d.get("endpoints")) else {
-            continue;
-        };
-        for (name, section) in endpoints {
-            visit(addr, name, section);
-        }
-    }
 }
 
 /// An error response: status + `{"error": message}` body (the same

@@ -37,6 +37,8 @@
 //! compile is amortized across restarts *and replacements*: a cold
 //! shard warm-starts from its siblings' write-backs.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod health;
 pub mod ring;
@@ -134,7 +136,7 @@ fn prober_loop(state: &RouterState, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::SeqCst) {
         let next_sweep = Instant::now() + state.probe_interval();
         let now = Instant::now();
-        for shard in state.shards() {
+        for shard in state.view().shards() {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -580,6 +582,114 @@ mod tests {
     }
 
     #[test]
+    fn every_fleet_metric_is_an_exposed_series() {
+        use prophet_serve::prometheus::{fleet_families, render, unsampled_leaves};
+        // Shards with a store, so the `store` rows have sections too.
+        let dir =
+            std::env::temp_dir().join(format!("prophet-router-parity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(prophet_core::ArtifactStore::open(&dir).expect("temp store opens"));
+        let stored_shard = || {
+            server::serve(&server::ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                store: Some(Arc::clone(&store)),
+                ..Default::default()
+            })
+            .expect("bind shard")
+        };
+        let (a, b) = (stored_shard(), stored_shard());
+        let router = router(vec![a.addr(), b.addr()]);
+        let r = client::post(router.addr(), "/v1/estimate", &estimate_body("sample")).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        // Wait out the prober's first sweep, so probe ages are numbers.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let doc = loop {
+            let doc = client::get(router.addr(), "/v1/metrics").unwrap().body;
+            let swept = doc
+                .get("shards")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .all(|shard| {
+                    shard
+                        .get("last_probe_ms_ago")
+                        .and_then(Json::as_f64)
+                        .is_some()
+                });
+            if swept {
+                break doc;
+            }
+            assert!(Instant::now() < deadline, "prober never swept: {doc}");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+
+        let table = fleet_families();
+        let unsampled: Vec<String> = unsampled_leaves(&doc, &table)
+            .into_iter()
+            .filter(|leaf| !leaf.starts_with("/fleet/"))
+            .collect();
+        assert!(
+            unsampled.is_empty(),
+            "JSON leaves with no series: {unsampled:?}"
+        );
+        let text = render(&doc, &table);
+        for family in &table {
+            assert!(
+                text.contains(&format!("# TYPE {} ", family.name)),
+                "`{}` rendered no series:\n{text}",
+                family.name
+            );
+        }
+        router.shutdown();
+        a.shutdown();
+        b.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn removed_shard_is_released_once_no_request_holds_it() {
+        let (a, b) = (shard(), shard());
+        let router = router(vec![a.addr(), b.addr()]);
+        // Traffic on both, so each handle pools a live connection.
+        for name in ["sample", "jacobi", "kernel6", "lapw0"] {
+            let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        let leaver = router
+            .state()
+            .view()
+            .shards()
+            .iter()
+            .find(|shard| shard.addr() == b.addr())
+            .map(Arc::downgrade)
+            .expect("b is a member");
+
+        let leave = Json::object([(
+            "remove",
+            Json::Array(vec![Json::from(b.addr().to_string())]),
+        )]);
+        let r = client::post(router.addr(), "/v1/shards", &leave).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        // Only a request in flight (or the prober mid-sweep) may still
+        // hold the retired view; once they finish, the handle is gone.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while leaver.upgrade().is_some() {
+            assert!(
+                Instant::now() < deadline,
+                "the removed shard was never released"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let r = client::post(router.addr(), "/v1/estimate", &estimate_body("sample")).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        router.shutdown();
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn shard_entries_report_probe_age_and_failure_streak() {
         let a = shard();
         let router = router(vec![a.addr()]);
@@ -672,7 +782,7 @@ mod tests {
         );
         let state = router.state();
         for &key in &moving {
-            assert_eq!(state.shards()[state.owner_of(key)].addr(), b.addr());
+            assert_eq!(state.view().shards()[state.owner_of(key)].addr(), b.addr());
         }
         assert_eq!(r.body.get("primed").unwrap().as_f64(), Some(moved));
         assert_eq!(r.body.get("evicted").unwrap().as_f64(), Some(moved));

@@ -77,19 +77,6 @@ impl Shard {
         result
     }
 
-    /// Close every idle pooled connection. Called when the shard
-    /// leaves the fleet: its handle stays alive in the view history,
-    /// so without this the keep-alive sockets would sit open — holding
-    /// one remote serve worker each — until the shard's idle timeout.
-    /// Checked-out connections are unaffected (in-flight requests on
-    /// an old view finish normally).
-    pub fn disconnect(&self) {
-        self.pool
-            .lock()
-            .expect("shard connection pool lock")
-            .clear();
-    }
-
     /// One cheap liveness check on a throwaway connection (the pooled
     /// sockets stay dedicated to real traffic).
     pub fn probe(&self) -> bool {

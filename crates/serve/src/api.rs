@@ -33,8 +33,8 @@ use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{self, Metrics};
 use crate::pool::SessionPool;
-use crate::prometheus::Exposition;
-use crate::spans::{Phase, SpanRecorder, SpanSet, PHASE_NAMES};
+use crate::prometheus::{self, SHARD_FAMILIES};
+use crate::spans::{Phase, SpanRecorder, SpanSet};
 use prophet_check::{check_model, McfConfig, Severity};
 use prophet_core::{render_chain_inline, Backend, Scenario, Session, SweepConfig, SweepPoint};
 use prophet_machine::SystemParams;
@@ -797,17 +797,20 @@ fn handle_models() -> Response {
     Response::json(200, Json::object([("models", Json::Array(items))]).encode())
 }
 
+/// `GET /v1/metrics`: the metrics document, built once and either
+/// encoded as JSON or rendered through [`SHARD_FAMILIES`]
+/// (`?format=prometheus`).
 fn handle_metrics(state: &AppState, req: &Request) -> Response {
-    match req.query_param("format") {
-        Some("prometheus") => return Response::prometheus(render_prometheus(state)),
-        None | Some("json") => {}
+    let exposition = match req.query_param("format") {
+        Some("prometheus") => true,
+        None | Some("json") => false,
         Some(other) => {
             return error_response(
                 400,
                 format!("unknown metrics format `{other}`; use `json` or `prometheus`"),
             )
         }
-    }
+    };
     let pool = state.pool.stats();
     let elab = state.pool.elab_stats();
     let mut members = vec![
@@ -872,7 +875,12 @@ fn handle_metrics(state: &AppState, req: &Request) -> Response {
             ),
         ]),
     ));
-    Response::json(200, Json::Object(members).encode())
+    let doc = Json::Object(members);
+    if exposition {
+        Response::prometheus(prometheus::render(&doc, SHARD_FAMILIES))
+    } else {
+        Response::json(200, doc.encode())
+    }
 }
 
 fn handle_requests(state: &AppState) -> Response {
@@ -977,119 +985,6 @@ fn handle_evict(state: &AppState, req: &Request) -> Response {
         ])
         .encode(),
     )
-}
-
-/// The `?format=prometheus` rendering of everything `/v1/metrics`
-/// reports: per-endpoint counters, latency histograms and quantile
-/// gauges, per-phase histograms, pool/elab/store counters, and the
-/// restart-surviving lifetime counters.
-fn render_prometheus(state: &AppState) -> String {
-    let mut e = Exposition::new();
-    e.family("prophet_requests_total", "counter");
-    for (i, name) in metrics::ENDPOINT_NAMES.iter().enumerate() {
-        e.sample(
-            "prophet_requests_total",
-            &[("endpoint", name)],
-            state.metrics.by_index(i).requests(),
-        );
-    }
-    e.family("prophet_request_errors_total", "counter");
-    for (i, name) in metrics::ENDPOINT_NAMES.iter().enumerate() {
-        e.sample(
-            "prophet_request_errors_total",
-            &[("endpoint", name)],
-            state.metrics.by_index(i).errors(),
-        );
-    }
-    e.family("prophet_request_duration_seconds", "histogram");
-    for (i, name) in metrics::ENDPOINT_NAMES.iter().enumerate() {
-        e.histogram_snapshot(
-            "prophet_request_duration_seconds",
-            &[("endpoint", name)],
-            &state.metrics.by_index(i).latency_snapshot(),
-        );
-    }
-    e.family("prophet_request_duration_quantile_seconds", "gauge");
-    for (i, name) in metrics::ENDPOINT_NAMES.iter().enumerate() {
-        e.quantiles(
-            "prophet_request_duration_quantile_seconds",
-            &[("endpoint", name)],
-            &state.metrics.by_index(i).latency_snapshot(),
-        );
-    }
-    e.family("prophet_phase_duration_seconds", "histogram");
-    for (i, name) in PHASE_NAMES.iter().enumerate() {
-        e.histogram_snapshot(
-            "prophet_phase_duration_seconds",
-            &[("phase", name)],
-            &state.spans.phase_snapshot(i),
-        );
-    }
-    e.family("prophet_journal_recorded_total", "counter");
-    e.sample(
-        "prophet_journal_recorded_total",
-        &[],
-        state.spans.recorded(),
-    );
-
-    let pool = state.pool.stats();
-    e.family("prophet_session_pool_size", "gauge");
-    e.sample("prophet_session_pool_size", &[], pool.size as u64);
-    for (name, value) in [
-        ("prophet_session_pool_compiles_total", pool.compiles),
-        ("prophet_session_pool_reuses_total", pool.reuses),
-        ("prophet_session_pool_bypasses_total", pool.bypasses),
-        (
-            "prophet_session_pool_evictions_total",
-            state.pool.evictions(),
-        ),
-    ] {
-        e.family(name, "counter");
-        e.sample(name, &[], value);
-    }
-    let elab = state.pool.elab_stats();
-    for (name, value) in [
-        ("prophet_elab_hits_total", elab.hits),
-        ("prophet_elab_misses_total", elab.misses),
-        ("prophet_elab_bypasses_total", elab.bypasses),
-    ] {
-        e.family(name, "counter");
-        e.sample(name, &[], value);
-    }
-    if let Some(store) = state.pool.store_stats() {
-        for (name, value) in [
-            ("prophet_store_disk_hits_total", store.disk_hits),
-            ("prophet_store_disk_misses_total", store.disk_misses),
-            ("prophet_store_writes_total", store.writes),
-            ("prophet_store_write_errors_total", store.write_errors),
-            ("prophet_store_evictions_total", store.evictions),
-        ] {
-            e.family(name, "counter");
-            e.sample(name, &[], value);
-        }
-    }
-    e.family("prophet_metrics_checkpoints_total", "counter");
-    e.sample(
-        "prophet_metrics_checkpoints_total",
-        &[],
-        state.checkpoints.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    e.family("prophet_requests_lifetime_total", "counter");
-    for (name, value) in state.lifetime_counters() {
-        // Checkpoint names are `endpoints.<name>.requests` /
-        // `.errors`; expose the request counters, labelled by endpoint.
-        if let Some(endpoint) = name
-            .strip_prefix("endpoints.")
-            .and_then(|rest| rest.strip_suffix(".requests"))
-        {
-            e.sample(
-                "prophet_requests_lifetime_total",
-                &[("endpoint", endpoint)],
-                value,
-            );
-        }
-    }
-    e.finish()
 }
 
 #[cfg(test)]
@@ -1636,7 +1531,7 @@ mod tests {
         assert_eq!(row.get("status").unwrap().as_f64(), Some(200.0));
         assert!(row.get("total_us").unwrap().as_f64().unwrap() > 0.0);
         let phases = row.get("phases").unwrap();
-        for name in PHASE_NAMES {
+        for name in crate::spans::PHASE_NAMES {
             assert!(phases.get(name).is_some(), "{name}");
         }
         // A cold estimate compiled: the compile span is measurable.
@@ -1764,7 +1659,10 @@ mod tests {
     /// stay out), fixed endpoint latencies, and fixed phase spans.
     fn pinned_state() -> AppState {
         let scratch = AppState::default();
-        let (r, _) = handle(&scratch, &post("/v1/estimate", r#"{"model_name":"sample"}"#));
+        let (r, _) = handle(
+            &scratch,
+            &post("/v1/estimate", r#"{"model_name":"sample"}"#),
+        );
         assert_eq!(r.status, 200, "{}", r.body);
         let state = AppState::with_pool(scratch.pool);
         for (method, path, us, error) in [
@@ -1803,7 +1701,45 @@ mod tests {
                 .lines()
                 .zip(expected.lines())
                 .position(|(got, want)| got != want);
-            panic!("exposition drifted (first differing line {first:?}):\n{}", r.body);
+            panic!(
+                "exposition drifted (first differing line {first:?}):\n{}",
+                r.body
+            );
         }
+    }
+
+    #[test]
+    fn every_shard_metric_is_an_exposed_series() {
+        let dir = std::env::temp_dir().join(format!("prophet-api-parity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(prophet_core::ArtifactStore::open(&dir).expect("temp store opens"));
+        let pinned = pinned_state();
+        let state = AppState {
+            pool: SessionPool::with_store(crate::pool::DEFAULT_CAPACITY, store),
+            ..pinned
+        };
+        let (r, _) = handle(&state, &post("/v1/estimate", r#"{"model_name":"jacobi"}"#));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let (r, _) = handle(&state, &get("/v1/metrics"));
+        let doc = body_of(&r);
+        assert!(
+            doc.get("store").is_some(),
+            "the store section must be covered too"
+        );
+
+        let unsampled = prometheus::unsampled_leaves(&doc, SHARD_FAMILIES);
+        assert!(
+            unsampled.is_empty(),
+            "JSON leaves with no series: {unsampled:?}"
+        );
+        let text = prometheus::render(&doc, SHARD_FAMILIES);
+        for family in SHARD_FAMILIES {
+            assert!(
+                text.contains(&format!("# TYPE {} ", family.name)),
+                "`{}` rendered no series:\n{text}",
+                family.name
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -73,6 +73,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod client;
 pub mod http;

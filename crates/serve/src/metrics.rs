@@ -167,11 +167,6 @@ impl EndpointMetrics {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time copy of the latency histogram.
-    pub fn latency_snapshot(&self) -> HistogramSnapshot {
-        self.latency.snapshot()
-    }
-
     fn to_json(&self) -> Json {
         Json::object([
             ("requests", Json::from(self.requests())),

@@ -301,11 +301,6 @@ impl SpanRecorder {
                 .map(|(i, &name)| (name, self.phase_hist[i].snapshot().to_json())),
         )
     }
-
-    /// Snapshot of one phase histogram, for Prometheus rendering.
-    pub fn phase_snapshot(&self, phase: usize) -> crate::metrics::HistogramSnapshot {
-        self.phase_hist[phase].snapshot()
-    }
 }
 
 fn entry_json(entry: &JournalEntry) -> Json {

@@ -105,6 +105,21 @@ fn store_metrics_fields_match_api_md() {
     }
 }
 
+/// Every exposed Prometheus family, shard and router table alike, is
+/// spelled out in full in docs/OBSERVABILITY.md.
+#[test]
+fn every_metric_family_is_documented_in_observability_md() {
+    use prophet::serve::prometheus::{ROUTER_FAMILIES, SHARD_FAMILIES};
+    let observability_md = read("docs/OBSERVABILITY.md");
+    for family in SHARD_FAMILIES.iter().chain(ROUTER_FAMILIES) {
+        assert!(
+            observability_md.contains(&format!("`{}`", family.name)),
+            "family `{}` is missing from docs/OBSERVABILITY.md",
+            family.name
+        );
+    }
+}
+
 /// README links both documents, and they exist.
 #[test]
 fn readme_links_the_docs_layer() {

@@ -400,6 +400,80 @@ fn prometheus_expositions_pass_lint_and_cover_the_fleet() {
     );
 }
 
+/// With one of two shards killed, the fleet exposition still lints,
+/// reports the dead shard unhealthy, carries none of its shard-family
+/// series (its section has no `metrics` to render), and keeps the live
+/// shard's.
+#[test]
+fn fleet_exposition_with_a_shard_down_keeps_the_live_shard() {
+    use prophet::serve::prometheus::SHARD_FAMILIES;
+    let live = spawn(&["serve", "--addr", "127.0.0.1:0", "--workers", "2"]);
+    let dead = spawn(&["serve", "--addr", "127.0.0.1:0", "--workers", "2"]);
+    let (live_addr, dead_addr) = (live.addr, dead.addr);
+    let shard_list = format!("{live_addr},{dead_addr}");
+    let router = spawn(&[
+        "router",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--shards",
+        &shard_list,
+    ]);
+    let r = client::post(router.addr, "/v1/estimate", &estimate_body("sample")).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    drop(dead); // kill -9 and reap
+
+    // The prober marks the dead shard down within a few sweeps.
+    let down = format!("prophet_router_shard_healthy{{shard=\"{dead_addr}\"}} 0\n");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let text = loop {
+        let fleet = Connection::connect(router.addr)
+            .unwrap()
+            .send("GET", "/v1/metrics?format=prometheus", None, &[])
+            .unwrap();
+        assert_eq!(fleet.status, 200, "{}", fleet.body);
+        if fleet.body.contains(&down) {
+            break fleet.body;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "dead shard never marked down:\n{}",
+            fleet.body
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    lint_prometheus(&text);
+    let is_shard_family = |line: &str| {
+        SHARD_FAMILIES.iter().any(|family| {
+            line.strip_prefix(family.name)
+                .is_some_and(|rest| rest.starts_with(['{', '_']))
+        })
+    };
+    let dead_label = format!("shard=\"{dead_addr}\"");
+    let live_label = format!("shard=\"{live_addr}\"");
+    for line in text.lines() {
+        assert!(
+            !(is_shard_family(line) && line.contains(&dead_label)),
+            "dead shard series in the exposition: {line}"
+        );
+    }
+    for family in [
+        "prophet_requests_total",
+        "prophet_phase_duration_seconds_bucket",
+    ] {
+        assert!(
+            text.lines()
+                .any(|line| line.starts_with(family) && line.contains(&live_label)),
+            "live shard lost `{family}`:\n{text}"
+        );
+    }
+    assert!(
+        text.contains(&format!("prophet_router_shard_healthy{{{live_label}}} 1\n")),
+        "{text}"
+    );
+}
+
 /// The `prophet metrics` CLI renders both document shapes: a shard's
 /// endpoint table and a router's per-shard breakdown.
 #[test]
