@@ -16,17 +16,17 @@
 //! routes on it, while the single writer validates the change, warms
 //! every moved key's *new* owner (`POST /v1/warm` on the shard: a disk
 //! hit under a shared store, a compile-prime otherwise), installs the
-//! new view, and only then evicts the moved keys from their surviving
-//! old owners. Consistent hashing bounds the churn: only ~K/N of the keys
-//! change owner on a single join or leave, and never between
-//! survivors.
+//! new view, waits until no request still routes on the old one, and
+//! only then evicts the moved keys from their surviving old owners.
+//! Consistent hashing bounds the churn: only ~K/N of the keys change
+//! owner on a single join or leave, and never between survivors.
 //!
 //! Digest routing is what makes scale-out *compile-once* scale-out: the
-//! router resolves the model exactly like a shard would
-//! ([`resolve_model`]/[`resolve_mcf`] are the shard's own functions)
-//! and hashes the same [`ArtifactKey`] the shard pools sessions by, so
-//! every repeat of a model — inline XML or by name — lands on the one
-//! shard that already compiled it.
+//! router derives the content key exactly like a shard would
+//! ([`resolve_key`] is the shard's own function) and hashes the same
+//! [`ArtifactKey`] the shard pools sessions by, so every repeat of a
+//! model — inline XML or by name — lands on the one shard that already
+//! compiled it.
 //!
 //! Failover is the ring's successor order: a transport failure marks
 //! the shard down and moves to the next shard, so a killed shard costs
@@ -38,7 +38,7 @@
 use crate::ring::{route_key, Ring};
 use crate::shard::Shard;
 use prophet_core::ArtifactKey;
-use prophet_serve::api::{bearer_authorized, resolve_mcf, resolve_model};
+use prophet_serve::api::{bearer_authorized, resolve_key};
 use prophet_serve::http::{Request, Response};
 use prophet_serve::json::{self, Json};
 use prophet_serve::metrics::Metrics;
@@ -47,7 +47,7 @@ use prophet_serve::Handler;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Routing counters, all relaxed atomics (same discipline as the serve
 /// metrics: observability never takes a lock on the hot path).
@@ -100,6 +100,10 @@ impl FleetView {
 /// recipes for. The handoff pass can only warm keys it knows about;
 /// past the cap, new keys route fine but rebalance cold.
 const RECIPE_CAPACITY: usize = 1024;
+
+/// Poll slice while a reconfiguration waits for the retired view's
+/// in-flight requests to finish.
+const DRAIN_POLL: Duration = Duration::from_millis(1);
 
 /// Everything the router's workers share.
 #[derive(Debug)]
@@ -220,38 +224,43 @@ impl RouterState {
             }
             Err(e) => return error_response(400, e.to_string()),
         };
-        // Resolve exactly as the shard will: same functions, same
-        // digests — a body a shard would reject never leaves the
+        // Resolve exactly as the shard will: the same function, the
+        // same key — a body a shard would reject never leaves the
         // router, and a body a shard would accept routes to the shard
         // whose session pool already holds it.
-        let model = match resolve_model(&body) {
-            Ok(model) => model,
+        let key = match resolve_key(&body) {
+            Ok(key) => key,
             Err(response) => return response,
         };
-        let mcf = match resolve_mcf(&body) {
-            Ok(mcf) => mcf,
-            Err(response) => return response,
-        };
-        let key = ArtifactKey::of(&model, &mcf);
         self.remember_recipe(key, &body);
-        let view = self.view();
-        self.try_in_order(&view, &view.ring.successors(route_key(key)), req)
+        self.forward_on(&self.view(), key, req)
     }
 
-    /// Record the prime recipe for a routed key: the body members that
-    /// re-create its session (`model`/`model_name`/`mcf`), so a later
-    /// rebalance can warm the key's new owner.
+    /// Forward a keyed request along `view`'s ring from `key`'s owner.
+    pub(crate) fn forward_on(&self, view: &FleetView, key: ArtifactKey, req: &Request) -> Response {
+        self.try_in_order(view, &view.ring.successors(route_key(key)), req)
+    }
+
+    /// Record the prime recipe for a routed key the first time it is
+    /// seen: the body members that re-create its session
+    /// (`model`/`model_name`/`mcf`), so a later rebalance can warm the
+    /// key's new owner. A known key costs one map lookup.
     fn remember_recipe(&self, key: ArtifactKey, body: &Json) {
+        let mut recipes = self.recipes.lock().expect("recipe map lock");
+        if recipes.contains_key(&key) || recipes.len() >= RECIPE_CAPACITY {
+            return; // past the cap new keys still route, they just rebalance cold
+        }
         let members: Vec<(&str, Json)> = ["model", "model_name", "mcf"]
             .into_iter()
             .filter_map(|name| body.get(name).map(|v| (name, v.clone())))
             .collect();
-        let recipe = Json::object(members).encode();
-        let mut recipes = self.recipes.lock().expect("recipe map lock");
-        if recipes.len() >= RECIPE_CAPACITY && !recipes.contains_key(&key) {
-            return; // full: new keys still route, they just rebalance cold
-        }
-        recipes.insert(key, recipe);
+        recipes.insert(key, Json::object(members).encode());
+    }
+
+    /// How many keys have a remembered prime recipe.
+    #[cfg(test)]
+    pub(crate) fn recipe_count(&self) -> usize {
+        self.recipes.lock().expect("recipe map lock").len()
     }
 
     /// Forward an un-keyed request (`GET /v1/models`) round-robin.
@@ -407,11 +416,13 @@ impl RouterState {
     /// emptied fleet), build the next view reusing the survivors'
     /// shard handles (their connection pools and health state carry
     /// over), warm every moved key's new owner, install the view with
-    /// one `Arc` swap (epoch + 1), and only then evict the moved keys
-    /// from surviving old owners. In-flight requests keep routing on
-    /// the old snapshot throughout; requests started after the swap
-    /// route on the new one. A removed shard's handle, and its pooled
-    /// keep-alive connections, drop with the last view holding it.
+    /// one `Arc` swap (epoch + 1), wait until no request still holds
+    /// the old view (`drain_ms` in the answer), and only then evict the
+    /// moved keys from surviving old owners. In-flight requests keep
+    /// routing on the old snapshot throughout; requests started after
+    /// the swap route on the new one. A removed shard's handle, and its
+    /// pooled keep-alive connections, drop with the last view holding
+    /// it.
     fn reconfigure(&self, req: &Request) -> Response {
         let body = match json::parse(&req.body) {
             Ok(body @ Json::Object(_)) => body,
@@ -525,9 +536,17 @@ impl RouterState {
         // Install: readers see the whole new view or the whole old one.
         *self.view.write().expect("fleet view lock") = Arc::clone(&next);
 
-        // Old owners drop their moved entries only now, after the
-        // swap: they kept answering for those keys until no new
-        // request could route to them.
+        // Old owners drop their moved entries only once the retired
+        // view is drained: a request that loaded it just before the
+        // swap may still be on its way to an old owner, which would
+        // recompile an evicted key. No request can load it any more,
+        // so its count only falls; wait, bounded by one I/O timeout,
+        // until this function holds the last reference.
+        let drain_start = Instant::now();
+        while Arc::strong_count(&current) > 1 && drain_start.elapsed() < self.io_timeout {
+            std::thread::sleep(DRAIN_POLL);
+        }
+        let drain_ms = drain_start.elapsed().as_millis().min(u64::MAX as u128) as u64;
         let mut evicted = 0u64;
         for (owner, keys) in &evict_by_owner {
             let Some(shard) = next.shards.iter().find(|s| &s.addr().to_string() == owner) else {
@@ -564,6 +583,7 @@ impl RouterState {
                 ("moved", Json::from(moved.len())),
                 ("primed", Json::from(primed)),
                 ("evicted", Json::from(evicted)),
+                ("drain_ms", Json::from(drain_ms)),
             ])
             .encode(),
         )

@@ -717,54 +717,64 @@ mod tests {
         a.shutdown();
     }
 
+    /// Every bundled model's name and content key.
+    fn bundled_keys() -> Vec<(&'static str, prophet_core::ArtifactKey)> {
+        prophet_serve::api::demo_models()
+            .into_iter()
+            .map(|(name, _)| {
+                let body = Json::object([("model_name", Json::from(name))]);
+                (name, prophet_serve::api::resolve_key(&body).unwrap())
+            })
+            .collect()
+    }
+
+    /// A fresh shard that the ring over `[a, it]` hands at least one of
+    /// `keys`, with the bundled models it takes. Placement hangs on the
+    /// ephemeral port; each model lands on the joiner with probability
+    /// about 1/2, so the first candidate almost always qualifies.
+    fn joiner_taking_some(
+        a: &ServerHandle,
+        keys: &[(&'static str, prophet_core::ArtifactKey)],
+    ) -> (ServerHandle, Vec<(&'static str, prophet_core::ArtifactKey)>) {
+        loop {
+            let b = shard();
+            let ring = Ring::new(&[a.addr().to_string(), b.addr().to_string()]);
+            let moving: Vec<_> = keys
+                .iter()
+                .copied()
+                .filter(|&(_, key)| ring.route(route_key(key)) == 1)
+                .collect();
+            if !moving.is_empty() {
+                return (b, moving);
+            }
+            b.shutdown();
+        }
+    }
+
+    /// Fleet-wide session compiles, as the router aggregates them.
+    fn fleet_compiles(router: SocketAddr) -> f64 {
+        client::get(router, "/v1/metrics")
+            .unwrap()
+            .body
+            .get("fleet")
+            .unwrap()
+            .get("session_compiles")
+            .unwrap()
+            .as_f64()
+            .unwrap()
+    }
+
     #[test]
     fn join_then_leave_moves_keys_with_warm_handoff() {
         let a = shard();
         let router = router(vec![a.addr()]);
-        let keys: Vec<(&str, prophet_core::ArtifactKey)> = prophet_serve::api::demo_models()
-            .into_iter()
-            .map(|(name, _)| {
-                let model = prophet_serve::api::demo_model(name).unwrap();
-                (
-                    name,
-                    prophet_core::ArtifactKey::of(&model, &Default::default()),
-                )
-            })
-            .collect();
+        let keys = bundled_keys();
         let names: Vec<&str> = keys.iter().map(|&(name, _)| name).collect();
-        // Pick the joiner so the post-join ring hands it at least one
-        // demo model. Placement hangs on the ephemeral port; each model
-        // lands on the joiner with probability about 1/2, so the first
-        // candidate almost always qualifies.
-        let (b, moving) = loop {
-            let b = shard();
-            let labels = [a.addr().to_string(), b.addr().to_string()];
-            let ring = Ring::new(&labels);
-            let moving: Vec<prophet_core::ArtifactKey> = keys
-                .iter()
-                .map(|&(_, key)| key)
-                .filter(|&key| ring.route(route_key(key)) == 1)
-                .collect();
-            if !moving.is_empty() {
-                break (b, moving);
-            }
-            b.shutdown();
-        };
+        let (b, moving) = joiner_taking_some(&a, &keys);
         for &name in &names {
             let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
         }
-        let fleet_compiles = |addr| {
-            client::get(addr, "/v1/metrics")
-                .unwrap()
-                .body
-                .get("fleet")
-                .unwrap()
-                .get("session_compiles")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        };
         assert_eq!(fleet_compiles(router.addr()), names.len() as f64);
 
         // Join b: the handoff warms every moved key on b before the
@@ -781,7 +791,7 @@ mod tests {
             "exactly the keys the post-join ring hands to the joiner move"
         );
         let state = router.state();
-        for &key in &moving {
+        for &(_, key) in &moving {
             assert_eq!(state.view().shards()[state.owner_of(key)].addr(), b.addr());
         }
         assert_eq!(r.body.get("primed").unwrap().as_f64(), Some(moved));
@@ -806,6 +816,7 @@ mod tests {
         // Without a shared store each prime is one compile on the
         // joiner — and nothing else compiled.
         assert_eq!(fleet_compiles(router.addr()), names.len() as f64 + moved);
+        assert_eq!(state.recipe_count(), names.len(), "one recipe per key");
 
         // Leave a: everything it still owned moves to b, pre-warmed
         // again, so clients never see a cold (or failed) request.
@@ -833,6 +844,89 @@ mod tests {
         router.shutdown();
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn a_request_holding_the_retired_view_finds_its_key_still_pooled() {
+        let a = shard();
+        let router = router(vec![a.addr()]);
+        let keys = bundled_keys();
+        let (b, moving) = joiner_taking_some(&a, &keys);
+        for &(name, _) in &keys {
+            let r = client::post(router.addr(), "/v1/estimate", &estimate_body(name)).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        let state = router.state();
+        // A request that loaded the view just before the swap.
+        let retired = state.view();
+        let join = Json::object([("add", Json::Array(vec![Json::from(b.addr().to_string())]))]);
+        let router_addr = router.addr();
+        let reconfigure =
+            std::thread::spawn(move || client::post(router_addr, "/v1/shards", &join));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while state.view().epoch == 0 {
+            assert!(Instant::now() < deadline, "the join never swapped the view");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Long enough for an eviction that does not wait to land.
+        std::thread::sleep(Duration::from_millis(200));
+        for &(name, key) in &moving {
+            let body = estimate_body(name).encode();
+            let req = prophet_serve::http::Request {
+                method: "POST".into(),
+                path: "/v1/estimate".into(),
+                query: String::new(),
+                headers: Vec::new(),
+                body,
+                keep_alive: true,
+                trace: format!("retired-{name}"),
+            };
+            let r = state.forward_on(&retired, key, &req);
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert!(
+                r.body.contains(r#""reused":true"#),
+                "{name} on the retired view must reach a warm old owner: {}",
+                r.body
+            );
+        }
+        drop(retired);
+        let report = reconfigure.join().unwrap().unwrap().body;
+        let moved = report.get("moved").unwrap().as_f64().unwrap();
+        assert_eq!(moved, moving.len() as f64, "{report}");
+        assert_eq!(report.get("evicted").unwrap().as_f64(), Some(moved));
+        assert!(
+            report.get("drain_ms").unwrap().as_f64().unwrap() >= 200.0,
+            "the eviction waited for the retired view: {report}"
+        );
+        // One compile per model plus one prime per moved key: the
+        // requests on the retired view compiled nothing.
+        assert_eq!(fleet_compiles(router.addr()), keys.len() as f64 + moved);
+        router.shutdown();
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn repeated_keys_keep_one_recipe() {
+        let a = shard();
+        let router = router(vec![a.addr()]);
+        let xml = prophet_core::store::canonical_model_xml(
+            &prophet_serve::api::demo_model("sample").unwrap(),
+        );
+        let inline = Json::object([("model", Json::from(xml)), ("nodes", Json::from(2usize))]);
+        for round in 0..8 {
+            let body = if round % 2 == 0 {
+                estimate_body("sample")
+            } else {
+                inline.clone()
+            };
+            let r = client::post(router.addr(), "/v1/estimate", &body).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        assert_eq!(router.state().recipe_count(), 1);
+        assert_eq!(fleet_compiles(router.addr()), 1.0);
+        router.shutdown();
+        a.shutdown();
     }
 
     #[test]

@@ -36,12 +36,17 @@ use crate::pool::SessionPool;
 use crate::prometheus::{self, SHARD_FAMILIES};
 use crate::spans::{Phase, SpanRecorder, SpanSet};
 use prophet_check::{check_model, McfConfig, Severity};
-use prophet_core::{render_chain_inline, Backend, Scenario, Session, SweepConfig, SweepPoint};
+use prophet_core::{
+    render_chain_inline, ArtifactKey, Backend, Scenario, Session, SweepConfig, SweepPoint,
+};
 use prophet_machine::SystemParams;
 use prophet_opt::{OptError, OptimizeRequest, OptimizeSession};
 use prophet_uml::Model;
 use prophet_workloads::models;
-use std::sync::Arc;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything the handlers share across connections.
 #[derive(Debug, Default)]
@@ -127,13 +132,21 @@ pub fn demo_models() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// A bundled demo model by name.
+/// A bundled demo model, normalized once per process, with its content
+/// key under the default MCF.
+struct Bundled {
+    name: &'static str,
+    model: Model,
+    key: ArtifactKey,
+}
+
+/// The bundled model table, built on first use.
 ///
-/// Models are built once per process and handed out pre-normalized
-/// (already through one serialize→parse roundtrip), so per-request work
-/// is a clone and the pool-key digest never needs to re-normalize them.
-pub fn demo_model(name: &str) -> Option<Model> {
-    static CACHE: std::sync::OnceLock<Vec<(&'static str, Model)>> = std::sync::OnceLock::new();
+/// Models are handed out pre-normalized (already through one
+/// serialize→parse roundtrip), and each carries its content key, so a
+/// `model_name` request derives no key at all.
+fn bundled(name: &str) -> Option<&'static Bundled> {
+    static CACHE: OnceLock<Vec<Bundled>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| {
         [
             ("sample", models::sample_model()),
@@ -152,17 +165,19 @@ pub fn demo_model(name: &str) -> Option<Model> {
         ]
         .into_iter()
         .map(|(name, model)| {
-            let normalized =
-                prophet_uml::xmi::model_from_xml(&prophet_uml::xmi::model_to_xml(&model))
-                    .expect("bundled models roundtrip");
-            (name, normalized)
+            let model = prophet_uml::xmi::model_from_xml(&prophet_uml::xmi::model_to_xml(&model))
+                .expect("bundled models roundtrip");
+            let key = ArtifactKey::of(&model, &McfConfig::default());
+            Bundled { name, model, key }
         })
         .collect()
     });
-    cache
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, m)| m.clone())
+    cache.iter().find(|b| b.name == name)
+}
+
+/// A bundled demo model by name (a clone of the normalized table entry).
+pub fn demo_model(name: &str) -> Option<Model> {
+    bundled(name).map(|b| b.model.clone())
 }
 
 /// An error response: status + `{"error": message}` body.
@@ -239,9 +254,7 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     }
 }
 
-/// Resolve the model named or embedded in a request body. Public
-/// because the router resolves the same members to compute the content
-/// digest it routes by — router and shard must agree on the key.
+/// Resolve the model named or embedded in a request body.
 pub fn resolve_model(body: &Json) -> Result<Model, Response> {
     match (body.get("model"), body.get("model_name")) {
         (Some(_), Some(_)) => Err(error_response(
@@ -277,8 +290,7 @@ pub fn resolve_model(body: &Json) -> Result<Model, Response> {
     }
 }
 
-/// Resolve the optional `mcf` member. Public for the router (see
-/// [`resolve_model`]).
+/// Resolve the optional `mcf` member.
 pub fn resolve_mcf(body: &Json) -> Result<McfConfig, Response> {
     match body.get("mcf") {
         None => Ok(McfConfig::default()),
@@ -290,6 +302,104 @@ pub fn resolve_mcf(body: &Json) -> Result<McfConfig, Response> {
                 .map_err(|e| error_response(422, format!("MCF XML does not parse: {e}")))
         }
     }
+}
+
+/// The parsed model and MCF of a request body.
+fn resolve_inputs(body: &Json) -> Result<(Model, McfConfig), Response> {
+    Ok((resolve_model(body)?, resolve_mcf(body)?))
+}
+
+/// How many distinct non-bundled inputs the key memo holds. A full memo
+/// clears, which bounds its memory under model churn without an
+/// eviction list.
+pub const KEY_MEMO_CAPACITY: usize = 256;
+
+/// The raw `model`, `model_name` and `mcf` members of a request body,
+/// absent members as `None`.
+type Members<'a> = [Option<&'a str>; 3];
+
+/// An owned copy of [`Members`], as the key memo keeps it.
+type Spelling = [Option<String>; 3];
+
+/// Memoized content keys of inline models and explicit MCFs, keyed by
+/// the exact member strings: a lookup hashes them (with a per-process
+/// random seed, as the members come from clients) to find the entry,
+/// and a hit needs every member to be equal, so a hash collision is a
+/// miss, never a wrong key.
+#[derive(Default)]
+struct KeyMemo {
+    seed: RandomState,
+    entries: Mutex<HashMap<u64, (Spelling, ArtifactKey)>>,
+}
+
+fn key_memo() -> &'static KeyMemo {
+    static MEMO: OnceLock<KeyMemo> = OnceLock::new();
+    MEMO.get_or_init(KeyMemo::default)
+}
+
+/// The key-bearing members of `body`, or `None` when one of them is not
+/// a string (such a body is an error, which the slow path reports).
+fn members(body: &Json) -> Option<Members<'_>> {
+    let mut members = [None; 3];
+    for (slot, name) in members.iter_mut().zip(["model", "model_name", "mcf"]) {
+        if let Some(value) = body.get(name) {
+            *slot = Some(value.as_str()?);
+        }
+    }
+    Some(members)
+}
+
+/// A request's content key, plus the parsed inputs when deriving the
+/// key had to parse them, so that a pool miss right after does not
+/// parse twice.
+///
+/// A bare `model_name` reads the key cached next to the bundled model.
+/// Anything else goes through the key memo; a miss runs
+/// [`resolve_model`], [`resolve_mcf`] and [`ArtifactKey::of`], returns
+/// their errors unchanged and memoizes only a success.
+fn resolve_input(body: &Json) -> Result<(ArtifactKey, Option<(Model, McfConfig)>), Response> {
+    let members = members(body);
+    if let Some([None, Some(name), None]) = members {
+        if let Some(bundled) = bundled(name) {
+            return Ok((bundled.key, None));
+        }
+    }
+    let memo = key_memo();
+    let memo_slot = members.map(|m| (m, memo.seed.hash_one(m)));
+    if let Some((m, hash)) = memo_slot {
+        let entries = memo.entries.lock().expect("key memo lock");
+        if let Some((spelling, key)) = entries.get(&hash) {
+            if spelling.iter().map(Option::as_deref).eq(m) {
+                return Ok((*key, None));
+            }
+        }
+    }
+    let (model, mcf) = resolve_inputs(body)?;
+    let key = ArtifactKey::of(&model, &mcf);
+    if let Some((m, hash)) = memo_slot {
+        let mut entries = memo.entries.lock().expect("key memo lock");
+        if entries.len() >= KEY_MEMO_CAPACITY {
+            entries.clear();
+        }
+        entries.insert(hash, (m.map(|v| v.map(str::to_string)), key));
+    }
+    Ok((key, Some((model, mcf))))
+}
+
+/// The `(model, MCF)` content key of a request body — the key the
+/// router routes by and the shard pools by, so both must derive it
+/// here.
+///
+/// Only the first sight of an input in a process pays the canonical
+/// [`ArtifactKey::of`]: bundled names read a key cached at startup, and
+/// inline models and explicit MCFs hit a bounded memo of their exact
+/// member strings ([`KEY_MEMO_CAPACITY`]).
+///
+/// # Errors
+/// Exactly the answers [`resolve_model`] and [`resolve_mcf`] give for
+/// the body; errors are never memoized.
+pub fn resolve_key(body: &Json) -> Result<ArtifactKey, Response> {
+    resolve_input(body).map(|(key, _)| key)
 }
 
 /// A `usize` member with a default; rejects non-integers.
@@ -376,17 +486,24 @@ fn resolve_backend(body: &Json) -> Result<Backend, Response> {
 /// The pooled session for a request body's model/MCF, attributing the
 /// checkout's time to the pool / store-load / compile spans: the pool
 /// checkout reports how long it spent on disk and compiling, and the
-/// remainder of the wall time (key hashing, lock waits, blocking on
+/// remainder of the wall time (key resolution, lock waits, blocking on
 /// another thread's in-flight compile) is pool time.
+///
+/// The pool is looked up by key first: a pooled hit parses no XML and
+/// clones no model.
 fn resolve_session(
     state: &AppState,
     body: &Json,
     spans: &mut SpanSet,
 ) -> Result<(Arc<Session>, bool), Response> {
-    let model = resolve_model(body)?;
-    let mcf = resolve_mcf(body)?;
     let start = std::time::Instant::now();
-    let result = state.pool.checkout_timed(&model, &mcf);
+    let (key, parsed) = resolve_input(body)?;
+    let result = state.pool.checkout_keyed(key, || match parsed {
+        Some(inputs) => Ok(inputs),
+        // The key came from the bundled table or the memo, both of
+        // which only hold inputs that resolved, so this resolves too.
+        None => resolve_inputs(body).map_err(|r| r.body),
+    });
     let total_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
     let timing = match &result {
         Ok((_, _, timing)) => *timing,
@@ -409,7 +526,7 @@ fn handle_check(req: &Request, spans: &mut SpanSet) -> Response {
         Ok(b) => b,
         Err(r) => return r,
     };
-    let (model, mcf) = match resolve_model(&body).and_then(|m| Ok((m, resolve_mcf(&body)?))) {
+    let (model, mcf) = match resolve_inputs(&body) {
         Ok(pair) => pair,
         Err(r) => return r,
     };
@@ -915,11 +1032,14 @@ fn handle_warm(state: &AppState, req: &Request, spans: &mut SpanSet) -> Response
         Err(r) => return r,
     };
     spans.mark(Phase::Parse);
-    let (session, reused) = match resolve_session(state, &body, spans) {
+    let (_, reused) = match resolve_session(state, &body, spans) {
         Ok(pair) => pair,
         Err(r) => return r,
     };
-    let key = crate::pool::PoolKey::of(session.model(), session.mcf());
+    let key = match resolve_key(&body) {
+        Ok(key) => key,
+        Err(r) => return r,
+    };
     let encoded = Json::object([
         ("ok", Json::from(true)),
         ("reused", Json::from(reused)),
@@ -1076,6 +1196,102 @@ mod tests {
             Some(true),
             "inline XML and model_name must resolve to the same content key"
         );
+    }
+
+    #[test]
+    fn a_named_then_an_inline_request_share_one_pooled_session() {
+        let state = AppState::default();
+        let xml = prophet_uml::xmi::model_to_xml(&models::jacobi_model(1_000_000, 20, 1e-8));
+        let by_xml = Json::object([("model", Json::from(xml))]).encode();
+        let reused = |body: &str| {
+            let (r, _) = handle(&state, &post("/v1/estimate", body));
+            assert_eq!(r.status, 200, "{}", r.body);
+            body_of(&r)
+                .get("session")
+                .unwrap()
+                .get("reused")
+                .unwrap()
+                .as_bool()
+        };
+        assert_eq!(reused(r#"{"model_name":"jacobi"}"#), Some(false));
+        assert_eq!(reused(&by_xml), Some(true));
+        assert_eq!(reused(&by_xml), Some(true));
+        let stats = state.pool.stats();
+        assert_eq!((stats.compiles, stats.reuses), (1, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn bundled_keys_are_the_canonical_keys() {
+        for (name, _) in demo_models() {
+            let canonical = ArtifactKey::of(&demo_model(name).unwrap(), &McfConfig::default());
+            assert_eq!(bundled(name).unwrap().key, canonical, "{name}");
+            let body = Json::object([("model_name", Json::from(name))]);
+            assert_eq!(resolve_key(&body).unwrap(), canonical, "{name}");
+            // An explicit default MCF takes the memo path to the same key.
+            let mcf = McfConfig::default().to_xml();
+            let body = Json::object([("model_name", Json::from(name)), ("mcf", Json::from(mcf))]);
+            assert_eq!(resolve_key(&body).unwrap(), canonical, "{name} + mcf");
+        }
+    }
+
+    /// Whether the key memo holds an entry for exactly `body`'s members.
+    fn memoized(body: &Json) -> bool {
+        let members = members(body).expect("string members");
+        key_memo()
+            .entries
+            .lock()
+            .unwrap()
+            .values()
+            .any(|(spelling, _)| spelling.iter().map(Option::as_deref).eq(members))
+    }
+
+    #[test]
+    fn unparsable_inputs_fail_the_same_way_and_are_never_memoized() {
+        for body in [
+            Json::object([("model", Json::from("<model><broken"))]),
+            Json::object([
+                ("model_name", Json::from("sample")),
+                ("mcf", Json::from("<mcf><broken")),
+            ]),
+        ] {
+            let first = resolve_key(&body).unwrap_err();
+            assert_eq!(first.status, 422, "{}", first.body);
+            for _ in 0..3 {
+                let again = resolve_key(&body).unwrap_err();
+                assert_eq!((again.status, &again.body), (first.status, &first.body));
+            }
+            assert!(!memoized(&body), "an error was memoized: {}", first.body);
+        }
+    }
+
+    #[test]
+    fn the_key_memo_stays_bounded_and_agrees_after_clearing() {
+        let inline = |i: usize| {
+            let mut b = prophet_uml::ModelBuilder::new(&format!("memo{i}"));
+            let main = b.main_diagram();
+            let start = b.initial(main, "start");
+            let work = b.action(main, "Work", &format!("{i}.5"));
+            let end = b.final_node(main, "end");
+            b.flow(main, start, work);
+            b.flow(main, work, end);
+            let model = b.build();
+            let key = ArtifactKey::of(&model, &McfConfig::default());
+            let xml = prophet_uml::xmi::model_to_xml(&model);
+            (Json::object([("model", Json::from(xml))]), key)
+        };
+        let inputs: Vec<(Json, ArtifactKey)> = (0..KEY_MEMO_CAPACITY + 40).map(inline).collect();
+        for (body, key) in &inputs {
+            assert_eq!(resolve_key(body).unwrap(), *key);
+            assert!(key_memo().entries.lock().unwrap().len() <= KEY_MEMO_CAPACITY);
+        }
+        // The tail went in after the memo last cleared; whatever a
+        // concurrent test did since, every answer is the canonical key,
+        // memoized or not.
+        for (body, key) in inputs.iter().rev().take(40) {
+            assert_eq!(resolve_key(body).unwrap(), *key);
+            assert_eq!(resolve_key(body).unwrap(), *key);
+        }
+        assert!(key_memo().entries.lock().unwrap().len() <= KEY_MEMO_CAPACITY);
     }
 
     #[test]

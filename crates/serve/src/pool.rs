@@ -16,6 +16,19 @@
 //! two requests for a new model arrive together, one compiles and the
 //! other blocks until the artifact is ready — never two compiles.
 //!
+//! **Keyed checkout.** Every checkout goes through
+//! [`SessionPool::checkout_keyed`]: it takes the key plus a closure that
+//! yields the owned `(Model, McfConfig)`, and runs the closure only when
+//! the request compiles. A pooled hit or a store load needs the key
+//! alone. `checkout`, `checkout_timed` and `session` are thin wrappers
+//! that derive the key with [`PoolKey::of`]. The service never derives
+//! it there: [`crate::api::resolve_key`] reads the key of a bundled
+//! model from the table that holds the model, and looks inline models
+//! and explicit MCFs up in a bounded, process-wide memo of their exact
+//! request strings. Only a memo miss pays the canonical serialize →
+//! parse → serialize digest, so a pooled hit parses no XML, clones no
+//! model and derives no key.
+//!
 //! The pool is bounded ([`SessionPool::with_capacity`]): beyond
 //! `capacity` distinct keys, new models are compiled per-request and
 //! *not* retained (counted as `bypasses`), mirroring the elaboration
@@ -245,7 +258,19 @@ impl SessionPool {
         model: &Model,
         mcf: &McfConfig,
     ) -> Result<(Arc<Session>, bool, CheckoutTiming), String> {
-        let key = PoolKey::of(model, mcf);
+        self.checkout_keyed(PoolKey::of(model, mcf), || Ok((model.clone(), mcf.clone())))
+    }
+
+    /// [`SessionPool::checkout_timed`] by content key. `inputs` yields
+    /// the owned `(model, mcf)` that `key` addresses and runs only when
+    /// this request compiles; a pooled hit or a store load needs the
+    /// key alone. An `inputs` error is returned (and cached) like a
+    /// compile error.
+    pub fn checkout_keyed(
+        &self,
+        key: PoolKey,
+        inputs: impl FnOnce() -> Result<(Model, McfConfig), String>,
+    ) -> Result<(Arc<Session>, bool, CheckoutTiming), String> {
         let (slot, reused) = {
             let mut slots = self.slots.lock().expect("pool lock");
             match slots.get(&key) {
@@ -260,22 +285,8 @@ impl SessionPool {
                     self.bypasses.fetch_add(1, Ordering::Relaxed);
                     drop(slots);
                     let mut timing = CheckoutTiming::default();
-                    if let Some(store) = &self.store {
-                        let t = std::time::Instant::now();
-                        let loaded = store.load_session(key);
-                        timing.store_us = elapsed_us(t);
-                        if let Some(session) = loaded {
-                            return Ok((Arc::new(session), false, timing));
-                        }
-                    }
-                    let t = std::time::Instant::now();
-                    let compiled = Session::compile(model.clone(), mcf.clone())
-                        .map_err(|e| prophet_core::render_chain(&e))?;
-                    timing.compile_us = elapsed_us(t);
-                    if let Some(store) = &self.store {
-                        let _ = store.save_session(&compiled);
-                    }
-                    return Ok((Arc::new(compiled), false, timing));
+                    let session = self.load_or_compile(key, inputs, &mut timing)?;
+                    return Ok((session, false, timing));
                 }
                 None => {
                     let slot: Slot = Arc::new(OnceLock::new());
@@ -286,34 +297,47 @@ impl SessionPool {
         };
         // Compile outside the map lock; concurrent requests for the same
         // new key block here on the OnceLock, not on the whole pool.
-        // With a store attached, the disk is consulted first: a disk
-        // hit rebuilds the session without check or transform and does
-        // NOT count as a compile; a miss compiles and writes back.
         let mut timing = CheckoutTiming::default();
         let result = slot.get_or_init(|| {
-            if let Some(store) = &self.store {
-                let t = std::time::Instant::now();
-                let loaded = store.load_session(key);
-                timing.store_us = elapsed_us(t);
-                if let Some(session) = loaded {
-                    return Ok(Arc::new(session));
-                }
-            }
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            let t = std::time::Instant::now();
-            let compiled = Session::compile(model.clone(), mcf.clone())
-                .map(Arc::new)
-                .map_err(|e| prophet_core::render_chain(&e));
-            timing.compile_us = elapsed_us(t);
-            let compiled = compiled?;
-            if let Some(store) = &self.store {
-                // Persistence is best-effort on the request path; the
-                // store counts write errors for /v1/metrics.
-                let _ = store.save_session(&compiled);
-            }
-            Ok(compiled)
+            // A store hit is not a compile: only a call for the inputs
+            // counts as one.
+            let counted = || {
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                inputs()
+            };
+            self.load_or_compile(key, counted, &mut timing)
         });
         result.clone().map(|session| (session, reused, timing))
+    }
+
+    /// The session for `key` from the store, else compiled from
+    /// `inputs` and written back. A store hit rebuilds the session
+    /// without check or transform and never calls `inputs`.
+    fn load_or_compile(
+        &self,
+        key: PoolKey,
+        inputs: impl FnOnce() -> Result<(Model, McfConfig), String>,
+        timing: &mut CheckoutTiming,
+    ) -> Result<Arc<Session>, String> {
+        if let Some(store) = &self.store {
+            let t = std::time::Instant::now();
+            let loaded = store.load_session(key);
+            timing.store_us = elapsed_us(t);
+            if let Some(session) = loaded {
+                return Ok(Arc::new(session));
+            }
+        }
+        let (model, mcf) = inputs()?;
+        let t = std::time::Instant::now();
+        let compiled = Session::compile(model, mcf).map_err(|e| prophet_core::render_chain(&e));
+        timing.compile_us = elapsed_us(t);
+        let compiled = Arc::new(compiled?);
+        if let Some(store) = &self.store {
+            // Persistence is best-effort on the request path; the
+            // store counts write errors for /v1/metrics.
+            let _ = store.save_session(&compiled);
+        }
+        Ok(compiled)
     }
 
     /// Drop the pooled session for `key`, if present. The router's

@@ -26,7 +26,8 @@ use std::time::Instant;
 pub enum Phase {
     /// Body parse + argument validation.
     Parse = 0,
-    /// Session-pool lookup (waiting on a slot, hashing the key).
+    /// Content-key resolution (model parse on a first sight) and the
+    /// session-pool lookup, including waits on a slot.
     Pool = 1,
     /// Artifact-store load attempt.
     StoreLoad = 2,

@@ -24,9 +24,13 @@
 //! Seeding is deterministic (see `proptest-shim`); CI pins the case
 //! budget with `PROPTEST_CASES`.
 
-use prophet::core::{Backend, Scenario, Session};
+use prophet::check::McfConfig;
+use prophet::core::{ArtifactKey, Backend, Scenario, Session};
 use prophet::estimator::{evaluate_analytic, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
+use prophet::serve::api::resolve_key;
+use prophet::serve::json::Json;
+use prophet::uml::xmi::{model_from_xml, model_to_xml};
 use prophet::uml::{DiagramId, ElementId, Model, ModelBuilder, TagValue, VarType};
 use proptest::prelude::*;
 
@@ -442,5 +446,28 @@ proptest! {
         let stats = session.elab_stats();
         prop_assert_eq!(stats.misses, 3, "{:?}", stats);
         prop_assert_eq!(stats.hits, 10 - 3, "{:?}", stats);
+    }
+
+    /// The service's memoized content key of an inline model equals the
+    /// canonical key of its parse, in two spellings, on the first call
+    /// (a memo miss) and the second (a hit).
+    #[test]
+    fn memoized_keys_agree_with_the_canonical_key(segs in workload()) {
+        let xml = model_to_xml(&build_model(&segs));
+        let spaced = xml.replace("><", ">\n  <");
+        for spelling in [xml, spaced] {
+            let canonical = ArtifactKey::of(
+                &model_from_xml(&spelling).expect("generated XML parses"),
+                &McfConfig::default(),
+            );
+            let body = Json::object([("model", Json::from(spelling))]);
+            for call in ["miss", "hit"] {
+                prop_assert_eq!(
+                    resolve_key(&body).map_err(|r| r.body),
+                    Ok(canonical),
+                    "{} disagrees\nspec: {:?}", call, segs
+                );
+            }
+        }
     }
 }
