@@ -30,6 +30,7 @@ use prophet_codegen::CppUnit;
 use prophet_estimator::{ElabEntry, FlattenLimits, MpiOp, PrimOp, Program, RankOps, Step};
 use prophet_expr::{Expr, FunctionDef, Stmt};
 use prophet_machine::{CommParams, SystemParams};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A payload that failed to decode (wrong tag, short buffer,
@@ -119,16 +120,25 @@ impl Writer {
 }
 
 /// Bounds-checked byte reader over an encoded payload.
+///
+/// Element names are interned per reader: every op and step of one
+/// decoded session that names the same element shares one `Arc<str>`,
+/// as they do in a freshly compiled session.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    names: HashSet<Arc<str>>,
 }
 
 impl<'a> Reader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            names: HashSet::new(),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -189,9 +199,23 @@ impl<'a> Reader<'a> {
     }
 
     fn str(&mut self) -> Result<String, DecodeError> {
+        Ok(self.utf8()?.to_string())
+    }
+
+    fn utf8(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| err("non-UTF-8 string"))
+        std::str::from_utf8(self.take(len)?).or_else(|_| err("non-UTF-8 string"))
+    }
+
+    /// An element name (same encoding as a string), interned.
+    fn name(&mut self) -> Result<Arc<str>, DecodeError> {
+        let s = self.utf8()?;
+        if let Some(name) = self.names.get(s) {
+            return Ok(Arc::clone(name));
+        }
+        let name: Arc<str> = s.into();
+        self.names.insert(Arc::clone(&name));
+        Ok(name)
     }
 
     /// Element count of a collection, validated against the remaining
@@ -551,7 +575,7 @@ fn put_step(w: &mut Writer, s: &Step) {
 fn get_step(r: &mut Reader<'_>) -> Result<Step, DecodeError> {
     Ok(match r.u8()? {
         0 => Step::Exec {
-            name: r.str()?,
+            name: r.name()?,
             cost: get_opt_expr(r)?,
             code: get_stmts(r)?,
         },
@@ -582,11 +606,11 @@ fn get_step(r: &mut Reader<'_>) -> Result<Step, DecodeError> {
             Step::Parallel(arms)
         }
         4 => Step::Composite {
-            name: r.str()?,
+            name: r.name()?,
             body: Box::new(get_step(r)?),
         },
         5 => {
-            let name = r.str()?;
+            let name = r.name()?;
             let count = get_expr(r)?;
             let var = match r.u8()? {
                 0 => None,
@@ -601,17 +625,17 @@ fn get_step(r: &mut Reader<'_>) -> Result<Step, DecodeError> {
             }
         }
         6 => Step::ParallelRegion {
-            name: r.str()?,
+            name: r.name()?,
             threads: get_opt_expr(r)?,
             body: Box::new(get_step(r)?),
         },
         7 => Step::Critical {
-            name: r.str()?,
+            name: r.name()?,
             lock: r.str()?,
             body: Box::new(get_step(r)?),
         },
         8 => Step::Mpi {
-            name: r.str()?,
+            name: r.name()?,
             op: get_mpi_op(r)?,
         },
         9 => Step::Nop,
@@ -799,30 +823,30 @@ fn put_prim_op(w: &mut Writer, op: &PrimOp) {
 
 fn get_prim_op(r: &mut Reader<'_>) -> Result<PrimOp, DecodeError> {
     Ok(match r.u8()? {
-        0 => PrimOp::Enter(r.str()?),
-        1 => PrimOp::Exit(r.str()?),
+        0 => PrimOp::Enter(r.name()?),
+        1 => PrimOp::Exit(r.name()?),
         2 => PrimOp::Compute {
-            element: r.str()?,
+            element: r.name()?,
             seconds: r.f64()?,
         },
         3 => PrimOp::SendTo {
-            element: r.str()?,
+            element: r.name()?,
             dest: r.usize()?,
             bytes: r.u64()?,
             tag: r.i64()?,
         },
         4 => PrimOp::RecvFrom {
-            element: r.str()?,
+            element: r.name()?,
             src: r.usize()?,
             tag: r.i64()?,
             bytes: r.u64()?,
         },
         5 => PrimOp::Wait {
-            element: r.str()?,
+            element: r.name()?,
             seconds: r.f64()?,
         },
         6 => {
-            let element = r.str()?;
+            let element = r.name()?;
             let n = r.count(4)?;
             let mut arms = Vec::with_capacity(cap(n));
             for _ in 0..n {

@@ -133,7 +133,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
             let el = model.element(*eid);
             match el.stereotype_name() {
                 Some("send") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Send {
                         dest: required_expr(model, *eid, "dest")?,
                         size: expr_tag(model, *eid, "size")?
@@ -142,14 +142,14 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     },
                 },
                 Some("recv") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Recv {
                         src: required_expr(model, *eid, "src")?,
                         tag: int_tag(el, "tag").unwrap_or(0),
                     },
                 },
                 Some("broadcast") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Broadcast {
                         root: required_expr(model, *eid, "root")?,
                         size: expr_tag(model, *eid, "size")?
@@ -157,7 +157,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     },
                 },
                 Some("reduce") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Reduce {
                         root: required_expr(model, *eid, "root")?,
                         size: expr_tag(model, *eid, "size")?
@@ -165,14 +165,14 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     },
                 },
                 Some("allreduce") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Allreduce {
                         size: expr_tag(model, *eid, "size")?
                             .unwrap_or(prophet_expr::Expr::Num(0.0)),
                     },
                 },
                 Some("scatter") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Scatter {
                         root: required_expr(model, *eid, "root")?,
                         size: expr_tag(model, *eid, "size")?
@@ -180,7 +180,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     },
                 },
                 Some("gather") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Gather {
                         root: required_expr(model, *eid, "root")?,
                         size: expr_tag(model, *eid, "size")?
@@ -188,7 +188,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     },
                 },
                 Some("barrier") => Step::Mpi {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     op: MpiOp::Barrier,
                 },
                 _ => {
@@ -205,7 +205,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                         None => Vec::new(),
                     };
                     Step::Exec {
-                        name: el.name.clone(),
+                        name: el.name.as_str().into(),
                         cost,
                         code,
                     }
@@ -238,7 +238,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
             let inner = lower_flow(model, body)?;
             match el.stereotype_name() {
                 Some("loop+") => Step::Loop {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     count: required_expr(model, *element, "iterations")?,
                     var: match el.tag("variable") {
                         Some(TagValue::Str(v)) => Some(v.clone()),
@@ -247,12 +247,12 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     body: Box::new(inner),
                 },
                 Some("parallel+") => Step::ParallelRegion {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     threads: expr_tag(model, *element, "threads")?,
                     body: Box::new(inner),
                 },
                 Some("critical+") => Step::Critical {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     lock: match el.tag("lock") {
                         Some(TagValue::Str(l)) => l.clone(),
                         _ => "<global>".to_string(),
@@ -260,7 +260,7 @@ fn lower_flow(model: &Model, flow: &FlowNode) -> Result<Step, TransformError> {
                     body: Box::new(inner),
                 },
                 _ => Step::Composite {
-                    name: el.name.clone(),
+                    name: el.name.as_str().into(),
                     body: Box::new(inner),
                 },
             }

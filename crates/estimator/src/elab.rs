@@ -51,7 +51,7 @@
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
-use crate::flatten::{flatten_for_process, FlattenError, FlattenLimits, PrimOp};
+use crate::flatten::{base_env, flatten_rank, FlattenError, FlattenLimits, PrimOp};
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
 use std::fmt;
@@ -64,15 +64,17 @@ pub type RankOps = Arc<[Arc<[PrimOp]>]>;
 /// Elaborate every rank of `program` on `machine`, uncached.
 ///
 /// The scenario-independent elaboration pass both backends consume;
-/// [`ElaborationCache::get_or_flatten`] memoizes it per SP point.
+/// [`ElaborationCache::get_or_flatten`] memoizes it per SP point. The
+/// rank-independent environment is built once and cloned per rank.
 pub fn flatten_all(
     program: &Program,
     machine: &MachineModel,
     limits: FlattenLimits,
 ) -> Result<RankOps, FlattenError> {
+    let base = base_env(program, machine);
     let mut ranks: Vec<Arc<[PrimOp]>> = Vec::with_capacity(machine.sp.processes);
     for pid in 0..machine.sp.processes {
-        ranks.push(flatten_for_process(program, machine, pid, limits)?.into());
+        ranks.push(flatten_rank(program, machine, &base, pid, limits)?.into());
     }
     Ok(ranks.into())
 }

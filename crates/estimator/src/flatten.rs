@@ -12,25 +12,27 @@ use prophet_expr::{exec_fragment, Env, ExprError, Value};
 use prophet_machine::MachineModel;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A primitive timed operation executed by the simulation process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrimOp {
-    /// Trace marker: element entered.
-    Enter(String),
+    /// Trace marker: element entered. Element names are shared with the
+    /// [`Step`] that emitted the op, so cloning an op never copies one.
+    Enter(Arc<str>),
     /// Trace marker: element exited.
-    Exit(String),
+    Exit(Arc<str>),
     /// Occupy one CPU of the owning node for `seconds`.
     Compute {
         /// Element name.
-        element: String,
+        element: Arc<str>,
         /// Service time.
         seconds: f64,
     },
     /// Send `bytes` to rank `dest` (eager; sender pays only overhead).
     SendTo {
         /// Element name.
-        element: String,
+        element: Arc<str>,
         /// Destination rank.
         dest: usize,
         /// Payload size.
@@ -42,7 +44,7 @@ pub enum PrimOp {
     /// arrival time.
     RecvFrom {
         /// Element name.
-        element: String,
+        element: Arc<str>,
         /// Expected source rank.
         src: usize,
         /// Expected tag.
@@ -54,7 +56,7 @@ pub enum PrimOp {
     /// Hold (no CPU): used for analytic collective costs.
     Wait {
         /// Element name.
-        element: String,
+        element: Arc<str>,
         /// Duration.
         seconds: f64,
     },
@@ -62,7 +64,7 @@ pub enum PrimOp {
     /// join. Used for both `<<parallel+>>` regions and UML fork/join.
     Threads {
         /// Element name (trace label).
-        element: String,
+        element: Arc<str>,
         /// Per-thread op lists.
         arms: Vec<Vec<PrimOp>>,
     },
@@ -238,7 +240,9 @@ impl Default for FlattenLimits {
     }
 }
 
-/// Process-wide count of [`flatten_for_process`] invocations.
+/// Process-wide count of per-rank flattens: one per
+/// [`flatten_for_process`] call, and one per rank of
+/// [`crate::flatten_all`].
 ///
 /// The elaboration analogue of `prophet_core::transform_invocations`:
 /// benches and smoke tests assert the flatten-once contract of the
@@ -258,14 +262,19 @@ pub fn flatten_for_process(
     pid: usize,
     limits: FlattenLimits,
 ) -> Result<Vec<PrimOp>, FlattenError> {
-    FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
+    flatten_rank(program, machine, &base_env(program, machine), pid, limits)
+}
+
+/// The environment every rank starts from: the system properties except
+/// `pid`, the model's globals and locals, and its functions. Built once
+/// per elaboration and cloned per rank by [`flatten_rank`].
+pub(crate) fn base_env(program: &Program, machine: &MachineModel) -> Env {
     let sp = machine.sp;
     let mut env = Env::new();
     // System properties, exactly the execute() parameters of the paper
-    // plus machine shape: uid (user/run id), pid, tid, P (process count),
-    // N (total CPUs), M (nodes), threads.
+    // plus machine shape: uid (user/run id), pid (set per rank), tid,
+    // P (process count), N (total CPUs), M (nodes), threads.
     env.set_num("uid", 0.0);
-    env.set_num("pid", pid as f64);
     env.set_num("tid", 0.0);
     env.set_num("P", sp.processes as f64);
     env.set_num("N", sp.total_cpus() as f64);
@@ -279,7 +288,24 @@ pub fn flatten_for_process(
     for f in &program.functions {
         env.define_function(f.clone());
     }
+    env
+}
 
+/// Elaborate rank `pid` from a [`base_env`] of the same program and
+/// machine. Counts one [`flatten_invocations`].
+pub(crate) fn flatten_rank(
+    program: &Program,
+    machine: &MachineModel,
+    base: &Env,
+    pid: usize,
+    limits: FlattenLimits,
+) -> Result<Vec<PrimOp>, FlattenError> {
+    FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
+    let mut env = base.clone();
+    // A model variable named `pid` shadows the system property.
+    if !env.has_var("pid") {
+        env.set_num("pid", pid as f64);
+    }
     let mut fl = Flattener {
         machine,
         pid,
@@ -289,7 +315,7 @@ pub fn flatten_for_process(
         locks: Vec::new(),
     };
     let mut out = Vec::new();
-    fl.walk(&program.body, &mut env, &mut out)?;
+    fl.walk(&program.body, &mut env, &mut out, false)?;
     Ok(out)
 }
 
@@ -432,6 +458,24 @@ pub const COLLECTIVE_BASE: i64 = -1_000_000;
 /// Tag space for thread-team join notifications.
 pub const JOIN_BASE: i64 = -2_000_000;
 
+/// What an expression is evaluated for: its role and owning element.
+/// Formatted (``cost of `A1` ``) only when it lands in an error.
+#[derive(Clone, Copy)]
+struct Context<'a> {
+    role: &'static str,
+    element: &'a str,
+}
+
+impl fmt::Display for Context<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} of `{}`", self.role, self.element)
+    }
+}
+
+fn context<'a>(role: &'static str, element: &'a str) -> Context<'a> {
+    Context { role, element }
+}
+
 struct Flattener<'a> {
     machine: &'a MachineModel,
     pid: usize,
@@ -460,7 +504,7 @@ impl<'a> Flattener<'a> {
         &self,
         expr: &prophet_expr::Expr,
         env: &mut Env,
-        what: &str,
+        what: Context<'_>,
     ) -> Result<f64, FlattenError> {
         expr.eval(env)
             .and_then(Value::as_num)
@@ -474,7 +518,7 @@ impl<'a> Flattener<'a> {
         &self,
         expr: &prophet_expr::Expr,
         env: &mut Env,
-        what: &str,
+        what: Context<'_>,
     ) -> Result<usize, FlattenError> {
         let v = self.eval_num(expr, env, what)?;
         let p = self.machine.sp.processes;
@@ -493,7 +537,7 @@ impl<'a> Flattener<'a> {
         &self,
         expr: &prophet_expr::Expr,
         env: &mut Env,
-        what: &str,
+        what: Context<'_>,
     ) -> Result<u64, FlattenError> {
         let v = self.eval_num(expr, env, what)?;
         if v < 0.0 || !v.is_finite() {
@@ -505,17 +549,22 @@ impl<'a> Flattener<'a> {
         Ok(v.round() as u64)
     }
 
+    /// Elaborate `step` into `out`. Inside a thread team (`in_team`)
+    /// threads may compute but not communicate or fork again: MPI inside
+    /// an OpenMP region is rejected (the common MPI_THREAD_FUNNELED
+    /// restriction), as is a nested parallel region or fork.
     fn walk(
         &mut self,
         step: &Step,
         env: &mut Env,
         out: &mut Vec<PrimOp>,
+        in_team: bool,
     ) -> Result<(), FlattenError> {
         match step {
             Step::Nop => Ok(()),
             Step::Seq(items) => {
                 for s in items {
-                    self.walk(s, env, out)?;
+                    self.walk(s, env, out, in_team)?;
                 }
                 Ok(())
             }
@@ -523,16 +572,17 @@ impl<'a> Flattener<'a> {
                 self.emit(out, PrimOp::Enter(name.clone()))?;
                 if !code.is_empty() {
                     exec_fragment(code, env).map_err(|e| FlattenError::Eval {
-                        context: format!("code fragment of `{name}`"),
+                        context: context("code fragment", name).to_string(),
                         source: e,
                     })?;
                 }
                 let seconds = match cost {
                     Some(expr) => {
-                        let t = self.eval_num(expr, env, &format!("cost of `{name}`"))?;
+                        let what = context("cost", name);
+                        let t = self.eval_num(expr, env, what)?;
                         if !(t.is_finite() && t >= 0.0) {
                             return Err(FlattenError::InvalidTime {
-                                context: format!("cost of `{name}`"),
+                                context: what.to_string(),
                                 value: t,
                             });
                         }
@@ -562,14 +612,14 @@ impl<'a> Flattener<'a> {
                         None => true,
                     };
                     if taken {
-                        return self.walk(arm, env, out);
+                        return self.walk(arm, env, out, in_team);
                     }
                 }
                 Ok(()) // no arm taken: decision falls through
             }
             Step::Composite { name, body } => {
                 self.emit(out, PrimOp::Enter(name.clone()))?;
-                self.walk(body, env, out)?;
+                self.walk(body, env, out, in_team)?;
                 self.emit(out, PrimOp::Exit(name.clone()))
             }
             Step::Loop {
@@ -578,17 +628,18 @@ impl<'a> Flattener<'a> {
                 var,
                 body,
             } => {
-                let n = self.eval_num(count, env, &format!("iterations of `{name}`"))?;
+                let what = context("iterations", name);
+                let n = self.eval_num(count, env, what)?;
                 if !(n.is_finite() && n >= 0.0) {
                     return Err(FlattenError::InvalidCount {
-                        context: format!("iterations of `{name}`"),
+                        context: what.to_string(),
                         value: n,
                     });
                 }
                 let n = n.round() as u64;
                 if n > self.limits.max_loop_iterations {
                     return Err(FlattenError::LoopLimit {
-                        element: name.clone(),
+                        element: name.to_string(),
                         iterations: n,
                         limit: self.limits.max_loop_iterations,
                     });
@@ -599,7 +650,7 @@ impl<'a> Flattener<'a> {
                     if let Some(v) = var {
                         env.set_num(v.clone(), i as f64);
                     }
-                    self.walk(body, env, out)?;
+                    self.walk(body, env, out, in_team)?;
                 }
                 if let Some(v) = var {
                     match saved {
@@ -611,15 +662,14 @@ impl<'a> Flattener<'a> {
                 }
                 self.emit(out, PrimOp::Exit(name.clone()))
             }
+            Step::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
+                element: String::new(),
+            }),
             Step::Parallel(arms) => {
                 // UML fork/join: one thread per arm.
                 let mut arm_ops = Vec::with_capacity(arms.len());
                 for (t, arm) in arms.iter().enumerate() {
-                    let mut thread_env = env.clone();
-                    thread_env.set_num("tid", t as f64);
-                    let mut ops = Vec::new();
-                    self.walk_thread(arm, &mut thread_env, &mut ops)?;
-                    arm_ops.push(ops);
+                    arm_ops.push(self.walk_thread(arm, env, t)?);
                 }
                 self.emit(
                     out,
@@ -629,6 +679,9 @@ impl<'a> Flattener<'a> {
                     },
                 )
             }
+            Step::ParallelRegion { name, .. } if in_team => Err(FlattenError::NestedParallel {
+                element: name.to_string(),
+            }),
             Step::ParallelRegion {
                 name,
                 threads,
@@ -636,10 +689,10 @@ impl<'a> Flattener<'a> {
             } => {
                 let team = match threads {
                     Some(expr) => {
-                        let t = self.eval_num(expr, env, &format!("threads of `{name}`"))?;
+                        let t = self.eval_num(expr, env, context("threads", name))?;
                         if !(1.0..=4096.0).contains(&t) {
                             return Err(FlattenError::InvalidTeam {
-                                element: name.clone(),
+                                element: name.to_string(),
                                 value: t,
                             });
                         }
@@ -649,11 +702,7 @@ impl<'a> Flattener<'a> {
                 };
                 let mut arm_ops = Vec::with_capacity(team);
                 for t in 0..team {
-                    let mut thread_env = env.clone();
-                    thread_env.set_num("tid", t as f64);
-                    let mut ops = Vec::new();
-                    self.walk_thread(body, &mut thread_env, &mut ops)?;
-                    arm_ops.push(ops);
+                    arm_ops.push(self.walk_thread(body, env, t)?);
                 }
                 self.emit(out, PrimOp::Enter(name.clone()))?;
                 self.emit(
@@ -669,12 +718,30 @@ impl<'a> Flattener<'a> {
                 let id = self.lock_id(lock);
                 self.emit(out, PrimOp::Enter(name.clone()))?;
                 self.emit(out, PrimOp::Lock(id))?;
-                self.walk(body, env, out)?;
+                self.walk(body, env, out, in_team)?;
                 self.emit(out, PrimOp::Unlock(id))?;
                 self.emit(out, PrimOp::Exit(name.clone()))
             }
+            Step::Mpi { name, .. } if in_team => Err(FlattenError::MpiInThread {
+                element: name.to_string(),
+            }),
             Step::Mpi { name, op } => self.walk_mpi(name, op, env, out),
         }
+    }
+
+    /// Elaborate one team member's arm, as thread `tid`, on a copy of
+    /// the spawning flow's environment.
+    fn walk_thread(
+        &mut self,
+        step: &Step,
+        env: &Env,
+        tid: usize,
+    ) -> Result<Vec<PrimOp>, FlattenError> {
+        let mut thread_env = env.clone();
+        thread_env.set_num("tid", tid as f64);
+        let mut ops = Vec::new();
+        self.walk(step, &mut thread_env, &mut ops, true)?;
+        Ok(ops)
     }
 
     fn lock_id(&mut self, lock: &str) -> usize {
@@ -687,125 +754,24 @@ impl<'a> Flattener<'a> {
         }
     }
 
-    /// Threads may compute but not communicate (MPI inside an OpenMP
-    /// region is rejected — the common MPI_THREAD_FUNNELED restriction).
-    fn walk_thread(
-        &mut self,
-        step: &Step,
-        env: &mut Env,
-        out: &mut Vec<PrimOp>,
-    ) -> Result<(), FlattenError> {
-        match step {
-            Step::Mpi { name, .. } => Err(FlattenError::MpiInThread {
-                element: name.clone(),
-            }),
-            Step::ParallelRegion { name, .. } => Err(FlattenError::NestedParallel {
-                element: name.clone(),
-            }),
-            Step::Parallel(_) => Err(FlattenError::NestedParallel {
-                element: String::new(),
-            }),
-            Step::Critical { name, lock, body } => {
-                // Keep thread restrictions in force inside the body.
-                let id = self.lock_id(lock);
-                self.emit(out, PrimOp::Enter(name.clone()))?;
-                self.emit(out, PrimOp::Lock(id))?;
-                self.walk_thread(body, env, out)?;
-                self.emit(out, PrimOp::Unlock(id))?;
-                self.emit(out, PrimOp::Exit(name.clone()))
-            }
-            Step::Seq(items) => {
-                for s in items {
-                    self.walk_thread(s, env, out)?;
-                }
-                Ok(())
-            }
-            Step::Composite { name, body } => {
-                self.emit(out, PrimOp::Enter(name.clone()))?;
-                self.walk_thread(body, env, out)?;
-                self.emit(out, PrimOp::Exit(name.clone()))
-            }
-            Step::Loop {
-                name,
-                count,
-                var,
-                body,
-            } => {
-                // Re-implement loop semantics with thread restrictions.
-                let n = self.eval_num(count, env, &format!("iterations of `{name}`"))?;
-                if !(n.is_finite() && n >= 0.0) {
-                    return Err(FlattenError::InvalidCount {
-                        context: format!("iterations of `{name}`"),
-                        value: n,
-                    });
-                }
-                let n = n.round() as u64;
-                if n > self.limits.max_loop_iterations {
-                    return Err(FlattenError::LoopLimit {
-                        element: name.clone(),
-                        iterations: n,
-                        limit: self.limits.max_loop_iterations,
-                    });
-                }
-                self.emit(out, PrimOp::Enter(name.clone()))?;
-                let saved = var.as_ref().and_then(|v| env.get_var(v));
-                for i in 0..n {
-                    if let Some(v) = var {
-                        env.set_num(v.clone(), i as f64);
-                    }
-                    self.walk_thread(body, env, out)?;
-                }
-                if let Some(v) = var {
-                    match saved {
-                        Some(old) => env.set_var(v.clone(), old),
-                        None => {
-                            env.remove_var(v);
-                        }
-                    }
-                }
-                self.emit(out, PrimOp::Exit(name.clone()))
-            }
-            Step::Branch(arms) => {
-                for (guard, arm) in arms {
-                    let taken = match guard {
-                        Some(g) => g
-                            .eval(env)
-                            .map_err(|e| FlattenError::Eval {
-                                context: "guard".into(),
-                                source: e,
-                            })?
-                            .truthy(),
-                        None => true,
-                    };
-                    if taken {
-                        return self.walk_thread(arm, env, out);
-                    }
-                }
-                Ok(())
-            }
-            other => self.walk(other, env, out),
-        }
-    }
-
     fn walk_mpi(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         op: &MpiOp,
         env: &mut Env,
         out: &mut Vec<PrimOp>,
     ) -> Result<(), FlattenError> {
-        let sp = self.machine.sp;
-        let p = sp.processes;
-        let me = self.pid;
-        self.emit(out, PrimOp::Enter(name.to_string()))?;
+        let p = self.machine.sp.processes;
+        let comm = &self.machine.comm;
+        self.emit(out, PrimOp::Enter(name.clone()))?;
         match op {
             MpiOp::Send { dest, size, tag } => {
-                let dest = self.eval_rank(dest, env, &format!("dest of `{name}`"))?;
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
+                let dest = self.eval_rank(dest, env, context("dest", name))?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
                 self.emit(
                     out,
                     PrimOp::SendTo {
-                        element: name.to_string(),
+                        element: name.clone(),
                         dest,
                         bytes,
                         tag: *tag,
@@ -813,11 +779,11 @@ impl<'a> Flattener<'a> {
                 )?;
             }
             MpiOp::Recv { src, tag } => {
-                let src = self.eval_rank(src, env, &format!("src of `{name}`"))?;
+                let src = self.eval_rank(src, env, context("src", name))?;
                 self.emit(
                     out,
                     PrimOp::RecvFrom {
-                        element: name.to_string(),
+                        element: name.clone(),
                         src,
                         tag: *tag,
                         bytes: 0,
@@ -825,50 +791,41 @@ impl<'a> Flattener<'a> {
                 )?;
             }
             MpiOp::Broadcast { root, size } => {
-                let root = self.eval_rank(root, env, &format!("root of `{name}`"))?;
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
-                let cost = self.machine.comm.broadcast_time(p, bytes);
-                self.emit_collective(name, root, cost, out)?;
+                let root = self.eval_rank(root, env, context("root", name))?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
+                self.emit_collective(name, root, comm.broadcast_time(p, bytes), out)?;
             }
             MpiOp::Reduce { root, size } => {
-                let root = self.eval_rank(root, env, &format!("root of `{name}`"))?;
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
-                let cost = self.machine.comm.reduce_time(p, bytes);
-                self.emit_collective(name, root, cost, out)?;
+                let root = self.eval_rank(root, env, context("root", name))?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
+                self.emit_collective(name, root, comm.reduce_time(p, bytes), out)?;
             }
             MpiOp::Allreduce { size } => {
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
-                let cost = self.machine.comm.allreduce_time(p, bytes);
-                self.emit_collective(name, 0, cost, out)?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
+                self.emit_collective(name, 0, comm.allreduce_time(p, bytes), out)?;
             }
             MpiOp::Scatter { root, size } => {
-                let root = self.eval_rank(root, env, &format!("root of `{name}`"))?;
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
-                let cost = self.machine.comm.scatter_time(p, bytes);
-                self.emit_collective(name, root, cost, out)?;
+                let root = self.eval_rank(root, env, context("root", name))?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
+                self.emit_collective(name, root, comm.scatter_time(p, bytes), out)?;
             }
             MpiOp::Gather { root, size } => {
-                let root = self.eval_rank(root, env, &format!("root of `{name}`"))?;
-                let bytes = self.eval_bytes(size, env, &format!("size of `{name}`"))?;
-                let cost = self.machine.comm.gather_time(p, bytes);
-                self.emit_collective(name, root, cost, out)?;
+                let root = self.eval_rank(root, env, context("root", name))?;
+                let bytes = self.eval_bytes(size, env, context("size", name))?;
+                self.emit_collective(name, root, comm.gather_time(p, bytes), out)?;
             }
             MpiOp::Barrier => {
-                let cost = self.machine.comm.barrier_time(p);
-                self.emit_collective(name, 0, cost, out)?;
+                self.emit_collective(name, 0, comm.barrier_time(p), out)?;
             }
         }
-        self.emit(out, PrimOp::Exit(name.to_string()))?;
-        // tag field of Send is user-facing; pid/me silence only when p==1.
-        let _ = me;
-        Ok(())
+        self.emit(out, PrimOp::Exit(name.clone()))
     }
 
     /// Collective expansion: synchronize through rank `root` with
     /// zero-byte control messages, then hold the analytic cost.
     fn emit_collective(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         root: usize,
         cost: f64,
         out: &mut Vec<PrimOp>,
@@ -885,7 +842,7 @@ impl<'a> Flattener<'a> {
                     self.emit(
                         out,
                         PrimOp::RecvFrom {
-                            element: name.to_string(),
+                            element: name.clone(),
                             src: other,
                             tag,
                             bytes: 0,
@@ -897,7 +854,7 @@ impl<'a> Flattener<'a> {
                     self.emit(
                         out,
                         PrimOp::SendTo {
-                            element: name.to_string(),
+                            element: name.clone(),
                             dest: other,
                             bytes: 0,
                             tag,
@@ -908,7 +865,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::SendTo {
-                        element: name.to_string(),
+                        element: name.clone(),
                         dest: root,
                         bytes: 0,
                         tag,
@@ -917,7 +874,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::RecvFrom {
-                        element: name.to_string(),
+                        element: name.clone(),
                         src: root,
                         tag,
                         bytes: 0,
@@ -929,7 +886,7 @@ impl<'a> Flattener<'a> {
             self.emit(
                 out,
                 PrimOp::Wait {
-                    element: name.to_string(),
+                    element: name.clone(),
                     seconds: cost,
                 },
             )?;
@@ -994,7 +951,7 @@ mod tests {
         let names: Vec<_> = ops
             .iter()
             .filter_map(|o| match o {
-                PrimOp::Compute { element, .. } => Some(element.clone()),
+                PrimOp::Compute { element, .. } => Some(element.to_string()),
                 _ => None,
             })
             .collect();
@@ -1224,6 +1181,161 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("MPI_THREAD_FUNNELED"), "{err}");
+    }
+
+    #[test]
+    fn a_fragment_on_rank_0_does_not_leak_into_rank_1() {
+        let mut p = Program::new("t");
+        p.globals.push(("GV".into(), 1.0));
+        p.body = Step::Seq(vec![
+            Step::Branch(vec![(
+                Some(parse_expression("pid == 0").unwrap()),
+                Step::Exec {
+                    name: "set".into(),
+                    cost: None,
+                    code: parse_statements("GV = 5;").unwrap(),
+                },
+            )]),
+            exec("A", "GV"),
+        ]);
+        let ranks = crate::elab::flatten_all(&p, &machine(2), Default::default()).unwrap();
+        let cost_of_a = |ops: &[PrimOp]| {
+            ops.iter()
+                .find_map(|o| match o {
+                    PrimOp::Compute { element, seconds } if &**element == "A" => Some(*seconds),
+                    _ => None,
+                })
+                .unwrap()
+        };
+        assert_eq!(cost_of_a(&ranks[0]), 5.0);
+        assert_eq!(cost_of_a(&ranks[1]), 1.0);
+    }
+
+    #[test]
+    fn a_model_variable_named_pid_shadows_the_rank() {
+        let mut p = Program::new("t");
+        p.globals.push(("pid".into(), 7.0));
+        p.body = exec("A", "pid");
+        let ranks = crate::elab::flatten_all(&p, &machine(2), Default::default()).unwrap();
+        for ops in ranks.iter() {
+            assert!(matches!(ops[1], PrimOp::Compute { seconds, .. } if seconds == 7.0));
+        }
+    }
+
+    #[test]
+    fn error_contexts_name_the_role_and_element() {
+        let mpi = |name: &str, op: MpiOp| Step::Mpi {
+            name: name.into(),
+            op,
+        };
+        let e = |src: &str| parse_expression(src).unwrap();
+        let cases = [
+            (exec("A", "q"), "cannot evaluate cost of `A`"),
+            (exec("A", "-1"), "cost of `A` evaluated to invalid time -1"),
+            (
+                Step::Exec {
+                    name: "F".into(),
+                    cost: None,
+                    code: parse_statements("x = q;").unwrap(),
+                },
+                "cannot evaluate code fragment of `F`",
+            ),
+            (
+                Step::Loop {
+                    name: "L".into(),
+                    count: e("q"),
+                    var: None,
+                    body: Box::new(Step::Nop),
+                },
+                "cannot evaluate iterations of `L`",
+            ),
+            (
+                Step::Loop {
+                    name: "L".into(),
+                    count: e("-2"),
+                    var: None,
+                    body: Box::new(Step::Nop),
+                },
+                "iterations of `L` evaluated to invalid count -2",
+            ),
+            (
+                mpi(
+                    "s",
+                    MpiOp::Send {
+                        dest: e("q"),
+                        size: e("8"),
+                        tag: 0,
+                    },
+                ),
+                "cannot evaluate dest of `s`",
+            ),
+            (
+                mpi(
+                    "s",
+                    MpiOp::Send {
+                        dest: e("5"),
+                        size: e("8"),
+                        tag: 0,
+                    },
+                ),
+                "dest of `s`: rank 5 out of range 0..2",
+            ),
+            (
+                mpi(
+                    "s",
+                    MpiOp::Send {
+                        dest: e("1"),
+                        size: e("-8"),
+                        tag: 0,
+                    },
+                ),
+                "size of `s`: invalid size -8",
+            ),
+            (
+                mpi(
+                    "r",
+                    MpiOp::Recv {
+                        src: e("q"),
+                        tag: 0,
+                    },
+                ),
+                "cannot evaluate src of `r`",
+            ),
+            (
+                mpi(
+                    "b",
+                    MpiOp::Broadcast {
+                        root: e("q"),
+                        size: e("8"),
+                    },
+                ),
+                "cannot evaluate root of `b`",
+            ),
+            (
+                mpi(
+                    "b",
+                    MpiOp::Broadcast {
+                        root: e("0"),
+                        size: e("q"),
+                    },
+                ),
+                "cannot evaluate size of `b`",
+            ),
+            (
+                Step::ParallelRegion {
+                    name: "R".into(),
+                    threads: Some(e("q")),
+                    body: Box::new(Step::Nop),
+                },
+                "cannot evaluate threads of `R`",
+            ),
+        ];
+        for (body, want) in cases {
+            let mut p = Program::new("t");
+            p.body = body;
+            let err = flatten_for_process(&p, &machine(2), 0, Default::default()).unwrap_err();
+            assert_eq!(err.to_string(), format!("flatten error: {want}"));
+        }
     }
 
     #[test]

@@ -21,16 +21,16 @@ enum Pending {
     Recv {
         src: usize,
         tag: i64,
-        element: String,
+        element: Arc<str>,
     },
     /// Received a message whose Hockney arrival is in the future; holding
     /// until then. The element name is recorded as `MsgRecv` on wake.
-    ArrivalHold(Option<String>),
+    ArrivalHold(Option<Arc<str>>),
     /// Waiting for `remaining` join notifications with `tag`.
     Join {
         remaining: usize,
         tag: i64,
-        element: String,
+        element: Arc<str>,
     },
 }
 
@@ -183,7 +183,7 @@ impl OpProcess {
         msg: Msg,
         src: usize,
         _tag: i64,
-        element: String,
+        element: Arc<str>,
     ) -> Action {
         // Data messages experience Hockney transfer time; control
         // messages (tag < 0, zero bytes) are instantaneous.

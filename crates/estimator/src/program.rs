@@ -6,6 +6,7 @@
 //! flow tree that drives C++ emission.
 
 use prophet_expr::{Expr, FunctionDef, Stmt};
+use std::sync::Arc;
 
 /// An MPI communication operation (the profile's message-passing
 /// building blocks).
@@ -86,8 +87,8 @@ pub enum Step {
     /// Execute a performance element: run its code fragment, then occupy
     /// the CPU for the evaluated cost (the `execute()` of the paper).
     Exec {
-        /// Element name (trace label).
-        name: String,
+        /// Element name (trace label), shared by every op it emits.
+        name: Arc<str>,
         /// Cost expression (seconds). `None` means zero cost.
         cost: Option<Expr>,
         /// Associated code fragment (Figure 7(b)).
@@ -104,7 +105,7 @@ pub enum Step {
     /// A named composite (`<<activity+>>`): pure nesting + trace marker.
     Composite {
         /// Element name.
-        name: String,
+        name: Arc<str>,
         /// Body.
         body: Box<Step>,
     },
@@ -112,7 +113,7 @@ pub enum Step {
     /// iteration variable.
     Loop {
         /// Element name.
-        name: String,
+        name: Arc<str>,
         /// Iteration-count expression (evaluated once, at entry).
         count: Expr,
         /// Name bound to the iteration index inside the body.
@@ -124,7 +125,7 @@ pub enum Step {
     /// body concurrently on the node's CPU facility.
     ParallelRegion {
         /// Element name.
-        name: String,
+        name: Arc<str>,
         /// Team size expression; `None` → SP's threads-per-process.
         threads: Option<Expr>,
         /// Body (each thread executes it with its own `tid`).
@@ -136,7 +137,7 @@ pub enum Step {
     /// other.
     Critical {
         /// Element name.
-        name: String,
+        name: Arc<str>,
         /// Lock name (defaults to the unnamed global lock).
         lock: String,
         /// Body.
@@ -145,7 +146,7 @@ pub enum Step {
     /// MPI communication element.
     Mpi {
         /// Element name (trace label).
-        name: String,
+        name: Arc<str>,
         /// The operation.
         op: MpiOp,
     },

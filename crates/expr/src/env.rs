@@ -4,6 +4,7 @@ use crate::ast::Expr;
 use crate::error::{ExprError, ExprResult};
 use crate::parser::parse_expression;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A runtime value of the cost-function language.
 ///
@@ -93,7 +94,9 @@ pub(crate) type Builtin = fn(&[f64]) -> ExprResult<f64>;
 #[derive(Debug, Clone)]
 pub struct Env {
     vars: HashMap<String, Value>,
-    functions: HashMap<String, FunctionDef>,
+    /// Shared, so cloning an environment or calling a function never
+    /// copies a function body.
+    functions: HashMap<String, Arc<FunctionDef>>,
     /// Evaluation guards (shared so nested scopes inherit them).
     pub(crate) max_call_depth: usize,
     pub(crate) max_loop_iters: usize,
@@ -122,6 +125,17 @@ impl Env {
         self.vars.insert(name.into(), value);
     }
 
+    /// Set a variable, allocating its name only when it is new (the
+    /// evaluator's path for assignments and parameter binding).
+    pub fn assign(&mut self, name: &str, value: Value) {
+        match self.vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.vars.insert(name.to_string(), value);
+            }
+        }
+    }
+
     /// Convenience: set a numeric variable.
     pub fn set_num(&mut self, name: impl Into<String>, value: f64) {
         self.set_var(name, Value::Num(value));
@@ -144,17 +158,17 @@ impl Env {
 
     /// Define (or replace) a model function.
     pub fn define_function(&mut self, def: FunctionDef) {
-        self.functions.insert(def.name.clone(), def);
+        self.functions.insert(def.name.clone(), Arc::new(def));
     }
 
     /// Look up a model function.
-    pub fn get_function(&self, name: &str) -> Option<&FunctionDef> {
+    pub fn get_function(&self, name: &str) -> Option<&Arc<FunctionDef>> {
         self.functions.get(name)
     }
 
     /// Iterate over defined functions (unordered).
     pub fn functions(&self) -> impl Iterator<Item = &FunctionDef> {
-        self.functions.values()
+        self.functions.values().map(|f| &**f)
     }
 
     /// Number of defined variables.
@@ -240,6 +254,15 @@ mod tests {
         assert!(env.has_var("P"));
         env.remove_var("P");
         assert!(!env.has_var("P"));
+    }
+
+    #[test]
+    fn assign_overwrites_or_inserts() {
+        let mut env = Env::new();
+        env.assign("P", Value::Num(2.0));
+        env.assign("P", Value::Num(3.0));
+        assert_eq!(env.get_var("P"), Some(Value::Num(3.0)));
+        assert_eq!(env.var_count(), 1);
     }
 
     #[test]

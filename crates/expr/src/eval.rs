@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::env::{Env, Value};
 use crate::error::{ExprError, ExprResult};
+use std::sync::Arc;
 
 impl Expr {
     /// Evaluate this expression in `env`.
@@ -141,7 +142,7 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
             }
             let def = env
                 .get_function(name)
-                .cloned()
+                .map(Arc::clone)
                 .ok_or_else(|| ExprError::eval(format!("undefined function `{name}`")))?;
             if args.len() != def.params.len() {
                 return Err(ExprError::eval(format!(
@@ -155,17 +156,17 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
                 vals.push(eval_expr(a, env, depth)?);
             }
             // Bind parameters, saving shadowed outer values for restore.
-            let mut saved: Vec<(String, Option<Value>)> = Vec::with_capacity(def.params.len());
+            let mut saved: Vec<Option<Value>> = Vec::with_capacity(def.params.len());
             for (p, v) in def.params.iter().zip(vals) {
-                saved.push((p.clone(), env.get_var(p)));
-                env.set_var(p.clone(), v);
+                saved.push(env.get_var(p));
+                env.assign(p, v);
             }
             let result = eval_expr(&def.body, env, depth + 1);
-            for (p, old) in saved {
+            for (p, old) in def.params.iter().zip(saved) {
                 match old {
-                    Some(v) => env.set_var(p, v),
+                    Some(v) => env.assign(p, v),
                     None => {
-                        env.remove_var(&p);
+                        env.remove_var(p);
                     }
                 }
             }
@@ -178,7 +179,7 @@ fn exec_stmt(s: &Stmt, env: &mut Env, depth: usize) -> ExprResult<()> {
     match s {
         Stmt::Decl(name, e) | Stmt::Assign(name, e) => {
             let v = eval_expr(e, env, depth)?;
-            env.set_var(name.clone(), v);
+            env.assign(name, v);
             Ok(())
         }
         Stmt::Expr(e) => {
@@ -303,6 +304,31 @@ mod tests {
         assert_eq!(num("F(3)", &mut env), 6.0);
         // The outer `x` must be restored after the call.
         assert_eq!(env.get_var("x"), Some(Value::Num(100.0)));
+    }
+
+    #[test]
+    fn unset_params_are_removed_after_the_call() {
+        let mut env = Env::new();
+        env.define_function(FunctionDef::parse("F", &["y"], "y + 1").unwrap());
+        assert_eq!(num("F(3)", &mut env), 4.0);
+        assert!(!env.has_var("y"));
+        assert_eq!(env.var_count(), 0);
+    }
+
+    #[test]
+    fn params_are_restored_when_the_body_errors() {
+        let mut env = Env::new();
+        env.set_num("x", 100.0);
+        env.define_function(FunctionDef::parse("F", &["x", "y"], "x / (y - y)").unwrap());
+        let e = parse_expression("F(3, 4)")
+            .unwrap()
+            .eval(&mut env)
+            .unwrap_err();
+        assert!(e.message().contains("division by zero"), "{e}");
+        // The shadowed global comes back; the fresh parameter is gone.
+        assert_eq!(env.get_var("x"), Some(Value::Num(100.0)));
+        assert!(!env.has_var("y"));
+        assert_eq!(env.var_count(), 1);
     }
 
     #[test]

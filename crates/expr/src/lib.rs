@@ -24,7 +24,6 @@
 //! * [`mod@env`] — evaluation environment (variables, user functions,
 //!   deterministic builtins),
 //! * [`eval`] — tree-walking evaluator with recursion/iteration limits,
-//! * [`compile`] — slot-resolved precompiled form,
 //! * [`cpp`] — C++ emission used by the PMP generator, so the emitted
 //!   model text matches the paper's Figure 8 listing shape.
 //!
@@ -40,7 +39,6 @@
 //! ```
 
 pub mod ast;
-pub mod compile;
 pub mod cpp;
 pub mod env;
 pub mod error;
@@ -49,7 +47,6 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{BinOp, Expr, Stmt, UnOp};
-pub use compile::{CompiledExpr, Slots};
 pub use env::{Env, FunctionDef, Value};
 pub use error::{ExprError, ExprResult};
 pub use eval::exec_fragment;

@@ -1,7 +1,7 @@
 //! Property-based tests for the cost-function language: print/parse
-//! roundtrips, interpreter/compiler agreement, and panic-freedom.
+//! roundtrips and panic-freedom.
 
-use prophet_expr::{parse_expression, BinOp, CompiledExpr, Env, Expr, Slots, UnOp, Value};
+use prophet_expr::{parse_expression, BinOp, Env, Expr, UnOp, Value};
 use proptest::prelude::*;
 
 fn var_strategy() -> impl Strategy<Value = String> {
@@ -70,7 +70,8 @@ fn env_with_vars(p: f64, gv: f64, pid: f64, tid: f64, n: f64) -> Env {
     env
 }
 
-/// The compiler maps booleans to 0/1 doubles; compare through that lens.
+/// Booleans read as 0/1 doubles, as in the emitted C++; compare through
+/// that lens.
 fn as_cpp_double(v: Value) -> f64 {
     match v {
         Value::Num(n) => n,
@@ -102,33 +103,6 @@ proptest! {
         let b = reparsed.eval(&mut env2).map(as_cpp_double);
         if let (Ok(a), Ok(b)) = (a, b) {
             prop_assert!(a == b || (a.is_nan() && b.is_nan()), "eval mismatch for {}", printed);
-        }
-    }
-
-    #[test]
-    fn interpreter_and_compiler_agree(
-        e in total_expr_strategy(),
-        p in 1.0f64..64.0,
-        gv in -2.0f64..2.0,
-    ) {
-        let mut env = env_with_vars(p, gv, 3.0, 1.0, 10.0);
-        let interpreted = e.eval(&mut env);
-        let mut slots = Slots::new();
-        let compiled = CompiledExpr::compile(&e, &env, &mut slots).unwrap();
-        let frame = slots.frame_from_env(&env);
-        let compiled_val = compiled.eval(&frame);
-        match (interpreted, compiled_val) {
-            (Ok(iv), Ok(cv)) => {
-                let iv = as_cpp_double(iv);
-                // NaN == NaN for our purposes (0^negative etc. excluded by
-                // construction, but keep the check robust).
-                prop_assert!(iv == cv || (iv.is_nan() && cv.is_nan()),
-                    "interpreted {iv} != compiled {cv} for {e}");
-            }
-            // The interpreter rejects bool/num mixes that the compiler
-            // accepts under C semantics; only that direction may differ.
-            (Err(_), _) => {}
-            (Ok(_), Err(err)) => return Err(TestCaseError::fail(format!("compiler-only error: {err}"))),
         }
     }
 

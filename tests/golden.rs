@@ -15,7 +15,7 @@
 //! expectations here are intentionally the same constant.
 
 use prophet::core::{Backend, Scenario, Session};
-use prophet::estimator::{flatten_for_process, op_digest};
+use prophet::estimator::{flatten_all, flatten_for_process, op_digest};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::uml::Model;
 use prophet::workloads::models::{
@@ -67,19 +67,32 @@ fn check(name: &str, model: Model, sp: SystemParams, golden: Golden) {
         "{name} analytic ran the DES"
     );
 
-    // Elaboration-shape snapshot: per-rank op-list length and digest.
+    // Elaboration-shape snapshot: per-rank op-list length and digest,
+    // through both the single-rank entry point and `flatten_all` (which
+    // shares one base environment across ranks).
     let machine = MachineModel::new(sp, CommParams::default()).unwrap();
     assert_eq!(golden.rank_ops.len(), sp.processes, "{name} golden shape");
+    let all = flatten_all(session.program(), &machine, Default::default()).unwrap();
+    assert_eq!(all.len(), sp.processes, "{name} flatten_all rank count");
     for (pid, &(len, digest)) in golden.rank_ops.iter().enumerate() {
         let ops =
             flatten_for_process(session.program(), &machine, pid, Default::default()).unwrap();
-        assert_eq!(ops.len(), len, "{name} rank {pid} op count shifted");
-        assert_eq!(
-            op_digest(&ops),
-            digest,
-            "{name} rank {pid} op digest shifted (len {})",
-            ops.len()
-        );
+        for (path, ops) in [
+            ("flatten_for_process", &ops[..]),
+            ("flatten_all", &all[pid]),
+        ] {
+            assert_eq!(
+                ops.len(),
+                len,
+                "{name} rank {pid} op count shifted ({path})"
+            );
+            assert_eq!(
+                op_digest(ops),
+                digest,
+                "{name} rank {pid} op digest shifted ({path}, len {})",
+                ops.len()
+            );
+        }
     }
 }
 

@@ -12,9 +12,12 @@ use prophet::core::{
     flatten_invocations, mpi_grid, transform_invocations, ArtifactKey, ArtifactStore, Scenario,
     Session, StoreStats, SweepConfig,
 };
+use prophet::estimator::PrimOp;
 use prophet::machine::SystemParams;
 use prophet::serve::api::{demo_model, demo_models};
+use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A unique, cleaned temp directory per test.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -320,4 +323,52 @@ fn builder_and_parsed_spellings_share_one_artifact() {
         "parsed spelling must hit the builder spelling's artifact"
     );
     assert_eq!(store.keys().len(), 1);
+}
+
+#[test]
+fn loaded_elaborations_share_one_name_per_element() {
+    // The decoder interns element names per session, so a store-loaded
+    // elaboration holds one `Arc<str>` per element, as a fresh one does.
+    let dir = temp_dir("interned");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let session = Session::new(demo_model("jacobi").unwrap()).unwrap();
+    let scenario = Scenario::new(SystemParams::flat_mpi(4, 1)).without_trace();
+    session.evaluate(&scenario).unwrap();
+    let key = store.save_session(&session).unwrap();
+    let loaded = store.load_session(key).unwrap();
+
+    let entries = loaded.elab_cache().snapshot();
+    assert_eq!(entries.len(), 1, "the evaluated SP point was persisted");
+    let mut by_name: HashMap<&str, Vec<(usize, &Arc<str>)>> = HashMap::new();
+    for (rank, ops) in entries[0].ops.iter().enumerate() {
+        for op in ops.iter() {
+            if let Some(name) = element(op) {
+                by_name.entry(name).or_default().push((rank, name));
+            }
+        }
+    }
+    let mut shared_across_ranks = 0;
+    for (name, uses) in &by_name {
+        let (_, first) = uses[0];
+        for (rank, other) in uses {
+            assert!(Arc::ptr_eq(first, other), "`{name}` on rank {rank}");
+        }
+        if uses.iter().any(|&(rank, _)| rank != uses[0].0) {
+            shared_across_ranks += 1;
+        }
+    }
+    assert!(shared_across_ranks > 0, "{:?}", by_name.keys());
+}
+
+/// The element name an op carries, if any.
+fn element(op: &PrimOp) -> Option<&Arc<str>> {
+    match op {
+        PrimOp::Enter(name) | PrimOp::Exit(name) => Some(name),
+        PrimOp::Compute { element, .. }
+        | PrimOp::SendTo { element, .. }
+        | PrimOp::RecvFrom { element, .. }
+        | PrimOp::Wait { element, .. }
+        | PrimOp::Threads { element, .. } => Some(element),
+        PrimOp::Lock(_) | PrimOp::Unlock(_) => None,
+    }
 }
