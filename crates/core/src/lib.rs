@@ -18,8 +18,9 @@
 //!   lock-free. Each session owns a shared
 //!   [`ElaborationCache`]: the per-rank op
 //!   lists are flattened once per distinct `(SP, comm, limits)` point
-//!   and served to every evaluation, worker thread and backend that
-//!   asks again ([`Session::elab_stats`] exposes the hit/miss
+//!   and form (lean for untraced evaluations, traced for traced
+//!   simulations) and served to every evaluation, worker thread and
+//!   backend that asks again ([`Session::elab_stats`] exposes the hit/miss
 //!   counters; `SweepConfig::no_elab_cache` / `--no-elab-cache` opt
 //!   out),
 //! * [`store`] — the persistent compiled-artifact store: compiled

@@ -318,8 +318,9 @@ impl Session {
     ///
     /// The per-rank op lists come from the session's shared
     /// [`ElaborationCache`] (flattened once per distinct
-    /// `(SP, comm, limits)` key across evaluations, sweeps and backends)
-    /// unless the scenario sets
+    /// `(SP, comm, limits)` key across evaluations, sweeps and backends;
+    /// a traced simulation uses its own traced entry, with the trace
+    /// markers every other evaluation omits) unless the scenario sets
     /// [`no_elab_cache`](Scenario::no_elab_cache).
     ///
     /// # Errors

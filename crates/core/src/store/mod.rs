@@ -31,7 +31,9 @@
 //!   cleanly. [`StoreStats::evictions`] counts those; nothing in the
 //!   load path panics or propagates an error to a request.
 //! * **Elaborations ride along where cheap.** Saving snapshots the
-//!   session's [`ElaborationCache`](crate::ElaborationCache); entries up
+//!   session's [`ElaborationCache`](crate::ElaborationCache), whose
+//!   snapshot holds lean elaborations only (no trace markers; a traced
+//!   evaluation re-flattens its own form); entries up
 //!   to [`MAX_PERSISTED_ENTRY_OPS`] primitive ops are embedded and
 //!   re-seeded on load, so a warm-started session's first estimate for
 //!   a pre-warmed SP point skips flattening too. Larger elaborations
@@ -60,10 +62,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// one process from deleting each other's probe file.
 static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// On-disk format version. Bump on any payload or header change: a
-/// version mismatch reads as a clean miss (plus eviction), never as a
-/// misdecode.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk artifact format version. Bump on any payload or header
+/// change: a version mismatch reads as a clean miss (plus eviction),
+/// never as a misdecode. Version 2 persists lean elaborations (no
+/// `Enter`/`Exit` markers); a version-1 artifact's elaborations carry
+/// markers, so it must not seed the lean cache entries.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Format version of the metrics checkpoints, versioned apart from the
+/// artifacts so an artifact format change keeps lifetime counters.
+const METRICS_VERSION: u32 = 1;
 
 /// File magic: "Prophet Persistent Artifact Format".
 pub const MAGIC: [u8; 4] = *b"PPAF";
@@ -650,7 +658,7 @@ fn encode_metrics(counters: &[(String, u64)]) -> Vec<u8> {
     }
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(&METRICS_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&METRICS_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
@@ -668,7 +676,7 @@ fn decode_metrics(bytes: &[u8]) -> Result<Vec<(String, u64)>, DecodeError> {
         return fail("bad magic");
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
+    if version != METRICS_VERSION {
         return fail("stale format version");
     }
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;

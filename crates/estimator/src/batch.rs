@@ -13,16 +13,19 @@
 //! the walk, compiling the op lists into a structure-of-arrays form the
 //! critical-path pass can replay with no allocation and no hashing:
 //!
-//! * **trace markers and master-flow locks are dropped** — they are
-//!   no-ops in the analytic pass, and they are the *majority* of ops in
-//!   elaborated models (every element contributes an `Enter`/`Exit`
-//!   pair),
+//! * **master-flow locks are dropped** — they are no-ops in the
+//!   analytic pass. Analytic evaluations elaborate the lean form, which
+//!   has no `Enter`/`Exit` trace markers; a traced elaboration's markers
+//!   are dropped here too,
 //! * **sends and receives are matched statically** — FIFO matching per
 //!   `(src, dst, tag)` is order-deterministic: the k-th receive on a
 //!   channel always pairs with the k-th send, because both sides post in
 //!   program order. Each send gets a dense slot index; each receive
 //!   stores its partner's slot, so the replay is an array read instead
-//!   of a `HashMap` + `VecDeque` pop,
+//!   of a `HashMap` + `VecDeque` pop. Preparation threads each channel's
+//!   FIFO through the send slots (a head/tail pair per channel, one
+//!   `next` link per slot) under a multiplicative hash, so a
+//!   collective's many single-message channels allocate nothing,
 //! * **costs are resolved to one `f64` per op** — Hockney transfer
 //!   times, send overheads and thread-team completion times (the full
 //!   FCFS lock schedule) are priced at prepare time,
@@ -54,7 +57,7 @@ use prophet_machine::MachineModel;
 use prophet_sim::{SimError, SimReport};
 use prophet_trace::TraceFile;
 use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// One compact analytic op. The meaning of `arg`/`val` depends on the
@@ -87,6 +90,52 @@ enum Kind {
 
 /// Sentinel for "send not posted yet" in the scratch arena.
 const UNPOSTED: f64 = f64::NAN;
+
+/// End of a channel's send-slot chain.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One `(src, dst, tag)` channel's FIFO of unmatched send slots, linked
+/// through [`BatchProgram::prepare`]'s `next` array.
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+/// Multiplicative (Fx-style) hasher for the integer channel keys of
+/// [`BatchProgram::prepare`], far cheaper than SipHash. Tags come from
+/// the model, so `finish` mixes every key bit into the low bits the
+/// table indexes by: tags that differ only in high bits must not share
+/// a bucket. A collision costs probe time, never a wrong match.
+#[derive(Default)]
+struct ChannelHasher(u64);
+
+impl Hasher for ChannelHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The MurmurHash3 64-bit finalizer.
+        let mut h = self.0;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
 
 /// Whether the analytic pass skips `op`: trace markers and master-flow
 /// locks (the master never contends with itself) compile to nothing.
@@ -154,12 +203,15 @@ impl BatchProgram {
     /// Only for elaborations too large for the compact `u32` indices.
     pub fn prepare(rank_ops: &RankOps, machine: &MachineModel) -> Result<Self, EstimatorError> {
         // Pass 1 — static FIFO matching: assign each send a dense slot
-        // in (rank, program-order) and queue it on its channel; the
-        // replay posts sends in exactly this order, so the k-th pop in
+        // in (rank, program-order) and append it to its channel's chain;
+        // the replay posts sends in exactly this order, so the k-th pop in
         // pass 2 is the send the walker's k-th pop would match. Also
         // count the ops the compaction keeps, to size it exactly.
-        let mut channels: HashMap<(usize, usize, i64), VecDeque<(u32, u64)>> = HashMap::new();
-        let mut sends = 0usize;
+        let mut channels: HashMap<(usize, usize, i64), Fifo, BuildHasherDefault<ChannelHasher>> =
+            HashMap::default();
+        // Per send slot: its payload size and the next slot on its channel.
+        let mut slot_bytes: Vec<u64> = Vec::new();
+        let mut next: Vec<u32> = Vec::new();
         let mut kept = 0usize;
         for (pid, ops) in rank_ops.iter().enumerate() {
             for op in ops.iter().filter(|op| !is_noop(op)) {
@@ -168,14 +220,23 @@ impl BatchProgram {
                     dest, bytes, tag, ..
                 } = op
                 {
+                    let slot = slot_bytes.len() as u32;
+                    slot_bytes.push(*bytes);
+                    next.push(NO_SLOT);
                     channels
                         .entry((pid, *dest, *tag))
-                        .or_default()
-                        .push_back((sends as u32, *bytes));
-                    sends += 1;
+                        .and_modify(|fifo| {
+                            next[fifo.tail as usize] = slot;
+                            fifo.tail = slot;
+                        })
+                        .or_insert(Fifo {
+                            head: slot,
+                            tail: slot,
+                        });
                 }
             }
         }
+        let sends = slot_bytes.len();
         // Sends are kept ops, so this bounds every compact index.
         if kept > u32::MAX as usize {
             return Err(EstimatorError::Mismatch(
@@ -212,10 +273,15 @@ impl BatchProgram {
                         }
                     }
                     PrimOp::RecvFrom { src, tag, .. } => {
-                        match channels
+                        let popped = channels
                             .get_mut(&(*src, pid, *tag))
-                            .and_then(VecDeque::pop_front)
-                        {
+                            .filter(|fifo| fifo.head != NO_SLOT)
+                            .map(|fifo| {
+                                let s = fifo.head;
+                                fifo.head = next[s as usize];
+                                (s, slot_bytes[s as usize])
+                            });
+                        match popped {
                             Some((s, bytes)) if bytes > 0 => {
                                 // The transfer is priced from the *sender's*
                                 // size, as the walker prices it.
@@ -394,6 +460,7 @@ mod tests {
     use crate::program::{MpiOp, Program, Step};
     use prophet_expr::parse_expression;
     use prophet_machine::{CommParams, MachineModel, SystemParams};
+    use std::sync::Arc;
 
     fn machine(nodes: usize, cpn: usize) -> MachineModel {
         MachineModel::new(SystemParams::flat_mpi(nodes, cpn), CommParams::default()).unwrap()
@@ -592,6 +659,100 @@ mod tests {
             batch.kinds.len()
         );
         assert!(batch.kinds.iter().all(|k| matches!(k, Kind::Add)));
+    }
+
+    #[test]
+    fn channel_matching_replays_bit_identically() {
+        // A 64-rank collective (one single-message channel per leaf and
+        // direction) after a rank 0 → 1 exchange: tag 5 carries four
+        // messages of different sizes, interleaved with two tag-6
+        // messages on the same rank pair and received in another order.
+        let m = machine(64, 1);
+        let mut p = Program::new("chan");
+        p.body = Step::Mpi {
+            name: "ar".into(),
+            op: MpiOp::Allreduce {
+                size: parse_expression("4096").unwrap(),
+            },
+        };
+        let collective = flatten_all(&p, &m, Default::default()).unwrap();
+        let send = |bytes: u64, tag: i64| PrimOp::SendTo {
+            element: "s".into(),
+            dest: 1,
+            bytes,
+            tag,
+        };
+        let recv = |src: usize, tag: i64| PrimOp::RecvFrom {
+            element: "r".into(),
+            src,
+            tag,
+            bytes: 0,
+        };
+        let work = |seconds: f64| PrimOp::Compute {
+            element: "w".into(),
+            seconds,
+        };
+        // Work after every receive makes the prediction depend on which
+        // receive each message completes: matching any message to
+        // another receive on its channel shifts the result.
+        let exchange = [
+            vec![
+                send(1_000_000, 5),
+                send(7, 6),
+                send(10, 5),
+                work(1e-4),
+                send(500_000, 5),
+                send(200_000, 6),
+                send(0, 5),
+            ],
+            [
+                recv(0, 6),
+                recv(0, 5),
+                recv(0, 5),
+                recv(0, 6),
+                recv(0, 5),
+                recv(0, 5),
+            ]
+            .into_iter()
+            .flat_map(|r| [r, work(1e-6)])
+            .collect(),
+        ];
+        let ranks = |stuck: bool| -> RankOps {
+            let mut ranks: Vec<Vec<PrimOp>> = collective.iter().map(|r| r.to_vec()).collect();
+            for (pid, ops) in exchange.iter().enumerate() {
+                ranks[pid].splice(0..0, ops.iter().cloned());
+            }
+            if stuck {
+                // A receive no rank ever sends: a `RecvNever`.
+                ranks[2].push(recv(3, 9));
+            }
+            ranks.into_iter().map(Arc::from).collect::<Vec<_>>().into()
+        };
+        let options = EstimatorOptions::default();
+
+        let ops = ranks(false);
+        let oracle = crate::analytic::evaluate_ops("chan", &ops, &m, &options).unwrap();
+        let batch = BatchProgram::prepare(&ops, &m).unwrap();
+        let got = batch.evaluate("chan", &mut BatchScratch::new()).unwrap();
+        assert_eq!(
+            got.predicted_time.to_bits(),
+            oracle.predicted_time.to_bits(),
+            "batch {} vs oracle {}",
+            got.predicted_time,
+            oracle.predicted_time
+        );
+        assert!(batch.kinds.iter().any(|k| matches!(k, Kind::Recv)));
+        assert!(batch.kinds.iter().any(|k| matches!(k, Kind::RecvZero)));
+
+        let ops = ranks(true);
+        let oracle = crate::analytic::evaluate_ops("chan", &ops, &m, &options).unwrap_err();
+        let batch = BatchProgram::prepare(&ops, &m).unwrap();
+        assert!(batch.kinds.iter().any(|k| matches!(k, Kind::RecvNever)));
+        let got = batch
+            .evaluate("chan", &mut BatchScratch::new())
+            .unwrap_err();
+        assert_eq!(format!("{got:?}"), format!("{oracle:?}"));
+        assert!(format!("{got:?}").contains("rank2 waiting for message from rank 3 (tag 9)"));
     }
 
     #[test]

@@ -1,30 +1,34 @@
 //! Memoized scenario elaboration: flatten once per SP point, serve many
 //! scenarios.
 //!
-//! PR 2's `bench_analytic` showed that flattening the per-rank op lists
-//! dominates *both* evaluation backends during SP sweeps: the
-//! compile-once `Session` stopped paying check + transform per scenario,
-//! but still paid an O(scenarios) elaboration tax. This module removes
-//! it.
+//! Flattening the per-rank op lists dominates *both* evaluation
+//! backends during SP sweeps (`bench_analytic`): the compile-once
+//! `Session` does not pay check + transform per scenario, but would
+//! still pay an O(scenarios) elaboration tax. This module removes it.
 //!
 //! Elaboration is a pure function of `(Program, SystemParams,
-//! CommParams, FlattenLimits)` — it never reads the trace flag or the
-//! backend — so R sweeps over S SP points on both backends only have S
-//! distinct elaborations, not S×R×2.
+//! CommParams, FlattenLimits, ElabForm)`. It never reads the backend,
+//! and it reads the trace flag only through the [`ElabForm`]: a traced
+//! simulation needs the `Enter`/`Exit` markers, every other evaluation
+//! (analytic, untraced DES, sweeps, optimize, the service) takes the
+//! lean form without them. R untraced sweeps over S SP points on both
+//! backends therefore have S distinct elaborations, not S×R×2.
 //! [`ElaborationCache`] memoizes them:
 //!
-//! * **Keying.** `ElabKey` is a content key over the machine model and
-//!   limits: the SP quadruple, the five communication parameters (by
-//!   f64 bit pattern — collective expansion bakes `machine.comm` costs
-//!   into `Wait` ops), and both flatten limits (two scenarios with
-//!   different limits may elaborate differently). The *program* is NOT
-//!   part of the key: one cache serves exactly one compiled program, the
-//!   invariant `Session` maintains by owning its cache privately.
+//! * **Keying.** `ElabKey` is a content key over the machine model,
+//!   limits and form: the SP quadruple, the five communication
+//!   parameters (by f64 bit pattern — collective expansion bakes
+//!   `machine.comm` costs into `Wait` ops), both flatten limits (two
+//!   scenarios with different limits may elaborate differently) and the
+//!   [`ElabForm`]. The *program* is NOT part of the key: one cache
+//!   serves exactly one compiled program, the invariant `Session`
+//!   maintains by owning its cache privately.
 //! * **Storage.** Each entry holds one [`RankOps`]: an
 //!   `Arc<[Arc<[PrimOp]>]>` — one shared op list per rank. Both backends
 //!   borrow these lists; nothing is cloned per evaluation. The first
-//!   analytic evaluation of an entry also stores the [`BatchProgram`]
-//!   compiled from them, which every later analytic evaluation replays.
+//!   analytic evaluation of a lean entry also stores the
+//!   [`BatchProgram`] compiled from it, which every later analytic
+//!   evaluation replays.
 //! * **Concurrency.** Sharded, insert-only, lock-free index: each shard
 //!   is an atomic singly-linked list pushed with compare-exchange
 //!   (losers rescan, so a key is interned exactly once), and each
@@ -47,11 +51,15 @@
 //!
 //! Failed elaborations are cached too: a key whose flatten fails serves
 //! the same [`FlattenError`] to every scenario that hits it, without
-//! re-walking the program.
+//! re-walking the program. Both forms fail with the same error, because
+//! the lean form still counts its omitted markers toward `max_ops`.
+//!
+//! The persistent store sees lean entries only: [`ElaborationCache::snapshot`]
+//! exports them and [`ElaborationCache::seed`] seeds them.
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
-use crate::flatten::{base_env, flatten_rank, FlattenError, FlattenLimits, PrimOp};
+use crate::flatten::{base_env, flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
 use std::fmt;
@@ -61,25 +69,36 @@ use std::sync::{Arc, OnceLock};
 /// The elaboration of one scenario: one shared op list per MPI rank.
 pub type RankOps = Arc<[Arc<[PrimOp]>]>;
 
-/// Elaborate every rank of `program` on `machine`, uncached.
-///
-/// The scenario-independent elaboration pass both backends consume;
-/// [`ElaborationCache::get_or_flatten`] memoizes it per SP point. The
-/// rank-independent environment is built once and cloned per rank.
+/// Elaborate every rank of `program` on `machine`, uncached, in the
+/// traced form: [`elaborate`] with [`ElabForm::Traced`].
 pub fn flatten_all(
     program: &Program,
     machine: &MachineModel,
     limits: FlattenLimits,
 ) -> Result<RankOps, FlattenError> {
+    elaborate(program, machine, limits, ElabForm::Traced)
+}
+
+/// Elaborate every rank of `program` on `machine` in `form`, uncached.
+///
+/// The scenario-independent elaboration pass both backends consume;
+/// [`ElaborationCache::get_or_flatten_form`] memoizes it per SP point.
+/// The rank-independent environment is built once and cloned per rank.
+pub fn elaborate(
+    program: &Program,
+    machine: &MachineModel,
+    limits: FlattenLimits,
+    form: ElabForm,
+) -> Result<RankOps, FlattenError> {
     let base = base_env(program, machine);
     let mut ranks: Vec<Arc<[PrimOp]>> = Vec::with_capacity(machine.sp.processes);
     for pid in 0..machine.sp.processes {
-        ranks.push(flatten_rank(program, machine, &base, pid, limits)?.into());
+        ranks.push(flatten_rank(program, machine, &base, pid, limits, form)?.into());
     }
     Ok(ranks.into())
 }
 
-/// Content key of one elaboration: everything [`flatten_all`] reads
+/// Content key of one elaboration: everything [`elaborate`] reads
 /// besides the program itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ElabKey {
@@ -90,17 +109,18 @@ struct ElabKey {
     /// The five [`prophet_machine::CommParams`] fields by bit pattern.
     comm_bits: [u64; 5],
     limits: FlattenLimits,
+    form: ElabForm,
 }
 
 impl ElabKey {
-    fn new(machine: &MachineModel, limits: FlattenLimits) -> Self {
-        Self::from_parts(machine.sp, machine.comm.params, limits)
+    fn new(machine: &MachineModel, limits: FlattenLimits, form: ElabForm) -> Self {
+        Self::from_parts(machine.sp, machine.comm.params, limits, form)
     }
 
     /// Key from raw scenario parts (what [`ElaborationCache::seed`] and
     /// the persisted-artifact store work with — no `MachineModel`
     /// construction, hence no SP validation, on the load path).
-    fn from_parts(sp: SystemParams, c: CommParams, limits: FlattenLimits) -> Self {
+    fn from_parts(sp: SystemParams, c: CommParams, limits: FlattenLimits, form: ElabForm) -> Self {
         Self {
             nodes: sp.nodes,
             cpus_per_node: sp.cpus_per_node,
@@ -114,6 +134,7 @@ impl ElabKey {
                 c.send_overhead.to_bits(),
             ],
             limits,
+            form,
         }
     }
 
@@ -151,6 +172,7 @@ impl ElabKey {
         }
         h.word(self.limits.max_ops as u64);
         h.word(self.limits.max_loop_iterations);
+        h.word(self.form as u64);
         h.finish()
     }
 }
@@ -205,10 +227,11 @@ impl ElabStats {
     }
 }
 
-/// One successful elaboration, exported by [`ElaborationCache::snapshot`]
-/// and re-imported by [`ElaborationCache::seed`] — the unit the
-/// persistent artifact store (`prophet_core::store`) serializes so a
-/// warm-started session re-serves its op lists without re-flattening.
+/// One successful lean elaboration, exported by
+/// [`ElaborationCache::snapshot`] and re-imported by
+/// [`ElaborationCache::seed`] — the unit the persistent artifact store
+/// (`prophet_core::store`) serializes so a warm-started session
+/// re-serves its op lists without re-flattening.
 #[derive(Debug, Clone)]
 pub struct ElabEntry {
     /// System parameters of the elaborated scenario.
@@ -217,7 +240,7 @@ pub struct ElabEntry {
     pub comm: CommParams,
     /// The flatten limits the elaboration ran under.
     pub limits: FlattenLimits,
-    /// The per-rank op lists.
+    /// The per-rank op lists, in the [`ElabForm::Lean`] form.
     pub ops: RankOps,
 }
 
@@ -229,7 +252,7 @@ impl ElabEntry {
     }
 }
 
-/// SP-keyed memoization of [`flatten_all`] for one compiled program.
+/// SP-keyed memoization of [`elaborate`] for one compiled program.
 ///
 /// See the [module docs](self) for keying, invalidation, concurrency and
 /// memory-bound details. Shareable by reference across sweep worker
@@ -299,12 +322,9 @@ impl ElaborationCache {
         }
     }
 
-    /// The elaboration for `(machine, limits)`, flattening `program` at
-    /// most once per distinct key — concurrent callers for the same key
-    /// wait for the first elaboration instead of repeating it.
-    ///
-    /// The caller must pass the same `program` on every call (the
-    /// program is deliberately not part of the key; see module docs).
+    /// The lean elaboration for `(machine, limits)`:
+    /// [`ElaborationCache::get_or_flatten_form`] with [`ElabForm::Lean`],
+    /// the form every untraced evaluation replays.
     ///
     /// # Errors
     /// The (cached) [`FlattenError`] when elaboration fails.
@@ -314,11 +334,31 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<RankOps, FlattenError> {
-        self.lookup(program, machine, limits).1
+        self.get_or_flatten_form(program, machine, limits, ElabForm::Lean)
+    }
+
+    /// The elaboration for `(machine, limits, form)`, flattening
+    /// `program` at most once per distinct key — concurrent callers for
+    /// the same key wait for the first elaboration instead of repeating
+    /// it.
+    ///
+    /// The caller must pass the same `program` on every call (the
+    /// program is deliberately not part of the key; see module docs).
+    ///
+    /// # Errors
+    /// The (cached) [`FlattenError`] when elaboration fails.
+    pub fn get_or_flatten_form(
+        &self,
+        program: &Program,
+        machine: &MachineModel,
+        limits: FlattenLimits,
+        form: ElabForm,
+    ) -> Result<RankOps, FlattenError> {
+        self.lookup(program, machine, limits, form).1
     }
 
     /// [`ElaborationCache::get_or_flatten`], additionally serving the
-    /// entry's [`BatchProgram`] — the elaboration compiled for batch
+    /// entry's [`BatchProgram`] — the lean elaboration compiled for batch
     /// analytic evaluation, built once per entry and shared across
     /// sweep workers like the op lists themselves (two workers that
     /// miss the same fresh entry at once may both prepare it; the first
@@ -336,7 +376,7 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<(RankOps, Arc<BatchProgram>), EstimatorError> {
-        let (node, ops) = self.lookup(program, machine, limits);
+        let (node, ops) = self.lookup(program, machine, limits, ElabForm::Lean);
         let ops = ops?;
         if let Some(batch) = node.and_then(|node| node.batch.get()) {
             return Ok((ops, Arc::clone(batch)));
@@ -349,7 +389,7 @@ impl ElaborationCache {
         Ok((ops, batch))
     }
 
-    /// The lookup both getters share: the interned node (`None` when the
+    /// The lookup the getters share: the interned node (`None` when the
     /// cache is at capacity and the key bypassed it) and the
     /// elaboration, counted as a hit, a miss or a bypass.
     fn lookup(
@@ -357,17 +397,18 @@ impl ElaborationCache {
         program: &Program,
         machine: &MachineModel,
         limits: FlattenLimits,
+        form: ElabForm,
     ) -> (Option<&Node>, Result<RankOps, FlattenError>) {
-        let key = ElabKey::new(machine, limits);
+        let key = ElabKey::new(machine, limits, form);
         let hash = key.hash();
         let Some(node) = self.intern(key, hash) else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return (None, flatten_all(program, machine, limits));
+            return (None, elaborate(program, machine, limits, form));
         };
         let mut filled = false;
         let result = node.slot.get_or_init(|| {
             filled = true;
-            flatten_all(program, machine, limits)
+            elaborate(program, machine, limits, form)
         });
         if filled {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -377,17 +418,18 @@ impl ElaborationCache {
         (Some(node), result.clone())
     }
 
-    /// Pre-fill the entry for `(sp, comm, limits)` with an elaboration
-    /// computed elsewhere (a prior process run, via the persistent
+    /// Pre-fill the lean entry for `(sp, comm, limits)` with a lean
+    /// elaboration computed elsewhere (a prior process run, via the persistent
     /// artifact store). Seeding is not a lookup: it touches no hit/miss
     /// counter, so a seeded entry's first `get_or_flatten` is a plain
     /// hit. Returns `false` when the cache is at capacity (the seed is
     /// dropped) — an already-present entry is left untouched and counts
     /// as seeded.
     ///
-    /// The caller must only seed op lists that were flattened from the
-    /// same program this cache serves; the store guarantees that by
-    /// keying artifacts on the model content digest.
+    /// The caller must only seed lean op lists that were flattened from
+    /// the same program this cache serves; the store guarantees that by
+    /// keying artifacts on the model content digest and its format
+    /// version.
     pub fn seed(
         &self,
         sp: SystemParams,
@@ -395,7 +437,7 @@ impl ElaborationCache {
         limits: FlattenLimits,
         ops: RankOps,
     ) -> bool {
-        let key = ElabKey::from_parts(sp, comm, limits);
+        let key = ElabKey::from_parts(sp, comm, limits, ElabForm::Lean);
         let hash = key.hash();
         let Some(node) = self.intern(key, hash) else {
             return false;
@@ -406,8 +448,10 @@ impl ElaborationCache {
         true
     }
 
-    /// Every successfully elaborated entry currently interned, in
-    /// deterministic `(SP, comm, limits)` order. Failed elaborations
+    /// Every successfully elaborated lean entry currently interned, in
+    /// deterministic `(SP, comm, limits)` order. Traced entries are
+    /// not exported (only traced simulations use them, and they are
+    /// the larger form). Failed elaborations
     /// are not exported (a seeded cache should re-diagnose them
     /// freshly), and unfilled entries (a concurrent flatten still in
     /// flight) are skipped rather than waited for.
@@ -418,7 +462,7 @@ impl ElaborationCache {
             while !cur.is_null() {
                 // SAFETY: published nodes live until the cache drops.
                 let node = unsafe { &*cur };
-                if let Some(Ok(ops)) = node.slot.get() {
+                if let (ElabForm::Lean, Some(Ok(ops))) = (node.key.form, node.slot.get()) {
                     out.push(ElabEntry {
                         sp: node.key.sp(),
                         comm: node.key.comm(),
@@ -583,23 +627,60 @@ mod tests {
         p
     }
 
+    /// `ops` without its `Enter`/`Exit` markers, inside thread arms too.
+    fn strip_markers(ops: &[PrimOp]) -> Vec<PrimOp> {
+        ops.iter()
+            .filter(|op| !matches!(op, PrimOp::Enter(_) | PrimOp::Exit(_)))
+            .map(|op| match op {
+                PrimOp::Threads { element, arms } => PrimOp::Threads {
+                    element: element.clone(),
+                    arms: arms.iter().map(|arm| strip_markers(arm)).collect(),
+                },
+                other => other.clone(),
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_matches_uncached() {
+        // A thread team puts markers inside arms, where the lean form
+        // must drop them too.
+        let mut p = program();
+        p.body = Step::Seq(vec![
+            p.body.clone(),
+            Step::ParallelRegion {
+                name: "R".into(),
+                threads: Some(parse_expression("2").unwrap()),
+                body: Box::new(p.body.clone()),
+            },
+        ]);
         let cache = ElaborationCache::new();
-        let p = program();
         for procs in [1, 2, 4] {
             let m = machine(procs);
-            let cached = cache
-                .get_or_flatten(&p, &m, FlattenLimits::default())
+            let limits = FlattenLimits::default();
+            let fresh = flatten_all(&p, &m, limits).unwrap();
+            let lean = cache.get_or_flatten(&p, &m, limits).unwrap();
+            let traced = cache
+                .get_or_flatten_form(&p, &m, limits, ElabForm::Traced)
                 .unwrap();
-            let fresh = flatten_all(&p, &m, FlattenLimits::default()).unwrap();
-            assert_eq!(cached.len(), fresh.len());
-            for (c, f) in cached.iter().zip(fresh.iter()) {
-                assert_eq!(&c[..], &f[..]);
+            assert_eq!(lean.len(), fresh.len());
+            assert_eq!(traced.len(), fresh.len());
+            for ((l, t), f) in lean.iter().zip(traced.iter()).zip(fresh.iter()) {
+                assert!(f.iter().any(|op| matches!(op, PrimOp::Enter(_))));
+                assert_eq!(&l[..], &strip_markers(f)[..]);
+                assert_eq!(&t[..], &f[..]);
             }
+            // The two forms are distinct entries, and lean is the default.
+            assert!(!Arc::ptr_eq(&lean, &traced));
+            assert!(Arc::ptr_eq(
+                &lean,
+                &cache
+                    .get_or_flatten_form(&p, &m, limits, ElabForm::Lean)
+                    .unwrap()
+            ));
         }
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.stats().misses, 6);
+        assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]
@@ -756,12 +837,16 @@ mod tests {
         let cache = ElaborationCache::new();
         let p = program();
         for procs in [1, 2, 4] {
-            cache
-                .get_or_flatten(&p, &machine(procs), FlattenLimits::default())
-                .unwrap();
+            for form in [ElabForm::Lean, ElabForm::Traced] {
+                cache
+                    .get_or_flatten_form(&p, &machine(procs), FlattenLimits::default(), form)
+                    .unwrap();
+            }
         }
+        // Lean entries only: the traced ones stay in memory.
         let entries = cache.snapshot();
         assert_eq!(entries.len(), 3);
+        assert_eq!(cache.len(), 6);
         // Deterministic order regardless of shard layout.
         let procs: Vec<usize> = entries.iter().map(|e| e.sp.processes).collect();
         assert_eq!(procs, vec![1, 2, 4]);

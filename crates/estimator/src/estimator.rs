@@ -2,8 +2,8 @@
 //! and report.
 
 use crate::batch::{BatchProgram, BatchScratch};
-use crate::elab::{flatten_all, ElaborationCache, RankOps};
-use crate::flatten::{FlattenError, FlattenLimits};
+use crate::elab::{elaborate, ElaborationCache, RankOps};
+use crate::flatten::{ElabForm, FlattenError, FlattenLimits};
 use crate::interp::OpProcess;
 use crate::program::Program;
 use prophet_machine::MachineModel;
@@ -151,13 +151,14 @@ impl Estimator {
     /// the one entry point behind every session evaluation and sweep.
     ///
     /// The per-rank op lists come from `cache` (flattened at most once
-    /// per distinct `(SP, comm, limits)` key, shared across threads and
-    /// backends) or, with `None`, are elaborated uncached.
+    /// per distinct `(SP, comm, limits, form)` key, shared across
+    /// threads and backends) or, with `None`, are elaborated uncached.
     /// [`Backend::Simulation`] replays them on the DES kernel
-    /// ([`Estimator::run_ops`]). [`Backend::Analytic`] replays the
-    /// entry's [`BatchProgram`] into `scratch` (prepared once per cache
-    /// entry, or as a throwaway when uncached); the DES kernel is never
-    /// touched.
+    /// ([`Estimator::run_ops`]): the traced form when `options.trace` is
+    /// set, the lean form otherwise. [`Backend::Analytic`] replays the
+    /// lean entry's [`BatchProgram`] into `scratch` (prepared once per
+    /// cache entry, or as a throwaway when uncached); the DES kernel is
+    /// never touched.
     ///
     /// The cache must be dedicated to this `program` — `Session` owns
     /// one per compiled model.
@@ -171,7 +172,8 @@ impl Estimator {
     ) -> Result<Evaluation, EstimatorError> {
         match (backend, cache) {
             (Backend::Simulation, Some(cache)) => {
-                let rank_ops = cache.get_or_flatten(program, machine, options.limits)?;
+                let form = ElabForm::for_trace(options.trace);
+                let rank_ops = cache.get_or_flatten_form(program, machine, options.limits, form)?;
                 Self::run_ops(&program.name, &rank_ops, machine, options)
             }
             (Backend::Simulation, None) => Self::run(program, machine, options),
@@ -180,14 +182,15 @@ impl Estimator {
                 batch.evaluate(&program.name, scratch)
             }
             (Backend::Analytic, None) => {
-                let rank_ops = flatten_all(program, machine, options.limits)?;
+                let rank_ops = elaborate(program, machine, options.limits, ElabForm::Lean)?;
                 BatchProgram::prepare(&rank_ops, machine)?.evaluate(&program.name, scratch)
             }
         }
     }
 
     /// Evaluate `program` on `machine` with `options` by simulation,
-    /// borrowing all three.
+    /// borrowing all three. Elaborates the traced form only when
+    /// `options.trace` is set.
     ///
     /// This is the reusable hot path behind compile-once sessions: one
     /// immutable `Program` and one `EstimatorOptions` can serve any
@@ -198,16 +201,19 @@ impl Estimator {
         machine: &MachineModel,
         options: &EstimatorOptions,
     ) -> Result<Evaluation, EstimatorError> {
-        let rank_ops = flatten_all(program, machine, options.limits)?;
+        let form = ElabForm::for_trace(options.trace);
+        let rank_ops = elaborate(program, machine, options.limits, form)?;
         Self::run_ops(&program.name, &rank_ops, machine, options)
     }
 
     /// Replay already-elaborated op lists on the DES kernel.
     ///
     /// The scenario-dependent half of [`Estimator::run`]: `rank_ops` is
-    /// the scenario-independent elaboration (from [`flatten_all`] or an
+    /// the scenario-independent elaboration (from [`elaborate`] or an
     /// [`ElaborationCache`]), shared by reference — evaluations never
-    /// clone or consume the op lists.
+    /// clone or consume the op lists. Either form replays to the same
+    /// prediction and event count; only the traced form fills the trace
+    /// file's `Enter`/`Exit` events.
     pub fn run_ops(
         name: &str,
         rank_ops: &RankOps,

@@ -6,6 +6,12 @@
 //! result is a [`PrimOp`] list the simulation process replays. Collective
 //! operations are expanded into control messages + an analytic hold (see
 //! crate docs).
+//!
+//! Elaboration comes in two [`ElabForm`]s that differ only in the
+//! `Enter`/`Exit` trace markers: the traced form carries them for the
+//! trace file, the lean form omits them (also inside thread arms). An
+//! omitted marker still counts toward [`FlattenLimits::max_ops`], so
+//! both forms fail at the same op with the same error.
 
 use crate::program::{MpiOp, Program, Step};
 use prophet_expr::{exec_fragment, Env, ExprError, Value};
@@ -240,9 +246,31 @@ impl Default for FlattenLimits {
     }
 }
 
+/// Which of elaboration's two forms to build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ElabForm {
+    /// Every op, `Enter`/`Exit` trace markers included: what a traced
+    /// simulation replays to write the trace file.
+    Traced,
+    /// The traced form without its `Enter`/`Exit` markers: what every
+    /// untraced evaluation replays.
+    Lean,
+}
+
+impl ElabForm {
+    /// The form an evaluation with trace recording `trace` needs.
+    pub fn for_trace(trace: bool) -> Self {
+        if trace {
+            ElabForm::Traced
+        } else {
+            ElabForm::Lean
+        }
+    }
+}
+
 /// Process-wide count of per-rank flattens: one per
 /// [`flatten_for_process`] call, and one per rank of
-/// [`crate::flatten_all`].
+/// [`crate::elaborate`] in either form.
 ///
 /// The elaboration analogue of `prophet_core::transform_invocations`:
 /// benches and smoke tests assert the flatten-once contract of the
@@ -255,14 +283,21 @@ pub fn flatten_invocations() -> u64 {
 
 static FLATTEN_CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Elaborate `program` for MPI process `pid`.
+/// Elaborate `program` for MPI process `pid`, in the traced form.
 pub fn flatten_for_process(
     program: &Program,
     machine: &MachineModel,
     pid: usize,
     limits: FlattenLimits,
 ) -> Result<Vec<PrimOp>, FlattenError> {
-    flatten_rank(program, machine, &base_env(program, machine), pid, limits)
+    flatten_rank(
+        program,
+        machine,
+        &base_env(program, machine),
+        pid,
+        limits,
+        ElabForm::Traced,
+    )
 }
 
 /// The environment every rank starts from: the system properties except
@@ -299,6 +334,7 @@ pub(crate) fn flatten_rank(
     base: &Env,
     pid: usize,
     limits: FlattenLimits,
+    form: ElabForm,
 ) -> Result<Vec<PrimOp>, FlattenError> {
     FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
     let mut env = base.clone();
@@ -310,6 +346,7 @@ pub(crate) fn flatten_rank(
         machine,
         pid,
         limits,
+        markers: form == ElabForm::Traced,
         collective_seq: 0,
         ops_emitted: 0,
         locks: Vec::new(),
@@ -480,6 +517,8 @@ struct Flattener<'a> {
     machine: &'a MachineModel,
     pid: usize,
     limits: FlattenLimits,
+    /// Whether `Enter`/`Exit` markers are kept ([`ElabForm::Traced`]).
+    markers: bool,
     /// Per-process collective sequence number; SPMD programs agree on it.
     collective_seq: i64,
     ops_emitted: usize,
@@ -489,6 +528,29 @@ struct Flattener<'a> {
 
 impl<'a> Flattener<'a> {
     fn emit(&mut self, out: &mut Vec<PrimOp>, op: PrimOp) -> Result<(), FlattenError> {
+        self.count()?;
+        out.push(op);
+        Ok(())
+    }
+
+    /// Emit an `Enter`/`Exit` marker for `name`. The lean form drops it
+    /// but still counts it toward `max_ops`, so both forms hit the limit
+    /// at the same op.
+    fn marker(
+        &mut self,
+        out: &mut Vec<PrimOp>,
+        marker: fn(Arc<str>) -> PrimOp,
+        name: &Arc<str>,
+    ) -> Result<(), FlattenError> {
+        self.count()?;
+        if self.markers {
+            out.push(marker(name.clone()));
+        }
+        Ok(())
+    }
+
+    /// Count one op toward [`FlattenLimits::max_ops`].
+    fn count(&mut self) -> Result<(), FlattenError> {
         self.ops_emitted += 1;
         if self.ops_emitted > self.limits.max_ops {
             return Err(FlattenError::OpLimit {
@@ -496,7 +558,6 @@ impl<'a> Flattener<'a> {
                 limit: self.limits.max_ops,
             });
         }
-        out.push(op);
         Ok(())
     }
 
@@ -569,7 +630,7 @@ impl<'a> Flattener<'a> {
                 Ok(())
             }
             Step::Exec { name, cost, code } => {
-                self.emit(out, PrimOp::Enter(name.clone()))?;
+                self.marker(out, PrimOp::Enter, name)?;
                 if !code.is_empty() {
                     exec_fragment(code, env).map_err(|e| FlattenError::Eval {
                         context: context("code fragment", name).to_string(),
@@ -597,7 +658,7 @@ impl<'a> Flattener<'a> {
                         seconds,
                     },
                 )?;
-                self.emit(out, PrimOp::Exit(name.clone()))
+                self.marker(out, PrimOp::Exit, name)
             }
             Step::Branch(arms) => {
                 for (guard, arm) in arms {
@@ -618,9 +679,9 @@ impl<'a> Flattener<'a> {
                 Ok(()) // no arm taken: decision falls through
             }
             Step::Composite { name, body } => {
-                self.emit(out, PrimOp::Enter(name.clone()))?;
+                self.marker(out, PrimOp::Enter, name)?;
                 self.walk(body, env, out, in_team)?;
-                self.emit(out, PrimOp::Exit(name.clone()))
+                self.marker(out, PrimOp::Exit, name)
             }
             Step::Loop {
                 name,
@@ -644,7 +705,7 @@ impl<'a> Flattener<'a> {
                         limit: self.limits.max_loop_iterations,
                     });
                 }
-                self.emit(out, PrimOp::Enter(name.clone()))?;
+                self.marker(out, PrimOp::Enter, name)?;
                 let saved = var.as_ref().and_then(|v| env.get_var(v));
                 for i in 0..n {
                     if let Some(v) = var {
@@ -660,7 +721,7 @@ impl<'a> Flattener<'a> {
                         }
                     }
                 }
-                self.emit(out, PrimOp::Exit(name.clone()))
+                self.marker(out, PrimOp::Exit, name)
             }
             Step::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
                 element: String::new(),
@@ -704,7 +765,7 @@ impl<'a> Flattener<'a> {
                 for t in 0..team {
                     arm_ops.push(self.walk_thread(body, env, t)?);
                 }
-                self.emit(out, PrimOp::Enter(name.clone()))?;
+                self.marker(out, PrimOp::Enter, name)?;
                 self.emit(
                     out,
                     PrimOp::Threads {
@@ -712,15 +773,15 @@ impl<'a> Flattener<'a> {
                         arms: arm_ops,
                     },
                 )?;
-                self.emit(out, PrimOp::Exit(name.clone()))
+                self.marker(out, PrimOp::Exit, name)
             }
             Step::Critical { name, lock, body } => {
                 let id = self.lock_id(lock);
-                self.emit(out, PrimOp::Enter(name.clone()))?;
+                self.marker(out, PrimOp::Enter, name)?;
                 self.emit(out, PrimOp::Lock(id))?;
                 self.walk(body, env, out, in_team)?;
                 self.emit(out, PrimOp::Unlock(id))?;
-                self.emit(out, PrimOp::Exit(name.clone()))
+                self.marker(out, PrimOp::Exit, name)
             }
             Step::Mpi { name, .. } if in_team => Err(FlattenError::MpiInThread {
                 element: name.to_string(),
@@ -763,7 +824,7 @@ impl<'a> Flattener<'a> {
     ) -> Result<(), FlattenError> {
         let p = self.machine.sp.processes;
         let comm = &self.machine.comm;
-        self.emit(out, PrimOp::Enter(name.clone()))?;
+        self.marker(out, PrimOp::Enter, name)?;
         match op {
             MpiOp::Send { dest, size, tag } => {
                 let dest = self.eval_rank(dest, env, context("dest", name))?;
@@ -818,7 +879,7 @@ impl<'a> Flattener<'a> {
                 self.emit_collective(name, 0, comm.barrier_time(p), out)?;
             }
         }
-        self.emit(out, PrimOp::Exit(name.clone()))
+        self.marker(out, PrimOp::Exit, name)
     }
 
     /// Collective expansion: synchronize through rank `root` with

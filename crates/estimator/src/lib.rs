@@ -15,20 +15,23 @@
 //! * [`flatten`] — per-process elaboration: walks the IR for each MPI
 //!   process, evaluating code fragments, guards, loop counts and cost
 //!   functions eagerly, producing a list of primitive timed operations
-//!   (compute / send / recv / collective / thread team),
+//!   (compute / send / recv / collective / thread team) in one of two
+//!   [`ElabForm`]s: the traced form carries the `Enter`/`Exit` markers a
+//!   traced simulation writes to the trace file, the lean form omits
+//!   them and serves every other evaluation,
 //! * [`elab`] — memoized elaboration: [`elab::ElaborationCache`] interns
-//!   the flattened op lists per `(SP, comm, limits)` content key as
-//!   shared `Arc<[PrimOp]>` lists, so R sweeps over S SP points on both
-//!   backends flatten S times, not S×R×2 (the sweep hot path
-//!   was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
+//!   the flattened op lists per `(SP, comm, limits, form)` content key
+//!   as shared `Arc<[PrimOp]>` lists, so R untraced sweeps over S SP
+//!   points on both backends flatten S times, not S×R×2 (the sweep hot
+//!   path was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
 //! * [`interp`] — the simulation process that replays primitive ops on
 //!   the CSIM-substitute engine (CPU facilities, mailboxes),
 //! * [`analytic`] — the closed-form backend's semantics: the same op
 //!   lists resolved by a critical-path pass with no DES kernel (and no
 //!   trace), as a reference walker that tests and benches compare the
 //!   batch replay against; the DES stays the independent oracle,
-//! * [`batch`] — the analytic evaluator: one elaboration compiled into
-//!   a compact structure-of-arrays replay (markers dropped, messages
+//! * [`batch`] — the analytic evaluator: one lean elaboration compiled
+//!   into a compact structure-of-arrays replay (locks dropped, messages
 //!   matched statically, costs pre-priced) and evaluated per SP point
 //!   into reusable scratch — bit-identical to the [`analytic`] walker
 //!   by construction, and the only analytic path estimates and sweeps
@@ -77,9 +80,10 @@ pub mod program;
 
 pub use analytic::evaluate_analytic;
 pub use batch::{BatchProgram, BatchScratch};
-pub use elab::{flatten_all, ElabEntry, ElabStats, ElaborationCache, RankOps};
+pub use elab::{elaborate, flatten_all, ElabEntry, ElabStats, ElaborationCache, RankOps};
 pub use estimator::{Backend, Estimator, EstimatorError, EstimatorOptions, Evaluation};
 pub use flatten::{
-    flatten_for_process, flatten_invocations, op_digest, FlattenError, FlattenLimits, PrimOp,
+    flatten_for_process, flatten_invocations, op_digest, ElabForm, FlattenError, FlattenLimits,
+    PrimOp,
 };
 pub use program::{MpiOp, Program, Step};

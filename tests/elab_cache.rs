@@ -137,7 +137,9 @@ fn counters_match_the_s_vs_sxr_pattern() {
 }
 
 /// Single-scenario path: `Session::evaluate` shares the same cache as
-/// sweeps, including across backends and full-trace evaluations.
+/// sweeps. Untraced and analytic evaluations reuse the sweep's lean
+/// entry; a traced simulation needs the trace markers, so it fills its
+/// own traced entry exactly once.
 #[test]
 fn evaluate_and_sweep_share_one_cache() {
     let session = Session::new(jacobi_model(50_000, 3, 1e-8)).unwrap();
@@ -145,21 +147,56 @@ fn evaluate_and_sweep_share_one_cache() {
     sweep_times(&session, &grid, Backend::Simulation, false);
     let before = session.elab_stats();
 
-    // Tracing differs from the sweep's forced-off tracing but is not
-    // part of the elaboration key: still a hit.
+    // Traced at a swept point: one miss for the traced form ...
     let e = session.evaluate(&Scenario::new(grid[3])).unwrap();
     assert!(!e.trace.is_empty());
     let stats = session.elab_stats();
-    assert_eq!(stats.misses, before.misses);
-    assert_eq!(stats.hits, before.hits + 1);
+    assert_eq!(stats.misses, before.misses + 1, "{stats:?}");
+    assert_eq!(stats.hits, before.hits, "{stats:?}");
+    // ... then a hit, with the same trace.
+    let again = session.evaluate(&Scenario::new(grid[3])).unwrap();
+    let stats = session.elab_stats();
+    assert_eq!(stats.misses, before.misses + 1, "{stats:?}");
+    assert_eq!(stats.hits, before.hits + 1, "{stats:?}");
+    assert_eq!(again.trace.events, e.trace.events);
+
+    // Untraced and analytic evaluations at that point still hit the
+    // sweep's lean entry, and agree with the traced run.
+    for scenario in [
+        Scenario::new(grid[3]).without_trace(),
+        Scenario::new(grid[3]).with_backend(Backend::Analytic),
+    ] {
+        let lean = session.evaluate(&scenario).unwrap();
+        assert!(lean.trace.is_empty());
+        assert_eq!(lean.predicted_time.to_bits(), e.predicted_time.to_bits());
+    }
+    let stats = session.elab_stats();
+    assert_eq!(stats.misses, before.misses + 1, "{stats:?}");
+    assert_eq!(stats.hits, before.hits + 3, "{stats:?}");
+
+    // The cached traced run equals an uncached traced run exactly.
+    let uncached = session
+        .evaluate(&Scenario::new(grid[3]).without_elab_cache())
+        .unwrap();
+    assert_eq!(e.trace.events, uncached.trace.events);
+    assert_eq!(
+        e.trace.end_time.to_bits(),
+        uncached.trace.end_time.to_bits()
+    );
+    assert_eq!(e.report.events_processed, uncached.report.events_processed);
+    assert_eq!(
+        e.predicted_time.to_bits(),
+        uncached.predicted_time.to_bits()
+    );
 
     // A comm-parameter change is part of the key: a miss, not a stale hit.
+    let misses = session.elab_stats().misses;
     let fast = session
         .evaluate(
             &Scenario::new(grid[3]).with_comm(prophet::machine::CommParams::fast_interconnect()),
         )
         .unwrap();
-    assert_eq!(session.elab_stats().misses, before.misses + 1);
+    assert_eq!(session.elab_stats().misses, misses + 1);
     // And the prediction differs (jacobi communicates), proving the
     // cache did not serve the default-comm elaboration.
     assert_ne!(fast.predicted_time.to_bits(), e.predicted_time.to_bits());

@@ -19,14 +19,16 @@
 //!   tolerance (1e-9 relative),
 //! * evaluations served through the session's `ElaborationCache` are
 //!   **bit-identical** to cache-disabled evaluations, on both backends —
-//!   the cache can never serve a stale or wrong op list.
+//!   the cache can never serve a stale or wrong op list,
+//! * an untraced DES run on the traced and the lean elaboration gives
+//!   the same bits and the same event count.
 //!
 //! Seeding is deterministic (see `proptest-shim`); CI pins the case
 //! budget with `PROPTEST_CASES`.
 
 use prophet::check::McfConfig;
 use prophet::core::{ArtifactKey, Backend, Scenario, Session};
-use prophet::estimator::{evaluate_analytic, EstimatorOptions};
+use prophet::estimator::{elaborate, evaluate_analytic, ElabForm, Estimator, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::serve::api::resolve_key;
 use prophet::serve::json::Json;
@@ -392,6 +394,22 @@ proptest! {
                 ana.to_bits(), walker.to_bits(),
                 "batch analytic diverged from the walker at {:?}\nspec: {:?}", sp, segs
             );
+            // Untraced DES on the traced and the lean elaboration
+            // (uncached): same bits, same event count, and the same
+            // bits as the session's cached (lean) simulation.
+            let untraced = EstimatorOptions { trace: false, ..Default::default() };
+            let des = |form| {
+                let ops = elaborate(session.program(), &machine, untraced.limits, form).unwrap();
+                let e = Estimator::run_ops(&session.program().name, &ops, &machine, &untraced)
+                    .unwrap();
+                (e.predicted_time.to_bits(), e.report.events_processed)
+            };
+            let (on_traced, on_lean) = (des(ElabForm::Traced), des(ElabForm::Lean));
+            prop_assert_eq!(
+                on_lean, on_traced,
+                "lean and traced DES diverged at {:?}\nspec: {:?}", sp, segs
+            );
+            prop_assert_eq!(on_lean.0, sim.to_bits(), "at {:?}\nspec: {:?}", sp, segs);
             // Cache transparency, both backends, bit-exact.
             let sim_raw = eval(Backend::Simulation, true).unwrap();
             let ana_raw = eval(Backend::Analytic, true).unwrap();

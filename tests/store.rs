@@ -15,9 +15,20 @@ use prophet::core::{
 use prophet::estimator::PrimOp;
 use prophet::machine::SystemParams;
 use prophet::serve::api::{demo_model, demo_models};
+use prophet::workloads::models::{jacobi_model, lapw0_model};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held by every test that elaborates: `flatten_invocations` is
+/// process-wide, so a concurrent flatten would break the count in
+/// `store_hit_skips_check_transform_and_flatten`.
+static FLATTENS: Mutex<()> = Mutex::new(());
+
+fn flatten_lock() -> MutexGuard<'static, ()> {
+    // A failed test that held the lock leaves nothing to repair.
+    FLATTENS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A unique, cleaned temp directory per test.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -28,6 +39,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn every_demo_model_roundtrips_bit_identically() {
+    let _flattens = flatten_lock();
     let dir = temp_dir("demos");
     let store = ArtifactStore::open(&dir).unwrap();
     for (name, _) in demo_models() {
@@ -67,6 +79,7 @@ fn every_demo_model_roundtrips_bit_identically() {
 
 #[test]
 fn store_hit_skips_check_transform_and_flatten() {
+    let _flattens = flatten_lock();
     let dir = temp_dir("skips");
     let model = demo_model("jacobi").unwrap();
     let mcf = McfConfig::default();
@@ -327,6 +340,7 @@ fn builder_and_parsed_spellings_share_one_artifact() {
 
 #[test]
 fn loaded_elaborations_share_one_name_per_element() {
+    let _flattens = flatten_lock();
     // The decoder interns element names per session, so a store-loaded
     // elaboration holds one `Arc<str>` per element, as a fresh one does.
     let dir = temp_dir("interned");
@@ -370,5 +384,71 @@ fn element(op: &PrimOp) -> Option<&Arc<str>> {
         | PrimOp::Wait { element, .. }
         | PrimOp::Threads { element, .. } => Some(element),
         PrimOp::Lock(_) | PrimOp::Unlock(_) => None,
+    }
+}
+
+#[test]
+fn stored_elaborations_are_lean_and_traced_runs_still_match_the_golden() {
+    let _flattens = flatten_lock();
+    // The store persists lean elaborations only. A traced evaluation on
+    // the loaded session flattens its own traced form and reproduces the
+    // golden trace (`tests/golden.rs`).
+    let hybrid = SystemParams {
+        nodes: 2,
+        cpus_per_node: 2,
+        processes: 2,
+        threads_per_process: 2,
+    };
+    let cases = [
+        (
+            "jacobi",
+            jacobi_model(200_000, 5, 1e-8),
+            SystemParams::flat_mpi(4, 1),
+            (0.004307, 162u64, 284usize),
+        ),
+        (
+            "lapw0",
+            lapw0_model(64, 16, 1e-5),
+            hybrid,
+            (0.005491280000000002, 136, 140),
+        ),
+    ];
+    let dir = temp_dir("lean");
+    let store = ArtifactStore::open(&dir).unwrap();
+    for (name, model, sp, (time, events, trace_len)) in cases {
+        let session = Session::new(model).unwrap();
+        session
+            .evaluate(&Scenario::new(sp).without_trace())
+            .unwrap();
+        // A traced entry in memory is not persisted.
+        session.evaluate(&Scenario::new(sp)).unwrap();
+        let key = store.save_session(&session).unwrap();
+        let loaded = store.load_session(key).unwrap();
+
+        let entries = loaded.elab_cache().snapshot();
+        assert_eq!(entries.len(), 1, "{name}");
+        fn assert_lean(name: &str, ops: &[PrimOp]) {
+            for op in ops {
+                match op {
+                    PrimOp::Enter(_) | PrimOp::Exit(_) => panic!("{name}: marker {op:?}"),
+                    PrimOp::Threads { arms, .. } => arms.iter().for_each(|a| assert_lean(name, a)),
+                    _ => {}
+                }
+            }
+        }
+        for ops in entries[0].ops.iter() {
+            assert_lean(name, ops);
+        }
+
+        let traced = loaded.evaluate(&Scenario::new(sp)).unwrap();
+        assert_eq!(traced.trace.len(), trace_len, "{name} trace shifted");
+        assert_eq!(traced.report.events_processed, events, "{name}");
+        assert!(
+            (traced.predicted_time - time).abs() <= time * 1e-12,
+            "{name}: {}",
+            traced.predicted_time
+        );
+        let stats = loaded.elab_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1), "{name}: {stats:?}");
     }
 }
