@@ -4,7 +4,6 @@
 //! measured against a wrong Pareto set.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use prophet_bench::trajectory::Trajectory;
 use prophet_core::{Backend, Session};
 use prophet_opt::{Constraints, OptimizeRequest, OptimizeSession};
 use prophet_workloads::models::jacobi_model;
@@ -84,27 +83,6 @@ fn bench_opt(c: &mut Criterion) {
         b.iter(|| session.optimize_brute_force(&req).unwrap())
     });
     group.finish();
-
-    // Trajectory snapshot (BENCH_opt.json under PROPHET_BENCH_WRITE=1):
-    // warm searches/sec through each path, plus the lattice coverage
-    // ratio so the pruning win is visible in the curve, not only in
-    // the wall-clock ratio.
-    let mut trajectory = Trajectory::new("opt");
-    trajectory.measure("lazy_optimize_searches_per_sec", 8, || {
-        for _ in 0..8 {
-            std::hint::black_box(session.optimize(&req).unwrap());
-        }
-    });
-    trajectory.measure("brute_force_searches_per_sec", 8, || {
-        for _ in 0..8 {
-            std::hint::black_box(session.optimize_brute_force(&req).unwrap());
-        }
-    });
-    trajectory.record(
-        "lattice_fraction_evaluated",
-        lazy.oracle_evals as f64 / lazy.grid_size as f64,
-    );
-    trajectory.write_if_requested();
 }
 
 criterion_group!(benches, bench_opt);

@@ -8,15 +8,11 @@
 //! digest routing, not just a timing.
 //!
 //! The timed sections compare routed vs direct throughput (the
-//! router's forwarding overhead) and the aggregated-metrics fan-out;
-//! the trajectory additionally records routed throughput *while the
-//! fleet is live-reshaped* (a third shard joining and leaving through
-//! `POST /v1/shards` mid-burst), so the rebalance overhead is visible
-//! as its own curve. Run with `PROPHET_BENCH_WRITE=1` to refresh the
-//! committed `BENCH_router.json` perf-trajectory file.
+//! router's forwarding overhead) and the aggregated-metrics fan-out.
+//! Between them, bursts keep answering 200 while a third shard joins
+//! and leaves through `POST /v1/shards` mid-burst.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use prophet_bench::trajectory::Trajectory;
 use prophet_router::{start, RouterConfig};
 use prophet_serve::client::{self, Connection};
 use prophet_serve::json::Json;
@@ -160,24 +156,6 @@ fn bench_router(c: &mut Criterion) {
     });
     group.finish();
 
-    // Perf trajectory: routed requests/sec (measured before any direct
-    // traffic), written to BENCH_router.json when PROPHET_BENCH_WRITE=1.
-    const TRAJECTORY_ROUNDS: u64 = 8;
-    let mut trajectory = Trajectory::new("router");
-    trajectory.measure("routed_estimate", TRAJECTORY_ROUNDS * requests, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            hammer_estimates(addr);
-        }
-    });
-    trajectory.measure("aggregated_metrics", TRAJECTORY_ROUNDS, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            assert_eq!(
-                client::get(addr, "/v1/metrics").expect("metrics").status,
-                200
-            );
-        }
-    });
-
     // However hard the fleet was hammered through the router, digest
     // pinning held: still exactly one compile per model across both
     // shards.
@@ -188,14 +166,11 @@ fn bench_router(c: &mut Criterion) {
         "digest pinning must survive sustained load: {metrics}"
     );
 
-    // Live-join trajectory: routed throughput while the fleet is being
-    // reshaped. Each round fires one membership mutation (a third shard
-    // alternately joining and leaving through POST /v1/shards) *while*
-    // the client burst runs, so the measured rate pays for the epoch
-    // swap and the warm-before/evict-after handoff — the rebalance
-    // overhead is the gap to `routed_estimate` in BENCH_router.json.
-    // (Runs after the strict pinning assert above: handoff primes are
-    // legitimate extra compiles.)
+    // Live reshaping: each round fires one membership mutation (a third
+    // shard alternately joining and leaving through POST /v1/shards)
+    // *while* a client burst runs through the epoch swap and the
+    // warm-before/evict-after handoff. (Runs after the strict pinning
+    // assert above: handoff primes are legitimate extra compiles.)
     let shard_c = serve(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: SHARD_WORKERS,
@@ -203,25 +178,18 @@ fn bench_router(c: &mut Criterion) {
     })
     .expect("bind shard c");
     let joiner = shard_c.addr().to_string();
-    trajectory.measure(
-        "routed_estimate_live_join",
-        TRAJECTORY_ROUNDS * requests,
-        || {
-            for round in 0..TRAJECTORY_ROUNDS {
-                let verb = if round % 2 == 0 { "add" } else { "remove" };
-                std::thread::scope(|scope| {
-                    let joiner = &joiner;
-                    scope.spawn(move || {
-                        let body =
-                            Json::object([(verb, Json::Array(vec![Json::from(joiner.clone())]))]);
-                        let r = client::post(addr, "/v1/shards", &body).expect("reconfigure");
-                        assert_eq!(r.status, 200, "live {verb}: {}", r.body);
-                    });
-                    hammer_estimates(addr);
-                });
-            }
-        },
-    );
+    for round in 0..8 {
+        let verb = if round % 2 == 0 { "add" } else { "remove" };
+        std::thread::scope(|scope| {
+            let joiner = &joiner;
+            scope.spawn(move || {
+                let body = Json::object([(verb, Json::Array(vec![Json::from(joiner.clone())]))]);
+                let r = client::post(addr, "/v1/shards", &body).expect("reconfigure");
+                assert_eq!(r.status, 200, "live {verb}: {}", r.body);
+            });
+            hammer_estimates(addr);
+        });
+    }
     // An even number of alternating add/remove rounds settles the fleet
     // back on the two founding shards, with every mid-swap request
     // answered 200 (hammer_estimates asserts).
@@ -242,14 +210,6 @@ fn bench_router(c: &mut Criterion) {
         b.iter(|| hammer_estimates(shard_a.addr()))
     });
     group.finish();
-    trajectory.measure("direct_estimate", TRAJECTORY_ROUNDS * requests, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            hammer_estimates(shard_a.addr());
-        }
-    });
-    if let Some(path) = trajectory.write_if_requested() {
-        println!("wrote {}", path.display());
-    }
 
     router.shutdown();
     shard_a.shutdown();

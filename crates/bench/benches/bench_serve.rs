@@ -9,11 +9,9 @@
 //!
 //! The CI smoke run of this bench (tiny `PROPHET_BENCH_BUDGET_MS`) is
 //! therefore a wire-level guard on session-pool reuse, not just a
-//! timing. Run with `PROPHET_BENCH_WRITE=1` to refresh the committed
-//! `BENCH_serve.json` perf-trajectory file.
+//! timing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use prophet_bench::trajectory::Trajectory;
 use prophet_serve::client::{self, Connection};
 use prophet_serve::json::Json;
 use prophet_serve::server::{serve, ServerConfig};
@@ -145,29 +143,6 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| hammer_get(addr, "/v1/metrics"))
     });
     group.finish();
-
-    // Perf trajectory: requests/sec over keep-alive connections,
-    // written to BENCH_serve.json when PROPHET_BENCH_WRITE=1.
-    const TRAJECTORY_ROUNDS: u64 = 8;
-    let mut trajectory = Trajectory::new("serve");
-    trajectory.measure("estimate_keepalive", TRAJECTORY_ROUNDS * requests, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            hammer(addr, &estimate_body(8), "/v1/estimate");
-        }
-    });
-    trajectory.measure("sweep4_keepalive", TRAJECTORY_ROUNDS * requests, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            hammer(addr, &sweep_body(), "/v1/sweep");
-        }
-    });
-    trajectory.measure("metrics_keepalive", TRAJECTORY_ROUNDS * requests, || {
-        for _ in 0..TRAJECTORY_ROUNDS {
-            hammer_get(addr, "/v1/metrics");
-        }
-    });
-    if let Some(path) = trajectory.write_if_requested() {
-        println!("wrote {}", path.display());
-    }
 
     // However much the timed sections hammered, the pool never compiled
     // a second session for the same model.

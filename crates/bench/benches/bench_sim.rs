@@ -2,7 +2,11 @@
 //! CSIM-substitute kernel on an M/M/c facility workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use prophet_bench::random::Stream;
 use prophet_sim::{Action, Config, FacilityId, ProcCtx, Process, Resumed, Simulator};
+
+/// The master seed the kernel's default configuration used to carry.
+const SEED: u64 = 0x5EED;
 
 struct Worker {
     cpu: FacilityId,
@@ -11,14 +15,14 @@ struct Worker {
 }
 
 impl Process for Worker {
-    fn resume(&mut self, ctx: &mut ProcCtx<'_>, why: Resumed) -> Action {
+    fn resume(&mut self, _ctx: &mut ProcCtx<'_>, why: Resumed) -> Action {
         match why {
             Resumed::Start | Resumed::UseDone(_) => {
                 if self.left == 0 {
                     return Action::Terminate;
                 }
                 self.left -= 1;
-                let mut rng = ctx.random_stream(&self.stream);
+                let mut rng = Stream::derive(SEED, &self.stream);
                 Action::Use(self.cpu, rng.exponential(0.1))
             }
             _ => Action::Terminate,

@@ -4,7 +4,6 @@
 //! flatten-once elaboration cache vs per-evaluation elaboration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use prophet_bench::trajectory::Trajectory;
 use prophet_core::{
     flatten_invocations, mpi_grid, transform_invocations, Backend, Session, SweepConfig, SweepPoint,
 };
@@ -27,8 +26,8 @@ fn bench_sweep(c: &mut Criterion) {
 
     // Guard the compile-once contract before timing anything: a 64-point
     // sweep through a Session performs check + transform exactly once
-    // (one `to_cpp` + one `to_program`, both at compile time — zero more
-    // during the sweep, however many points it has). The transform
+    // (one `to_program`, at compile time — zero more during the sweep,
+    // however many points it has). The transform
     // counter is thread-local, so run this guard sweep with `threads: 1`:
     // every evaluation then happens on this thread and any re-transform
     // would be counted here.
@@ -45,8 +44,8 @@ fn bench_sweep(c: &mut Criterion) {
     assert_eq!(report.failures(), 0);
     assert_eq!(
         transform_invocations() - before,
-        2,
-        "session sweep must transform exactly once per backend"
+        1,
+        "session sweep must transform exactly once"
     );
 
     // Guard the flatten-once elaboration contract (the CI smoke run of
@@ -131,43 +130,15 @@ fn bench_sweep(c: &mut Criterion) {
     group.bench_function("elab_uncached", |b| b.iter(|| sweep_4_times(true)));
     group.finish();
 
-    // Trajectory snapshot (BENCH_sweep.json under PROPHET_BENCH_WRITE=1):
-    // warm sweep throughput through each dispatch path.
+    // Every dispatch path sweeps the 64-point grid without a failure.
     let analytic_serial = SweepConfig {
         threads: 1,
         backend: Backend::Analytic,
         ..Default::default()
     };
-    assert_eq!(
-        session
-            .sweep_with(&big, &analytic_serial, |_, _| {})
-            .failures(),
-        0
-    ); // warm: elab cache + BatchProgram compilation
-    let mut trajectory = Trajectory::new("sweep");
-    let n = big.len() as u64;
-    trajectory.measure("sim_sweep_serial_64pt_points_per_sec", n, || {
-        assert_eq!(session.sweep_with(&big, &serial, |_, _| {}).failures(), 0);
-    });
-    trajectory.measure("sim_sweep_parallel_64pt_points_per_sec", n, || {
-        assert_eq!(session.sweep_with(&big, &parallel, |_, _| {}).failures(), 0);
-    });
-    trajectory.measure("analytic_batch_sweep_64pt_points_per_sec", n * 8, || {
-        for _ in 0..8 {
-            assert_eq!(
-                session
-                    .sweep_with(&big, &analytic_serial, |_, _| {})
-                    .failures(),
-                0
-            );
-        }
-    });
-    trajectory.measure(
-        "elab_cached_8pt_x4_points_per_sec",
-        (grid8.len() * 4) as u64,
-        || sweep_4_times(false),
-    );
-    trajectory.write_if_requested();
+    for config in [&serial, &parallel, &analytic_serial] {
+        assert_eq!(session.sweep_with(&big, config, |_, _| {}).failures(), 0);
+    }
 }
 
 criterion_group!(benches, bench_sweep);

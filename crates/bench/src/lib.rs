@@ -1,10 +1,9 @@
 //! Shared helpers for the benchmark harness: synthetic model generators
 //! sized by element count, used by the transformation/checker/traverser
-//! scaling benches, plus the
-//! [`trajectory`] recorder behind the committed `BENCH_*.json`
-//! perf-trajectory files.
+//! scaling benches, plus the named [`random`] streams the DES benches
+//! and queueing tests sample service times from.
 
-pub mod trajectory;
+pub mod random;
 
 use prophet_uml::{Model, ModelBuilder, VarType};
 

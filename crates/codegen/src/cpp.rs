@@ -113,9 +113,9 @@ pub fn generate_cpp(model: &Model) -> Result<CppUnit, CodegenError> {
     for v in model.globals() {
         match &v.init {
             Some(init) => {
-                globals.push_str(&format!("{} {} = {};\n", v.var_type.cpp(), v.name, init))
+                globals.push_str(&format!("{} {} = {};\n", v.var_type.name(), v.name, init))
             }
-            None => globals.push_str(&format!("{} {};\n", v.var_type.cpp(), v.name)),
+            None => globals.push_str(&format!("{} {};\n", v.var_type.name(), v.name)),
         }
     }
 
@@ -148,9 +148,9 @@ pub fn generate_cpp(model: &Model) -> Result<CppUnit, CodegenError> {
         for v in &locals {
             match &v.init {
                 Some(init) => {
-                    program.push_str(&format!("  {} {} = {};\n", v.var_type.cpp(), v.name, init))
+                    program.push_str(&format!("  {} {} = {};\n", v.var_type.name(), v.name, init))
                 }
-                None => program.push_str(&format!("  {} {};\n", v.var_type.cpp(), v.name)),
+                None => program.push_str(&format!("  {} {};\n", v.var_type.name(), v.name)),
             }
         }
     }

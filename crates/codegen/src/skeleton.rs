@@ -33,8 +33,8 @@ pub fn generate_skeleton(model: &Model) -> Result<String, CodegenError> {
     // Globals.
     for v in model.globals() {
         match &v.init {
-            Some(init) => out.push_str(&format!("{} {} = {};\n", v.var_type.cpp(), v.name, init)),
-            None => out.push_str(&format!("{} {};\n", v.var_type.cpp(), v.name)),
+            Some(init) => out.push_str(&format!("{} {} = {};\n", v.var_type.name(), v.name, init)),
+            None => out.push_str(&format!("{} {};\n", v.var_type.name(), v.name)),
         }
     }
     out.push('\n');
@@ -61,11 +61,11 @@ pub fn generate_skeleton(model: &Model) -> Result<String, CodegenError> {
         match &v.init {
             Some(init) => out.push_str(&format!(
                 "    {} {} = {};\n",
-                v.var_type.cpp(),
+                v.var_type.name(),
                 v.name,
                 init
             )),
-            None => out.push_str(&format!("    {} {} = 0;\n", v.var_type.cpp(), v.name)),
+            None => out.push_str(&format!("    {} {} = 0;\n", v.var_type.name(), v.name)),
         }
     }
     let flow = build_flow_tree(model, model.main_diagram()).map_err(CodegenError)?;

@@ -50,7 +50,10 @@
 //!
 //! // Check + transform happen here, exactly once.
 //! let session = Session::new(b.build())?;
-//! assert!(session.cpp().program.contains("work.execute"));
+//!
+//! // The C++ PMP is generated where it is emitted, from the model.
+//! let cpp = prophet_core::to_cpp(session.model())?;
+//! assert!(cpp.program.contains("work.execute"));
 //!
 //! // One scenario...
 //! let run = session.evaluate(&Scenario::new(SystemParams::flat_mpi(2, 1)))?;

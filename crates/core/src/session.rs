@@ -7,10 +7,11 @@
 //! large portions of an implemented program"). [`Session`] makes that
 //! split explicit:
 //!
-//! * **compile** — [`Session::compile`] runs the model checker and both
-//!   transformation backends exactly once and owns the immutable
-//!   artifacts (the executable [`Program`] IR, the C++ [`CppUnit`], the
-//!   check diagnostics),
+//! * **compile** — [`Session::compile`] runs the model checker and the
+//!   Program IR transformation exactly once and owns the immutable
+//!   artifacts (the executable [`Program`] IR and the check
+//!   diagnostics); the C++ PMP is generated only where it is emitted,
+//!   by [`to_cpp`](crate::transform::to_cpp) on [`Session::model`],
 //! * **serve** — [`Session::evaluate`] answers one [`Scenario`];
 //!   [`Session::sweep`] fans an SP grid out over scoped worker threads;
 //!   [`Session::batch`] does the same for heterogeneous scenario sets
@@ -29,9 +30,8 @@
 //! [`Session::sweep_with`] / [`Session::batch_with`].
 
 use crate::error::Error;
-use crate::transform::{to_cpp, to_program};
+use crate::transform::to_program;
 use prophet_check::{check_model, Diagnostic, McfConfig};
-use prophet_codegen::CppUnit;
 use prophet_estimator::{
     Backend, BatchScratch, ElabStats, ElaborationCache, Estimator, EstimatorOptions, Evaluation,
     Program,
@@ -202,7 +202,6 @@ pub struct Session {
     model: Model,
     mcf: McfConfig,
     diagnostics: Vec<Diagnostic>,
-    cpp: CppUnit,
     program: Program,
     /// Memoized elaborations of this session's program, shared by every
     /// serve entry point (and by clones of this session — a clone
@@ -223,13 +222,13 @@ const _: () = {
 };
 
 impl Session {
-    /// Check `model` under `mcf` and transform it to both machine
-    /// representations. This is the only place in the new API that pays
-    /// the check + transform cost.
+    /// Check `model` under `mcf` and transform it to the executable
+    /// Program IR. This is the only place in the new API that pays the
+    /// check + transform cost.
     ///
     /// # Errors
     /// [`Error::Check`] when the checker finds error-severity findings,
-    /// [`Error::Transform`] when either backend rejects the model.
+    /// [`Error::Transform`] when the transformation rejects the model.
     pub fn compile(model: Model, mcf: McfConfig) -> Result<Self, Error> {
         let diagnostics = check_model(&model, &mcf);
         if diagnostics.iter().any(Diagnostic::is_error) {
@@ -240,13 +239,11 @@ impl Session {
                     .collect(),
             ));
         }
-        let cpp = to_cpp(&model)?;
         let program = to_program(&model)?;
         Ok(Self {
             model,
             mcf,
             diagnostics,
-            cpp,
             program,
             elab: Arc::new(ElaborationCache::new()),
         })
@@ -261,14 +258,12 @@ impl Session {
         model: Model,
         mcf: McfConfig,
         diagnostics: Vec<Diagnostic>,
-        cpp: CppUnit,
         program: Program,
     ) -> Self {
         Self {
             model,
             mcf,
             diagnostics,
-            cpp,
             program,
             elab: Arc::new(ElaborationCache::new()),
         }
@@ -297,11 +292,6 @@ impl Session {
     /// All compile-time diagnostics (warnings included).
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
-    }
-
-    /// The generated C++ PMP.
-    pub fn cpp(&self) -> &CppUnit {
-        &self.cpp
     }
 
     /// The executable IR.
@@ -778,6 +768,7 @@ mod tests {
             s1.evaluate(&scenario).unwrap().predicted_time,
             s2.evaluate(&scenario).unwrap().predicted_time
         );
-        assert_eq!(s1.cpp().model_text(), s2.cpp().model_text());
+        let cpp = |s: &Session| crate::transform::to_cpp(s.model()).unwrap().model_text();
+        assert_eq!(cpp(&s1), cpp(&s2));
     }
 }

@@ -26,7 +26,6 @@
 //! from the freshly compiled session it was saved from.
 
 use prophet_check::{Diagnostic, Severity};
-use prophet_codegen::CppUnit;
 use prophet_estimator::{ElabEntry, FlattenLimits, MpiOp, PrimOp, Program, RankOps, Step};
 use prophet_expr::{Expr, FunctionDef, Stmt};
 use prophet_machine::{CommParams, SystemParams};
@@ -731,24 +730,6 @@ pub fn get_diagnostics(r: &mut Reader<'_>) -> Result<Vec<Diagnostic>, DecodeErro
         });
     }
     Ok(out)
-}
-
-/// Encode the generated C++ PMP into `w`.
-pub fn put_cpp(w: &mut Writer, cpp: &CppUnit) {
-    w.str(&cpp.model_name);
-    w.str(&cpp.globals);
-    w.str(&cpp.cost_functions);
-    w.str(&cpp.program);
-}
-
-/// Decode the generated C++ PMP from `r`.
-pub fn get_cpp(r: &mut Reader<'_>) -> Result<CppUnit, DecodeError> {
-    Ok(CppUnit {
-        model_name: r.str()?,
-        globals: r.str()?,
-        cost_functions: r.str()?,
-        program: r.str()?,
-    })
 }
 
 // ---------------------------------------------------------------------

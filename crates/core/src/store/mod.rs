@@ -5,17 +5,17 @@
 //! interrogated many times. [`crate::Session`] delivers that within a
 //! process and the serve layer's session pool across connections; this
 //! module extends it across *deployments*: a compiled session — check
-//! diagnostics, generated C++ PMP, executable
-//! [`Program`](prophet_estimator::Program) IR, and
-//! (optionally) pre-flattened per-rank op lists — serializes to a
+//! diagnostics, executable [`Program`](prophet_estimator::Program) IR,
+//! and (optionally) pre-flattened per-rank op lists — serializes to a
 //! content-addressed file, and any later process can warm-start from it,
-//! skipping check, `to_cpp`, and `to_program` entirely.
+//! skipping check and `to_program` entirely.
 //!
 //! * **Addressing.** [`ArtifactKey`] is the same `(model, MCF)` content
 //!   digest pair the serve-layer session pool keys on: FNV-1a over the
-//!   *canonical* XML serializations ([`canonical_model_xml`] — one
-//!   serialize→parse→serialize fixed point — and `McfConfig::to_xml`
-//!   with sorted rule ids). Two spellings of the same model share one
+//!   *canonical* XML serializations (`model_to_xml`, which writes
+//!   element ids as document-order ordinals and so is its own
+//!   parse-and-reserialize fixed point, and `McfConfig::to_xml` with
+//!   sorted rule ids). Two spellings of the same model share one
 //!   artifact, on disk exactly as in memory.
 //! * **Format.** One file per key
 //!   (`pp-<model digest>-<mcf digest>.bin`): a 4-byte magic, a
@@ -65,9 +65,9 @@ static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// On-disk artifact format version. Bump on any payload or header
 /// change: a version mismatch reads as a clean miss (plus eviction),
 /// never as a misdecode. Version 2 persists lean elaborations (no
-/// `Enter`/`Exit` markers); a version-1 artifact's elaborations carry
-/// markers, so it must not seed the lean cache entries.
-pub const FORMAT_VERSION: u32 = 2;
+/// `Enter`/`Exit` markers); version 3 drops the generated C++ unit,
+/// which sessions no longer hold.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Format version of the metrics checkpoints, versioned apart from the
 /// artifacts so an artifact format change keeps lifetime counters.
@@ -118,7 +118,7 @@ impl ArtifactKey {
     /// Key for a `(model, mcf)` pair, by canonical serialization.
     pub fn of(model: &Model, mcf: &McfConfig) -> Self {
         Self {
-            model: fnv1a(canonical_model_xml(model).as_bytes()),
+            model: fnv1a(prophet_uml::xmi::model_to_xml(model).as_bytes()),
             mcf: fnv1a(mcf.to_xml().as_bytes()),
         }
     }
@@ -139,23 +139,6 @@ impl ArtifactKey {
             model: u64::from_str_radix(model, 16).ok()?,
             mcf: u64::from_str_radix(mcf, 16).ok()?,
         })
-    }
-}
-
-/// The canonical serialization of a model: one serialize→parse→serialize
-/// roundtrip. The XMI parser re-assigns element ids in document order,
-/// so a builder-constructed model and its parsed round trip serialize
-/// with different (isomorphic) ids; after one parse the ids *are*
-/// document-ordered and the serialization is a fixed point — pinned by
-/// the serve pool's `canonicalization_is_a_fixed_point` test for every
-/// demo model.
-pub fn canonical_model_xml(model: &Model) -> String {
-    let first = prophet_uml::xmi::model_to_xml(model);
-    match prophet_uml::xmi::model_from_xml(&first) {
-        Ok(reparsed) => prophet_uml::xmi::model_to_xml(&reparsed),
-        // Unserializable models can't happen for checked input, but a
-        // digest must never fail: fall back to the raw serialization.
-        Err(_) => first,
     }
 }
 
@@ -611,8 +594,8 @@ impl ArtifactStore {
 
 impl Session {
     /// [`Session::compile`] with an optional [`ArtifactStore`]: a store
-    /// hit rebuilds the session from disk — skipping check, `to_cpp`
-    /// and `to_program` entirely — and a miss compiles, then writes the
+    /// hit rebuilds the session from disk — skipping check and
+    /// `to_program` entirely — and a miss compiles, then writes the
     /// artifact back for the next process.
     ///
     /// Write-back failures are swallowed (and counted in
@@ -728,10 +711,9 @@ fn decode_metrics(bytes: &[u8]) -> Result<Vec<(String, u64)>, DecodeError> {
 /// (header + payload + checksum).
 fn encode_session(session: &Session) -> Vec<u8> {
     let mut w = Writer::new();
-    codec::put_str(&mut w, &canonical_model_xml(session.model()));
+    codec::put_str(&mut w, &session.model_xml());
     codec::put_str(&mut w, &session.mcf().to_xml());
     codec::put_diagnostics(&mut w, session.diagnostics());
-    codec::put_cpp(&mut w, session.cpp());
     codec::put_program(&mut w, session.program());
     let entries: Vec<_> = session
         .elab_cache()
@@ -784,7 +766,6 @@ fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Result<Session, Decode
     let model_xml = codec::get_str(&mut r)?;
     let mcf_xml = codec::get_str(&mut r)?;
     let diagnostics = codec::get_diagnostics(&mut r)?;
-    let cpp = codec::get_cpp(&mut r)?;
     let program = codec::get_program(&mut r)?;
     let entry_count = codec::get_count(&mut r, 92)?;
     let mut entries = Vec::with_capacity(entry_count);
@@ -799,8 +780,8 @@ fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Result<Session, Decode
     // spellings, so the digests recompute directly over the stored
     // bytes; the fixed-point checks below then pin that the stored
     // spelling really is the canonical serialization of what it parses
-    // to (together equivalent to re-running `ArtifactKey::of`, without
-    // paying its serialize→parse→serialize on every load).
+    // to (together equivalent to re-running `ArtifactKey::of` on the
+    // decoded model and MCF).
     if fnv1a(model_xml.as_bytes()) != expected.model || fnv1a(mcf_xml.as_bytes()) != expected.mcf {
         return fail("content digest disagrees with the entry's key");
     }
@@ -815,7 +796,7 @@ fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Result<Session, Decode
         return fail("stored MCF XML is not canonical");
     }
 
-    let session = Session::from_parts(model, mcf, diagnostics, cpp, program);
+    let session = Session::from_parts(model, mcf, diagnostics, program);
     for entry in entries {
         session
             .elab_cache()
@@ -930,10 +911,9 @@ mod tests {
 
         let key = store.save_session(&session).unwrap();
         let loaded = store.load_session(key).expect("hit");
-        assert_eq!(loaded.cpp().model_text(), session.cpp().model_text());
         assert_eq!(loaded.program(), session.program());
         assert_eq!(loaded.diagnostics().len(), session.diagnostics().len());
-        assert_eq!(loaded.model_xml(), canonical_model_xml(session.model()));
+        assert_eq!(loaded.model_xml(), session.model_xml());
 
         // The persisted elaboration is seeded: the first evaluation is
         // a pure cache hit and agrees bit for bit.

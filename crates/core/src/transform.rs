@@ -16,12 +16,13 @@ use std::fmt;
 thread_local! {
     /// Per-thread count of structural transformations performed (both
     /// backends). The compile-once [`crate::Session`] contract is
-    /// observable through this: a session adds exactly two (one
-    /// `to_cpp`, one `to_program`) no matter how many scenarios it
-    /// evaluates. Benches and tests assert on deltas of this counter;
-    /// it is thread-local so concurrently running tests cannot perturb
-    /// each other's deltas — measure on the thread that compiles and
-    /// evaluates (e.g. a `threads: 1` sweep).
+    /// observable through this: a session adds exactly one (its
+    /// `to_program`; the C++ backend runs only where C++ is emitted) no
+    /// matter how many scenarios it evaluates. Benches and tests assert
+    /// on deltas of this counter; it is thread-local so concurrently
+    /// running tests cannot perturb each other's deltas — measure on
+    /// the thread that compiles and evaluates (e.g. a `threads: 1`
+    /// sweep).
     static TRANSFORM_INVOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 

@@ -910,9 +910,8 @@ mod tests {
     fn repeated_keys_keep_one_recipe() {
         let a = shard();
         let router = router(vec![a.addr()]);
-        let xml = prophet_core::store::canonical_model_xml(
-            &prophet_serve::api::demo_model("sample").unwrap(),
-        );
+        let sample = prophet_serve::api::demo_model("sample").unwrap();
+        let xml = prophet_core::Session::new(sample).unwrap().model_xml();
         let inline = Json::object([("model", Json::from(xml)), ("nodes", Json::from(2usize))]);
         for round in 0..8 {
             let body = if round % 2 == 0 {

@@ -132,8 +132,7 @@ pub fn demo_models() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// A bundled demo model, normalized once per process, with its content
-/// key under the default MCF.
+/// A bundled demo model with its content key under the default MCF.
 struct Bundled {
     name: &'static str,
     model: Model,
@@ -142,9 +141,8 @@ struct Bundled {
 
 /// The bundled model table, built on first use.
 ///
-/// Models are handed out pre-normalized (already through one
-/// serialize→parse roundtrip), and each carries its content key, so a
-/// `model_name` request derives no key at all.
+/// Each model carries its content key, so a `model_name` request derives
+/// no key at all.
 fn bundled(name: &str) -> Option<&'static Bundled> {
     static CACHE: OnceLock<Vec<Bundled>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| {
@@ -165,8 +163,6 @@ fn bundled(name: &str) -> Option<&'static Bundled> {
         ]
         .into_iter()
         .map(|(name, model)| {
-            let model = prophet_uml::xmi::model_from_xml(&prophet_uml::xmi::model_to_xml(&model))
-                .expect("bundled models roundtrip");
             let key = ArtifactKey::of(&model, &McfConfig::default());
             Bundled { name, model, key }
         })
@@ -175,7 +171,7 @@ fn bundled(name: &str) -> Option<&'static Bundled> {
     cache.iter().find(|b| b.name == name)
 }
 
-/// A bundled demo model by name (a clone of the normalized table entry).
+/// A bundled demo model by name (a clone of the table entry).
 pub fn demo_model(name: &str) -> Option<Model> {
     bundled(name).map(|b| b.model.clone())
 }

@@ -16,7 +16,8 @@
 //!   by `(model digest, MCF digest)` content hashes, compiled on first
 //!   request, shared by every connection and worker thread afterwards.
 //!   **Why reuse is cheap:** a pooled hit skips parse → check →
-//!   `to_cpp` → `to_program` entirely, and lands on the session's
+//!   `to_program` entirely (no service path emits C++, so none runs
+//!   `to_cpp`), and lands on the session's
 //!   elaboration cache, so a repeated estimate pays one intern-table
 //!   lookup plus the evaluation itself (see the elab-cache docs in
 //!   `prophet_estimator::elab` for the keying and memory bounds).

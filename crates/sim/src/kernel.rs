@@ -9,7 +9,6 @@
 use crate::calendar::BinaryHeapCalendar;
 use crate::facility::{Facility, FacilityStats};
 use crate::mailbox::{Mailbox, Msg};
-use crate::random::RandomStream;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -69,8 +68,6 @@ pub trait Process {
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Master random seed; all named streams derive from it.
-    pub seed: u64,
     /// Hard cap on processed events (runaway guard).
     pub max_events: u64,
 }
@@ -78,7 +75,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Self {
-            seed: 0x5EED,
             max_events: 100_000_000,
         }
     }
@@ -510,11 +506,6 @@ impl<'a> ProcCtx<'a> {
             Err(e) => self.sim.fail(e),
         }
     }
-
-    /// A named reproducible random stream (derived from the master seed).
-    pub fn random_stream(&self, name: &str) -> RandomStream {
-        RandomStream::derive(self.sim.config.seed, name)
-    }
 }
 
 /// Convenience: run a list of simple closure-driven processes. Each entry
@@ -778,11 +769,7 @@ mod tests {
 
     #[test]
     fn event_limit_guard() {
-        let config = Config {
-            max_events: 10,
-            ..Config::default()
-        };
-        let mut sim = Simulator::new(config);
+        let mut sim = Simulator::new(Config { max_events: 10 });
         struct Spinner;
         impl Process for Spinner {
             fn resume(&mut self, _ctx: &mut ProcCtx<'_>, _why: Resumed) -> Action {
@@ -846,27 +833,37 @@ mod tests {
         fn run_once() -> (f64, u64) {
             let mut sim = Simulator::new(Config::default());
             let cpu = sim.add_facility("cpu", 2);
-            struct Noisy {
+            // Eight processes with distinct service times contend for
+            // two servers, so the run is full of same-time ties.
+            struct Staggered {
                 cpu: FacilityId,
+                service: f64,
                 left: u32,
             }
-            impl Process for Noisy {
-                fn resume(&mut self, ctx: &mut ProcCtx<'_>, why: Resumed) -> Action {
+            impl Process for Staggered {
+                fn resume(&mut self, _ctx: &mut ProcCtx<'_>, why: Resumed) -> Action {
                     match why {
                         Resumed::Start | Resumed::UseDone(_) => {
                             if self.left == 0 {
                                 return Action::Terminate;
                             }
                             self.left -= 1;
-                            let mut rng = ctx.random_stream(&format!("noise-{}", ctx.name()));
-                            Action::Use(self.cpu, rng.exponential(0.3))
+                            Action::Use(self.cpu, self.service)
                         }
                         other => panic!("unexpected {other:?}"),
                     }
                 }
             }
             for i in 0..8 {
-                sim.spawn(&format!("n{i}"), Box::new(Noisy { cpu, left: 20 }));
+                let service = 0.1 * (1 + i % 3) as f64;
+                sim.spawn(
+                    &format!("n{i}"),
+                    Box::new(Staggered {
+                        cpu,
+                        service,
+                        left: 20,
+                    }),
+                );
             }
             let r = sim.run().unwrap();
             (r.end_time, r.events_processed)

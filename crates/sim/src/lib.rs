@@ -32,8 +32,10 @@
 //! ## Determinism
 //!
 //! Runs are reproducible bit-for-bit: the event calendar breaks time ties
-//! by insertion sequence, queues are FIFO, and all randomness comes from
-//! named [`random::RandomStream`]s derived from the configured seed.
+//! by insertion sequence, queues are FIFO, and the kernel draws no random
+//! numbers. A process that wants stochastic service times samples them
+//! itself (the M/M/c validation in `tests/queueing.rs` does); the
+//! estimator's processes are deterministic.
 //!
 //! ## Quickstart
 //!
@@ -61,7 +63,6 @@ pub mod calendar;
 pub mod facility;
 pub mod kernel;
 pub mod mailbox;
-pub mod random;
 pub mod stats;
 pub mod time;
 
@@ -72,6 +73,5 @@ pub use kernel::{
     SimReport, Simulator,
 };
 pub use mailbox::{Mailbox, Msg};
-pub use random::RandomStream;
 pub use stats::{Tally, TimeWeighted};
 pub use time::SimTime;

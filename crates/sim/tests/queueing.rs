@@ -1,13 +1,24 @@
 //! Analytic validation of the DES engine against M/M/1 and M/M/c queueing
 //! theory. If the facility/queue machinery is correct, simulated
 //! utilizations and queue lengths must converge to the closed-form values.
+//!
+//! The kernel draws no random numbers, so the generator samples its own
+//! interarrival and service times from named streams derived from the
+//! run's seed.
+
+// The benches' sampler, shared by path: the kernel crate cannot depend
+// on the bench harness.
+#[path = "../../bench/src/random.rs"]
+mod random;
 
 use prophet_sim::{Action, Config, FacilityId, Msg, ProcCtx, Process, Resumed, Simulator};
+use random::Stream;
 
 /// Open M/M/c system: a generator spawns customers with exponential
 /// interarrival times; each customer uses one of `c` servers for an
 /// exponential service time.
 struct Generator {
+    seed: u64,
     cpu: FacilityId,
     mean_interarrival: f64,
     mean_service: f64,
@@ -33,14 +44,10 @@ impl Process for Generator {
     fn resume(&mut self, ctx: &mut ProcCtx<'_>, _why: Resumed) -> Action {
         if self.started && self.remaining > 0 {
             self.remaining -= 1;
-            let mut svc = ctx.random_stream("service");
-            // Advance the service stream to a unique position per customer:
-            // streams are derived per name, so embed the customer index.
-            let service = {
-                let mut s = ctx.random_stream(&format!("svc-{}", self.remaining));
-                let _ = &mut svc;
-                s.exponential(self.mean_service)
-            };
+            // Streams are derived per name, so embed the customer index
+            // to give each customer its own service-time stream.
+            let service = Stream::derive(self.seed, &format!("svc-{}", self.remaining))
+                .exponential(self.mean_service);
             ctx.spawn(
                 &format!("cust-{}", self.remaining),
                 Box::new(Customer {
@@ -53,7 +60,7 @@ impl Process for Generator {
         if self.remaining == 0 {
             return Action::Terminate;
         }
-        let mut arr = ctx.random_stream(&format!("arr-{}", self.remaining));
+        let mut arr = Stream::derive(self.seed, &format!("arr-{}", self.remaining));
         Action::Hold(arr.exponential(self.mean_interarrival))
     }
 }
@@ -65,14 +72,12 @@ fn run_mmc(
     customers: u32,
     seed: u64,
 ) -> prophet_sim::SimReport {
-    let mut sim = Simulator::new(Config {
-        seed,
-        ..Default::default()
-    });
+    let mut sim = Simulator::new(Config::default());
     let cpu = sim.add_facility("server", servers);
     sim.spawn(
         "generator",
         Box::new(Generator {
+            seed,
             cpu,
             mean_interarrival: 1.0 / lambda,
             mean_service: 1.0 / mu,

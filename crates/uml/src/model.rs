@@ -174,8 +174,8 @@ pub enum VarType {
 }
 
 impl VarType {
-    /// C++ spelling.
-    pub fn cpp(&self) -> &'static str {
+    /// The type's name, as C++ and the model XML spell it.
+    pub fn name(&self) -> &'static str {
         match self {
             VarType::Int => "int",
             VarType::Double => "double",
@@ -511,7 +511,7 @@ mod tests {
         });
         assert_eq!(m.globals().count(), 1);
         assert_eq!(m.locals().count(), 1);
-        assert_eq!(m.globals().next().unwrap().var_type.cpp(), "int");
+        assert_eq!(m.globals().next().unwrap().var_type.name(), "int");
     }
 
     #[test]

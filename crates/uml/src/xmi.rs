@@ -10,12 +10,17 @@ use crate::traverse::{ContentHandler, ExplicitStackNavigator, Traverser, VisitPh
 use prophet_xml::{Document, Element as XmlElement, XmlError, XmlResult};
 
 /// Serialize a model to an XML document string.
+///
+/// Element ids, and the `from`/`to` of every `flow`, are written as
+/// document-order ordinals: exactly the ids [`model_from_xml`] assigns.
+/// The output therefore does not depend on the model's arena numbering,
+/// and parsing it and serializing again reproduces it byte for byte —
+/// one serialization is the canonical form that content keys digest.
 pub fn model_to_xml(model: &Model) -> String {
-    let mut handler = XmlContentHandler::new();
+    let mut handler = XmlContentHandler::default();
     let mut nav = ExplicitStackNavigator::new(model.main_diagram());
     Traverser::new().traverse(model, &mut nav, &mut handler);
-    let root = handler.finish(model);
-    Document::with_root(root).to_xml_string()
+    Document::with_root(handler.finish(model)).to_xml_string()
 }
 
 /// Parse a model from XML produced by [`model_to_xml`].
@@ -24,26 +29,22 @@ pub fn model_from_xml(xml: &str) -> XmlResult<Model> {
     read_model(&doc.root)
 }
 
-/// A [`ContentHandler`] that builds the XML tree during traversal —
+/// A [`ContentHandler`] that lays out the XML document during traversal —
 /// the "generation of different model representations (XML and C++)"
 /// responsibility of the Model Traverser.
+///
+/// Each diagram is one `<diagram>` element, written in the order the
+/// traversal leaves it: a composite's body precedes the diagram that
+/// holds the composite. Element ids are ordinals in that document order,
+/// so the tree is built once the order is known, in [`Self::finish`].
+#[derive(Default)]
 struct XmlContentHandler {
-    /// Stack of open `<diagram>` XML elements.
-    stack: Vec<XmlElement>,
-    /// Finished top-level diagram elements in traversal order.
-    diagrams: Vec<XmlElement>,
+    /// Diagrams in document order.
+    diagrams: Vec<DiagramId>,
 }
 
 impl XmlContentHandler {
-    fn new() -> Self {
-        Self {
-            stack: Vec::new(),
-            diagrams: Vec::new(),
-        }
-    }
-
-    fn finish(mut self, model: &Model) -> XmlElement {
-        assert!(self.stack.is_empty(), "unbalanced diagram traversal");
+    fn finish(self, model: &Model) -> XmlElement {
         let mut root = XmlElement::new("model").with_attr("name", model.name.clone());
         root.set_attr("profile", model.profile.name.clone());
 
@@ -51,7 +52,7 @@ impl XmlContentHandler {
         for v in &model.variables {
             let mut ve = XmlElement::new("variable")
                 .with_attr("name", v.name.clone())
-                .with_attr("type", v.var_type.cpp())
+                .with_attr("type", v.var_type.name())
                 .with_attr(
                     "scope",
                     match v.scope {
@@ -77,16 +78,54 @@ impl XmlContentHandler {
         }
         root.push_element(funcs);
 
-        for d in self.diagrams.drain(..) {
-            root.push_element(d);
+        // Document-order ordinal of each element, by arena index. An
+        // edge end outside the document (which the checker rejects,
+        // PP004) is numbered after it, so it never aliases a written
+        // element.
+        let mut ordinals = vec![usize::MAX; model.element_count()];
+        let mut next = 0;
+        for &did in &self.diagrams {
+            for eid in &model.diagram(did).nodes {
+                ordinals[eid.0] = next;
+                next += 1;
+            }
+        }
+        let mut ordinal = |eid: ElementId| {
+            if ordinals[eid.0] == usize::MAX {
+                ordinals[eid.0] = next;
+                next += 1;
+            }
+            ordinals[eid.0].to_string()
+        };
+
+        let mut id = 0;
+        for &did in &self.diagrams {
+            let d = model.diagram(did);
+            let mut de = XmlElement::new("diagram").with_attr("name", d.name.clone());
+            for &eid in &d.nodes {
+                de.push_element(Self::element_to_xml(model, eid, id));
+                id += 1;
+            }
+            let mut edges = XmlElement::new("edges");
+            for Edge { from, to, guard } in &d.edges {
+                let mut ee = XmlElement::new("flow")
+                    .with_attr("from", ordinal(*from))
+                    .with_attr("to", ordinal(*to));
+                if let Some(g) = guard {
+                    ee.set_attr("guard", g.clone());
+                }
+                edges.push_element(ee);
+            }
+            de.push_element(edges);
+            root.push_element(de);
         }
         root
     }
 
-    fn element_to_xml(model: &Model, eid: ElementId) -> XmlElement {
+    fn element_to_xml(model: &Model, eid: ElementId, id: usize) -> XmlElement {
         let el = model.element(eid);
         let mut xe = XmlElement::new("element")
-            .with_attr("id", eid.0.to_string())
+            .with_attr("id", id.to_string())
             .with_attr("name", el.name.clone())
             .with_attr("kind", el.kind.tag());
         if let NodeKind::CallActivity(sub) = el.kind {
@@ -115,59 +154,11 @@ impl XmlContentHandler {
         xe
     }
 }
-
 impl ContentHandler for XmlContentHandler {
-    fn begin_diagram(&mut self, model: &Model, diagram: DiagramId) {
-        let d = model.diagram(diagram);
-        self.stack
-            .push(XmlElement::new("diagram").with_attr("name", d.name.clone()));
-    }
+    fn visit_element(&mut self, _model: &Model, _element: ElementId, _phase: VisitPhase) {}
 
-    fn visit_element(&mut self, model: &Model, element: ElementId, phase: VisitPhase) {
-        if phase != VisitPhase::Enter {
-            return;
-        }
-        let xe = Self::element_to_xml(model, element);
-        // Composite bodies serialize as *separate* diagrams (the nested
-        // diagram element is pushed onto the stack right after this Enter),
-        // so the element node itself always attaches to the current open
-        // diagram — except that for CallActivity the open diagram is
-        // already the sub one. Attach to the parent instead.
-        match model.element(element).kind {
-            NodeKind::CallActivity(_) => {
-                // The sub-diagram was not opened yet at Enter time; the
-                // navigator opens it immediately after. Safe to attach to
-                // the current top.
-                self.stack
-                    .last_mut()
-                    .expect("open diagram")
-                    .push_element(xe);
-            }
-            _ => {
-                self.stack
-                    .last_mut()
-                    .expect("open diagram")
-                    .push_element(xe);
-            }
-        }
-    }
-
-    fn end_diagram(&mut self, model: &Model, diagram: DiagramId) {
-        let mut top = self.stack.pop().expect("balanced");
-        // Append edges after the nodes.
-        let d = model.diagram(diagram);
-        let mut edges = XmlElement::new("edges");
-        for Edge { from, to, guard } in &d.edges {
-            let mut ee = XmlElement::new("flow")
-                .with_attr("from", from.0.to_string())
-                .with_attr("to", to.0.to_string());
-            if let Some(g) = guard {
-                ee.set_attr("guard", g.clone());
-            }
-            edges.push_element(ee);
-        }
-        top.push_element(edges);
-        self.diagrams.push(top);
+    fn end_diagram(&mut self, _model: &Model, diagram: DiagramId) {
+        self.diagrams.push(diagram);
     }
 }
 
@@ -414,13 +405,11 @@ mod tests {
                 el.name
             );
         }
-        // Arena ids are renumbered on reload (they are arena indices), so
-        // the first re-serialization may differ in `id` attributes only.
-        // After one roundtrip the numbering is canonical: a second
-        // roundtrip must be byte-identical.
-        let xml2 = model_to_xml(&back);
-        let back2 = model_from_xml(&xml2).unwrap();
-        assert_eq!(model_to_xml(&back2), xml2);
+        // The body diagram `SA` is written first but its elements were
+        // created last, so arena ids and document order disagree; ids
+        // are written as document-order ordinals, so the first
+        // re-serialization is already byte-identical.
+        assert_eq!(model_to_xml(&back), xml);
     }
 
     #[test]

@@ -750,8 +750,7 @@ mod tests {
 
     #[test]
     fn sample_model_cpp_matches_figure8_shape() {
-        let session = Session::new(sample_model()).unwrap();
-        let text = session.cpp().model_text();
+        let text = prophet_core::to_cpp(&sample_model()).unwrap().model_text();
         for needle in [
             "int GV = 0;",
             "int P = 4;",

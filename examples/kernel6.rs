@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example kernel6`
 
-use prophet_core::{Scenario, Session};
+use prophet_core::{to_cpp, Scenario, Session};
 use prophet_workloads::lfk::{calibrate_kernel6, kernel6_flops, lfk_kernel6};
 use prophet_workloads::models::kernel6_model;
 use std::time::Instant;
@@ -41,12 +41,8 @@ fn main() {
     let model = kernel6_model(600, 20, cal.seconds_per_flop);
     let session = Session::new(model).expect("compile");
     println!("\nFigure 4(c) shape in generated C++:");
-    for line in session
-        .cpp()
-        .program
-        .lines()
-        .filter(|l| l.contains("kernel6"))
-    {
+    let cpp = to_cpp(session.model()).expect("C++ backend");
+    for line in cpp.program.lines().filter(|l| l.contains("kernel6")) {
         println!("  {}", line.trim());
     }
 

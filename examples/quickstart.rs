@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use prophet_core::{mpi_grid, Backend, Scenario, Session, SweepConfig};
+use prophet_core::{mpi_grid, to_cpp, Backend, Scenario, Session, SweepConfig};
 use prophet_machine::SystemParams;
 use prophet_trace::{render_timeline, TraceAnalysis};
 use prophet_uml::{ModelBuilder, VarType};
@@ -43,7 +43,8 @@ fn main() {
     }
 
     println!("\n=== generated C++ (PMP, Figure 8 shape) ===");
-    println!("{}", session.cpp().model_text());
+    let cpp = to_cpp(session.model()).expect("C++ backend");
+    println!("{}", cpp.model_text());
 
     // --- 3. Evaluate a scenario (the SP of Figure 2). -----------------
     let run = session

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example sample_model`
 
-use prophet_core::{Scenario, Session};
+use prophet_core::{to_cpp, Scenario, Session};
 use prophet_trace::TraceAnalysis;
 use prophet_workloads::models::sample_model;
 
@@ -31,7 +31,8 @@ fn main() {
     }
 
     println!("\n=== Generated C++ (compare with Figure 8) ===");
-    println!("{}", session.cpp().model_text());
+    let cpp = to_cpp(session.model()).expect("C++ backend");
+    println!("{}", cpp.model_text());
 
     let run = session.evaluate(&Scenario::default()).expect("evaluate");
 

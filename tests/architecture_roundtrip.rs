@@ -5,7 +5,7 @@
 //! (machine model from SP, simulation)  →  TF  →  visualization data.
 
 use prophet::check::{check_model, McfConfig};
-use prophet::core::{Scenario, Session};
+use prophet::core::{to_cpp, Scenario, Session};
 use prophet::machine::SystemParams;
 use prophet::trace::{render_timeline, TraceAnalysis, TraceFile};
 use prophet::workloads::models::sample_model;
@@ -27,8 +27,8 @@ fn full_architecture_roundtrip() {
     let session = Session::compile(model_back, mcf).expect("compile");
 
     // PMP generated by the traverser-driven backend.
-    assert!(session
-        .cpp()
+    assert!(to_cpp(session.model())
+        .expect("C++ backend")
         .program
         .contains("a1.execute(uid, pid, tid, FA1());"));
 
@@ -67,7 +67,8 @@ fn xml_and_direct_models_predict_identically() {
     let a = direct.evaluate(&scenario).unwrap();
     let b = via_xml.evaluate(&scenario).unwrap();
     assert_eq!(a.predicted_time, b.predicted_time);
-    assert_eq!(direct.cpp().model_text(), via_xml.cpp().model_text());
+    let cpp = |s: &Session| to_cpp(s.model()).unwrap().model_text();
+    assert_eq!(cpp(&direct), cpp(&via_xml));
     assert_eq!(a.trace.len(), b.trace.len());
 }
 

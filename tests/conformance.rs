@@ -22,7 +22,6 @@
 
 use prophet::core::{Backend, Scenario, Session};
 use prophet::machine::SystemParams;
-use prophet::sim::{Action, Config, FacilityId, ProcCtx, Process, Resumed, Simulator};
 use prophet::uml::Model;
 use prophet::workloads::models::{
     jacobi_model, kernel6_model, lapw0_model, master_worker_model, pipeline_model, sample_model,
@@ -262,43 +261,4 @@ proptest! {
             );
         }
     }
-}
-
-/// The kernel's seed is live: on a *stochastic* process (random service
-/// times drawn from the kernel's seeded streams) one seed reproduces
-/// its end time and another seed changes it. The estimator never draws
-/// from a stream, which is why its predictions need no seed.
-#[test]
-fn simulation_is_seed_sensitive_on_stochastic_models() {
-    struct RandomWork {
-        cpu: FacilityId,
-        jobs: u32,
-    }
-    impl Process for RandomWork {
-        fn resume(&mut self, ctx: &mut ProcCtx<'_>, _why: Resumed) -> Action {
-            if self.jobs == 0 {
-                return Action::Terminate;
-            }
-            self.jobs -= 1;
-            let service = ctx
-                .random_stream(&format!("svc-{}", self.jobs))
-                .exponential(1.0);
-            Action::Use(self.cpu, service)
-        }
-    }
-    let end_time = |seed: u64| {
-        let mut sim = Simulator::new(Config {
-            seed,
-            ..Default::default()
-        });
-        let cpu = sim.add_facility("cpu", 1);
-        sim.spawn("w", Box::new(RandomWork { cpu, jobs: 50 }));
-        sim.run().unwrap().end_time
-    };
-    assert_eq!(end_time(3).to_bits(), end_time(3).to_bits(), "same seed");
-    assert_ne!(
-        end_time(3).to_bits(),
-        end_time(4).to_bits(),
-        "different seeds must differ on stochastic models"
-    );
 }

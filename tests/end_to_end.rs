@@ -2,7 +2,7 @@
 //! determinism, sweep consistency, estimator/codegen agreement, and
 //! failure-path behaviour.
 
-use prophet::core::{mpi_grid, Error, Scenario, Session, SweepConfig};
+use prophet::core::{mpi_grid, to_cpp, Error, Scenario, Session, SweepConfig};
 use prophet::estimator::{Estimator, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::trace::TraceAnalysis;
@@ -48,13 +48,11 @@ fn serial_and_parallel_sweeps_agree_on_real_model() {
 #[test]
 fn estimator_and_cpp_expose_same_cost_functions() {
     let session = Session::new(sample_model()).unwrap();
+    let cpp = to_cpp(session.model()).unwrap();
     // Every function in the IR appears as a C++ definition.
     for f in &session.program().functions {
         assert!(
-            session
-                .cpp()
-                .cost_functions
-                .contains(&format!("double {}(", f.name)),
+            cpp.cost_functions.contains(&format!("double {}(", f.name)),
             "function {} missing from C++",
             f.name
         );

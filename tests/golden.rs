@@ -290,3 +290,137 @@ fn golden_mapreduce() {
         },
     );
 }
+
+/// Content keys (`ArtifactKey`, as hex) of the ten bundled models, in
+/// their published order, built with the bundled parameters. Store file
+/// names (`pp-<model>-<mcf>.bin`) and ring placement are functions of
+/// these digests, so a serialization change that moves any of them
+/// orphans every existing store entry and reshuffles the fleet.
+const BUNDLED_KEYS: [(&str, u64, u64); 10] = [
+    ("sample", 0x70df741340e6d115, 0x62b2c80eb9ce8c31),
+    ("kernel6", 0xba37b0e3e70a2c36, 0x62b2c80eb9ce8c31),
+    ("jacobi", 0x987ddfdf5a7ffaa3, 0x62b2c80eb9ce8c31),
+    ("lapw0", 0x7d430d21af77686c, 0x62b2c80eb9ce8c31),
+    ("pipeline", 0x1d361cd8df4863e3, 0x62b2c80eb9ce8c31),
+    ("master_worker", 0x3dfd9d3dd6681423, 0x62b2c80eb9ce8c31),
+    ("task_farm", 0x55805b7cc2a97f04, 0x62b2c80eb9ce8c31),
+    ("branching_pipeline", 0xd3a6191e6e4406af, 0x62b2c80eb9ce8c31),
+    ("halo_ring", 0x989692062f2ea56d, 0x62b2c80eb9ce8c31),
+    ("mapreduce", 0xba0bb5e7d7b2237a, 0x62b2c80eb9ce8c31),
+];
+
+/// Key of [`team_model`].
+const TEAM_KEY: (u64, u64) = (0xb350a69b499deb60, 0x62b2c80eb9ce8c31);
+
+/// A builder-made model whose element ids are not in document order: a
+/// call activity, created before its body, holds a four-thread team
+/// whose body ends in a critical section.
+fn team_model() -> Model {
+    use prophet::uml::{ModelBuilder, VarType};
+    let mut b = ModelBuilder::new("team");
+    b.global("GV", VarType::Int, Some("0"));
+    b.function("FW", &["t"], "0.001 * (1 + t)");
+    let main = b.main_diagram();
+    let nested = b.diagram("nested");
+    let team = b.diagram("teambody");
+    let locked = b.diagram("lockbody");
+    let start = b.initial(main, "start");
+    let call = b.call_activity(main, "N", nested);
+    let end = b.final_node(main, "end");
+    b.flow(main, start, call);
+    b.flow(main, call, end);
+    let lw = b.action(locked, "LW", "0.0005");
+    b.attach_code(lw, "GV = GV + 1;");
+    let pre = b.action(nested, "Pre", "FW(pid)");
+    let region = b.parallel_activity(nested, "T", team, "4");
+    b.flow(nested, pre, region);
+    let tw = b.action(team, "TW", "FW(tid)");
+    let crit = b.critical_activity(team, "Crit", locked, "teamlock");
+    b.flow(team, tw, crit);
+    b.build()
+}
+
+#[test]
+fn content_keys_do_not_move() {
+    use prophet::check::McfConfig;
+    use prophet::core::ArtifactKey;
+    use prophet::serve::api::demo_model;
+    let bundled: [(&str, Model); 10] = [
+        ("sample", sample_model()),
+        ("kernel6", kernel6_model(1000, 10, 1e-9)),
+        ("jacobi", jacobi_model(1_000_000, 20, 1e-8)),
+        ("lapw0", lapw0_model(64, 32, 1e-4)),
+        ("pipeline", pipeline_model(32, 0.01, 4096)),
+        ("master_worker", master_worker_model(64, 0.01, 256)),
+        ("task_farm", task_farm_model(8, 0.002, 512)),
+        (
+            "branching_pipeline",
+            branching_pipeline_model(24, 0.004, 2048),
+        ),
+        ("halo_ring", halo_ring_model(16, 0.003, 4096)),
+        ("mapreduce", mapreduce_model(4096, 1e-6, 64)),
+    ];
+    let hex = |k: ArtifactKey| format!("{:#018x}/{:#018x}", k.model, k.mcf);
+    let mcf = McfConfig::default();
+    for ((name, model), (pinned, model_key, mcf_key)) in bundled.into_iter().zip(BUNDLED_KEYS) {
+        assert_eq!(name, pinned, "table order");
+        let expected = ArtifactKey {
+            model: model_key,
+            mcf: mcf_key,
+        };
+        let built = ArtifactKey::of(&model, &mcf);
+        assert_eq!(hex(built), hex(expected), "{name}: builder spelling");
+        let served = ArtifactKey::of(&demo_model(name).expect("bundled"), &mcf);
+        assert_eq!(hex(served), hex(expected), "{name}: bundled table");
+    }
+    let expected = ArtifactKey {
+        model: TEAM_KEY.0,
+        mcf: TEAM_KEY.1,
+    };
+    let model = team_model();
+    prophet::core::Session::new(model.clone()).expect("team model compiles");
+    assert_eq!(hex(ArtifactKey::of(&model, &mcf)), hex(expected), "team");
+}
+
+/// The bundled table hands out builder-made models, whose arena ids are
+/// not in document order, while a store hit or an inline request holds
+/// the parsed spelling. Both compile to the same session: diagnostics,
+/// per-rank op digests, predictions on both backends and the trace.
+#[test]
+fn builder_and_parsed_spellings_compile_alike() {
+    use prophet::serve::api::{demo_model, demo_models};
+    use prophet::uml::xmi::{model_from_xml, model_to_xml};
+    let sp = SystemParams::flat_mpi(4, 2);
+    let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+    for (name, _) in demo_models() {
+        let built = demo_model(name).unwrap();
+        let parsed = model_from_xml(&model_to_xml(&built)).unwrap();
+        let [a, b] = [built, parsed].map(|m| Session::new(m).expect("compiles"));
+        assert_eq!(
+            format!("{:?}", a.diagnostics()),
+            format!("{:?}", b.diagnostics()),
+            "{name}"
+        );
+        let digests = |s: &Session| {
+            flatten_all(s.program(), &machine, Default::default())
+                .unwrap()
+                .iter()
+                .map(|ops| op_digest(ops))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(digests(&a), digests(&b), "{name}");
+        for backend in [Backend::Simulation, Backend::Analytic] {
+            let scenario = Scenario::new(sp).with_backend(backend);
+            let (x, y) = (
+                a.evaluate(&scenario).unwrap(),
+                b.evaluate(&scenario).unwrap(),
+            );
+            assert_eq!(
+                x.predicted_time.to_bits(),
+                y.predicted_time.to_bits(),
+                "{name} {backend:?}"
+            );
+            assert_eq!(x.trace.to_text(), y.trace.to_text(), "{name} {backend:?}");
+        }
+    }
+}

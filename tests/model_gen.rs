@@ -21,13 +21,16 @@
 //!   **bit-identical** to cache-disabled evaluations, on both backends —
 //!   the cache can never serve a stale or wrong op list,
 //! * an untraced DES run on the traced and the lean elaboration gives
-//!   the same bits and the same event count.
+//!   the same bits and the same event count,
+//! * one serialization is already the canonical form: reparsing the
+//!   model's XML and serializing again is byte-identical, and the C++
+//!   backend accepts every model `Session::compile` accepts.
 //!
 //! Seeding is deterministic (see `proptest-shim`); CI pins the case
 //! budget with `PROPTEST_CASES`.
 
 use prophet::check::McfConfig;
-use prophet::core::{ArtifactKey, Backend, Scenario, Session};
+use prophet::core::{to_cpp, ArtifactKey, Backend, Scenario, Session};
 use prophet::estimator::{elaborate, evaluate_analytic, ElabForm, Estimator, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::serve::api::resolve_key;
@@ -486,6 +489,25 @@ proptest! {
                     "{} disagrees\nspec: {:?}", call, segs
                 );
             }
+        }
+    }
+
+    /// Element ids are document-order ordinals, so one serialization is
+    /// a fixed point of parse-and-reserialize even though the builder
+    /// creates a composite before its body's elements. `Session::compile`
+    /// does not run the C++ backend, so it must accept every model that
+    /// compile accepts.
+    #[test]
+    fn one_serialization_is_the_canonical_form(segs in workload()) {
+        let model = build_model(&segs);
+        let xml = model_to_xml(&model);
+        let reparsed = model_from_xml(&xml).expect("generated XML parses");
+        prop_assert!(model_to_xml(&reparsed) == xml, "not a fixed point\nspec: {:?}", segs);
+        if Session::new(model.clone()).is_ok() {
+            prop_assert!(
+                to_cpp(&model).is_ok(),
+                "C++ backend rejects a compiled model\nspec: {:?}", segs
+            );
         }
     }
 }

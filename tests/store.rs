@@ -52,9 +52,9 @@ fn every_demo_model_roundtrips_bit_identically() {
 
         assert_eq!(loaded.program(), session.program(), "{name}");
         assert_eq!(
-            loaded.cpp().full_text(),
-            session.cpp().full_text(),
-            "{name}: generated C++ must survive the store"
+            loaded.model_xml(),
+            session.model_xml(),
+            "{name}: the model must survive the store byte for byte"
         );
         assert_eq!(loaded.diagnostics().len(), session.diagnostics().len());
 
@@ -94,7 +94,7 @@ fn store_hit_skips_check_transform_and_flatten() {
         store.save_session(&session).unwrap();
     }
 
-    // "Next process": everything — check, to_cpp, to_program, and the
+    // "Next process": everything — check, to_program, and the
     // grid's elaborations — must come from disk. The counters are
     // process-wide/thread-local, so sweep single-threaded.
     let store = ArtifactStore::open(&dir).unwrap();
