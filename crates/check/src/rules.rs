@@ -432,7 +432,7 @@ impl Rule for FunctionsWellFormed {
                     expr.called_functions(&mut called);
                     for c in called {
                         let defined = model.functions.iter().any(|g| g.name == c)
-                            || prophet_expr::Env::builtin_names().contains(&c.as_str());
+                            || prophet_expr::Builtin::from_name(&c).is_some();
                         if !defined {
                             out.push(Diagnostic::new(
                                 &f.name,

@@ -4,8 +4,9 @@
 //! the algorithm listing in Figure 5):
 //!
 //! 1. lines 1–8: identify and select performance modeling elements by
-//!    stereotype name (via [`Model::performance_elements`], which the
-//!    Figure-6 traverser feeds),
+//!    stereotype name, in the document order the Figure-6 traverser
+//!    gives the XML representation ([`prophet_uml::xmi::document_order`]),
+//!    so a model and its XML parse declare them alike,
 //! 2. lines 9–12: globals,
 //! 3. lines 13–18: cost functions,
 //! 4. lines 20–23: locals,
@@ -19,6 +20,7 @@
 use crate::flow::{build_flow_tree, FlowNode};
 use prophet_expr::cpp::{expr_to_cpp, fragment_to_cpp, function_to_cpp};
 use prophet_expr::{parse_expression, parse_statements, FunctionDef};
+use prophet_uml::xmi::document_order;
 use prophet_uml::{ElementId, Model, NodeKind, TagValue};
 use std::fmt;
 
@@ -105,8 +107,19 @@ pub fn instance_name(element_name: &str) -> String {
 
 /// Run the Figure-5 algorithm over `model`.
 pub fn generate_cpp(model: &Model) -> Result<CppUnit, CodegenError> {
-    // --- Lines 1–8: identify and select performance modeling elements. ---
-    let perf_elements = model.performance_elements();
+    // --- Lines 1–8: identify and select performance modeling elements, ---
+    // in document order, each with its document-order ordinal (the id
+    // its XML parse gives it).
+    let mut ordinal = 0;
+    let mut perf_elements = Vec::new();
+    for did in document_order(model) {
+        for &eid in &model.diagram(did).nodes {
+            if model.element(eid).is_performance_element() {
+                perf_elements.push((eid, ordinal));
+            }
+            ordinal += 1;
+        }
+    }
 
     // --- Lines 9–12: globals. ---
     let mut globals = String::new();
@@ -157,7 +170,7 @@ pub fn generate_cpp(model: &Model) -> Result<CppUnit, CodegenError> {
 
     // Lines 24–28: declare performance modeling elements.
     program.push_str("  // Declare performance modeling elements\n");
-    for &eid in &perf_elements {
+    for &(eid, ordinal) in &perf_elements {
         let el = model.element(eid);
         // Composites are structural in the C++ flow (nested blocks); only
         // executable elements get object declarations — matching Figure 8
@@ -166,7 +179,7 @@ pub fn generate_cpp(model: &Model) -> Result<CppUnit, CodegenError> {
             let class = class_of_stereotype(el.stereotype_name().unwrap_or("action+"));
             let id_tag = match el.tag("id") {
                 Some(TagValue::Int(i)) => i.to_string(),
-                _ => eid.0.to_string(),
+                _ => ordinal.to_string(),
             };
             program.push_str(&format!(
                 "  {class} {}(\"{}\", {id_tag});\n",

@@ -240,6 +240,8 @@ impl Session {
             ));
         }
         let program = to_program(&model)?;
+        // Resolve names here, once, so no evaluation pays for it.
+        program.resolve();
         Ok(Self {
             model,
             mcf,
@@ -260,6 +262,7 @@ impl Session {
         diagnostics: Vec<Diagnostic>,
         program: Program,
     ) -> Self {
+        program.resolve();
         Self {
             model,
             mcf,

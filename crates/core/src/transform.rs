@@ -67,8 +67,10 @@ pub fn to_program(model: &Model) -> Result<Program, TransformError> {
             Some(src) => {
                 let expr = parse_expression(src)
                     .map_err(|e| TransformError(format!("initializer of `{}`: {e}", v.name)))?;
-                let mut env = prophet_expr::Env::new();
-                expr.eval(&mut env)
+                let mut scope = prophet_expr::Scope::new(&[]);
+                let init = scope.expr(&expr);
+                scope
+                    .eval(&init, &mut scope.frame())
                     .and_then(prophet_expr::Value::as_num)
                     .map_err(|e| TransformError(format!("initializer of `{}`: {e}", v.name)))?
             }

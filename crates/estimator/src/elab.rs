@@ -59,7 +59,7 @@
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
-use crate::flatten::{base_env, flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
+use crate::flatten::{flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
 use std::fmt;
@@ -83,17 +83,20 @@ pub fn flatten_all(
 ///
 /// The scenario-independent elaboration pass both backends consume;
 /// [`ElaborationCache::get_or_flatten_form`] memoizes it per SP point.
-/// The rank-independent environment is built once and cloned per rank.
+/// It evaluates over the program's resolved names
+/// ([`Program::resolve`]); the rank-independent frame is built once and
+/// copied per rank.
 pub fn elaborate(
     program: &Program,
     machine: &MachineModel,
     limits: FlattenLimits,
     form: ElabForm,
 ) -> Result<RankOps, FlattenError> {
-    let base = base_env(program, machine);
+    let resolved = program.resolve();
+    let base = resolved.base_frame(machine);
     let mut ranks: Vec<Arc<[PrimOp]>> = Vec::with_capacity(machine.sp.processes);
     for pid in 0..machine.sp.processes {
-        ranks.push(flatten_rank(program, machine, &base, pid, limits, form)?.into());
+        ranks.push(flatten_rank(resolved, machine, &base, pid, limits, form)?.into());
     }
     Ok(ranks.into())
 }

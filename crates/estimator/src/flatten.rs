@@ -12,9 +12,15 @@
 //! trace file, the lean form omits them (also inside thread arms). An
 //! omitted marker still counts toward [`FlattenLimits::max_ops`], so
 //! both forms fail at the same op with the same error.
+//!
+//! The flattener walks the program's [`Resolved`] form
+//! ([`Program::resolve`]): every expression reads and writes one flat
+//! slot frame by index, a rank starts from one copy of the elaboration's
+//! base frame, and a thread-team member from one copy of its spawner's.
 
-use crate::program::{MpiOp, Program, Step};
-use prophet_expr::{exec_fragment, Env, ExprError, Value};
+use crate::program::Program;
+use crate::resolve::{Mpi, Node, Resolved};
+use prophet_expr::{ExprError, Frame, RExpr, Value};
 use prophet_machine::MachineModel;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +30,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrimOp {
     /// Trace marker: element entered. Element names are shared with the
-    /// [`Step`] that emitted the op, so cloning an op never copies one.
+    /// [`Step`](crate::program::Step) that emitted the op, so cloning an
+    /// op never copies one.
     Enter(Arc<str>),
     /// Trace marker: element exited.
     Exit(Arc<str>),
@@ -290,59 +297,31 @@ pub fn flatten_for_process(
     pid: usize,
     limits: FlattenLimits,
 ) -> Result<Vec<PrimOp>, FlattenError> {
+    let resolved = program.resolve();
     flatten_rank(
-        program,
+        resolved,
         machine,
-        &base_env(program, machine),
+        &resolved.base_frame(machine),
         pid,
         limits,
         ElabForm::Traced,
     )
 }
 
-/// The environment every rank starts from: the system properties except
-/// `pid`, the model's globals and locals, and its functions. Built once
-/// per elaboration and cloned per rank by [`flatten_rank`].
-pub(crate) fn base_env(program: &Program, machine: &MachineModel) -> Env {
-    let sp = machine.sp;
-    let mut env = Env::new();
-    // System properties, exactly the execute() parameters of the paper
-    // plus machine shape: uid (user/run id), pid (set per rank), tid,
-    // P (process count), N (total CPUs), M (nodes), threads.
-    env.set_num("uid", 0.0);
-    env.set_num("tid", 0.0);
-    env.set_num("P", sp.processes as f64);
-    env.set_num("N", sp.total_cpus() as f64);
-    env.set_num("M", sp.nodes as f64);
-    env.set_num("nodes", sp.nodes as f64);
-    env.set_num("cpus", sp.cpus_per_node as f64);
-    env.set_num("threads", sp.threads_per_process as f64);
-    for (name, init) in program.globals.iter().chain(&program.locals) {
-        env.set_num(name.clone(), *init);
-    }
-    for f in &program.functions {
-        env.define_function(f.clone());
-    }
-    env
-}
-
-/// Elaborate rank `pid` from a [`base_env`] of the same program and
-/// machine. Counts one [`flatten_invocations`].
+/// Elaborate rank `pid` from a [`Resolved::base_frame`] of the same
+/// program and machine. Counts one [`flatten_invocations`].
 pub(crate) fn flatten_rank(
-    program: &Program,
+    resolved: &Resolved,
     machine: &MachineModel,
-    base: &Env,
+    base: &Frame,
     pid: usize,
     limits: FlattenLimits,
     form: ElabForm,
 ) -> Result<Vec<PrimOp>, FlattenError> {
     FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
-    let mut env = base.clone();
-    // A model variable named `pid` shadows the system property.
-    if !env.has_var("pid") {
-        env.set_num("pid", pid as f64);
-    }
+    let mut frame = resolved.rank_frame(base, pid);
     let mut fl = Flattener {
+        resolved,
         machine,
         pid,
         limits,
@@ -352,7 +331,7 @@ pub(crate) fn flatten_rank(
         locks: Vec::new(),
     };
     let mut out = Vec::new();
-    fl.walk(&program.body, &mut env, &mut out, false)?;
+    fl.walk(&resolved.body, &mut frame, &mut out, false)?;
     Ok(out)
 }
 
@@ -514,6 +493,7 @@ fn context<'a>(role: &'static str, element: &'a str) -> Context<'a> {
 }
 
 struct Flattener<'a> {
+    resolved: &'a Resolved,
     machine: &'a MachineModel,
     pid: usize,
     limits: FlattenLimits,
@@ -523,7 +503,7 @@ struct Flattener<'a> {
     collective_seq: i64,
     ops_emitted: usize,
     /// Interned lock names for `<<critical+>>`.
-    locks: Vec<String>,
+    locks: Vec<&'a str>,
 }
 
 impl<'a> Flattener<'a> {
@@ -563,11 +543,13 @@ impl<'a> Flattener<'a> {
 
     fn eval_num(
         &self,
-        expr: &prophet_expr::Expr,
-        env: &mut Env,
+        expr: &RExpr,
+        frame: &mut Frame,
         what: Context<'_>,
     ) -> Result<f64, FlattenError> {
-        expr.eval(env)
+        self.resolved
+            .scope
+            .eval(expr, frame)
             .and_then(Value::as_num)
             .map_err(|e| FlattenError::Eval {
                 context: what.to_string(),
@@ -577,11 +559,11 @@ impl<'a> Flattener<'a> {
 
     fn eval_rank(
         &self,
-        expr: &prophet_expr::Expr,
-        env: &mut Env,
+        expr: &RExpr,
+        frame: &mut Frame,
         what: Context<'_>,
     ) -> Result<usize, FlattenError> {
-        let v = self.eval_num(expr, env, what)?;
+        let v = self.eval_num(expr, frame, what)?;
         let p = self.machine.sp.processes;
         let r = v.round();
         if r < 0.0 || r >= p as f64 {
@@ -596,11 +578,11 @@ impl<'a> Flattener<'a> {
 
     fn eval_bytes(
         &self,
-        expr: &prophet_expr::Expr,
-        env: &mut Env,
+        expr: &RExpr,
+        frame: &mut Frame,
         what: Context<'_>,
     ) -> Result<u64, FlattenError> {
-        let v = self.eval_num(expr, env, what)?;
+        let v = self.eval_num(expr, frame, what)?;
         if v < 0.0 || !v.is_finite() {
             return Err(FlattenError::InvalidSize {
                 context: what.to_string(),
@@ -616,31 +598,34 @@ impl<'a> Flattener<'a> {
     /// restriction), as is a nested parallel region or fork.
     fn walk(
         &mut self,
-        step: &Step,
-        env: &mut Env,
+        node: &'a Node,
+        frame: &mut Frame,
         out: &mut Vec<PrimOp>,
         in_team: bool,
     ) -> Result<(), FlattenError> {
-        match step {
-            Step::Nop => Ok(()),
-            Step::Seq(items) => {
+        match node {
+            Node::Nop => Ok(()),
+            Node::Seq(items) => {
                 for s in items {
-                    self.walk(s, env, out, in_team)?;
+                    self.walk(s, frame, out, in_team)?;
                 }
                 Ok(())
             }
-            Step::Exec { name, cost, code } => {
+            Node::Exec { name, cost, code } => {
                 self.marker(out, PrimOp::Enter, name)?;
                 if !code.is_empty() {
-                    exec_fragment(code, env).map_err(|e| FlattenError::Eval {
-                        context: context("code fragment", name).to_string(),
-                        source: e,
-                    })?;
+                    self.resolved
+                        .scope
+                        .exec(code, frame)
+                        .map_err(|e| FlattenError::Eval {
+                            context: context("code fragment", name).to_string(),
+                            source: e,
+                        })?;
                 }
                 let seconds = match cost {
                     Some(expr) => {
                         let what = context("cost", name);
-                        let t = self.eval_num(expr, env, what)?;
+                        let t = self.eval_num(expr, frame, what)?;
                         if !(t.is_finite() && t >= 0.0) {
                             return Err(FlattenError::InvalidTime {
                                 context: what.to_string(),
@@ -660,11 +645,13 @@ impl<'a> Flattener<'a> {
                 )?;
                 self.marker(out, PrimOp::Exit, name)
             }
-            Step::Branch(arms) => {
+            Node::Branch(arms) => {
                 for (guard, arm) in arms {
                     let taken = match guard {
-                        Some(g) => g
-                            .eval(env)
+                        Some(g) => self
+                            .resolved
+                            .scope
+                            .eval(g, frame)
                             .map_err(|e| FlattenError::Eval {
                                 context: "guard".into(),
                                 source: e,
@@ -673,24 +660,24 @@ impl<'a> Flattener<'a> {
                         None => true,
                     };
                     if taken {
-                        return self.walk(arm, env, out, in_team);
+                        return self.walk(arm, frame, out, in_team);
                     }
                 }
                 Ok(()) // no arm taken: decision falls through
             }
-            Step::Composite { name, body } => {
+            Node::Composite { name, body } => {
                 self.marker(out, PrimOp::Enter, name)?;
-                self.walk(body, env, out, in_team)?;
+                self.walk(body, frame, out, in_team)?;
                 self.marker(out, PrimOp::Exit, name)
             }
-            Step::Loop {
+            Node::Loop {
                 name,
                 count,
                 var,
                 body,
             } => {
                 let what = context("iterations", name);
-                let n = self.eval_num(count, env, what)?;
+                let n = self.eval_num(count, frame, what)?;
                 if !(n.is_finite() && n >= 0.0) {
                     return Err(FlattenError::InvalidCount {
                         context: what.to_string(),
@@ -706,51 +693,46 @@ impl<'a> Flattener<'a> {
                     });
                 }
                 self.marker(out, PrimOp::Enter, name)?;
-                let saved = var.as_ref().and_then(|v| env.get_var(v));
+                let saved = var.map(|v| frame.get(v));
                 for i in 0..n {
-                    if let Some(v) = var {
-                        env.set_num(v.clone(), i as f64);
+                    if let Some(v) = *var {
+                        frame.set(v, Value::Num(i as f64));
                     }
-                    self.walk(body, env, out, in_team)?;
+                    self.walk(body, frame, out, in_team)?;
                 }
-                if let Some(v) = var {
-                    match saved {
-                        Some(old) => env.set_var(v.clone(), old),
-                        None => {
-                            env.remove_var(v);
-                        }
-                    }
+                if let (Some(v), Some(old)) = (*var, saved) {
+                    frame.restore(v, old);
                 }
                 self.marker(out, PrimOp::Exit, name)
             }
-            Step::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
+            Node::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
                 element: String::new(),
             }),
-            Step::Parallel(arms) => {
+            Node::Parallel(arms) => {
                 // UML fork/join: one thread per arm.
                 let mut arm_ops = Vec::with_capacity(arms.len());
                 for (t, arm) in arms.iter().enumerate() {
-                    arm_ops.push(self.walk_thread(arm, env, t)?);
+                    arm_ops.push(self.walk_thread(arm, frame, t)?);
                 }
                 self.emit(
                     out,
                     PrimOp::Threads {
-                        element: "fork".into(),
+                        element: self.resolved.fork.clone(),
                         arms: arm_ops,
                     },
                 )
             }
-            Step::ParallelRegion { name, .. } if in_team => Err(FlattenError::NestedParallel {
+            Node::ParallelRegion { name, .. } if in_team => Err(FlattenError::NestedParallel {
                 element: name.to_string(),
             }),
-            Step::ParallelRegion {
+            Node::ParallelRegion {
                 name,
                 threads,
                 body,
             } => {
                 let team = match threads {
                     Some(expr) => {
-                        let t = self.eval_num(expr, env, context("threads", name))?;
+                        let t = self.eval_num(expr, frame, context("threads", name))?;
                         if !(1.0..=4096.0).contains(&t) {
                             return Err(FlattenError::InvalidTeam {
                                 element: name.to_string(),
@@ -763,7 +745,7 @@ impl<'a> Flattener<'a> {
                 };
                 let mut arm_ops = Vec::with_capacity(team);
                 for t in 0..team {
-                    arm_ops.push(self.walk_thread(body, env, t)?);
+                    arm_ops.push(self.walk_thread(body, frame, t)?);
                 }
                 self.marker(out, PrimOp::Enter, name)?;
                 self.emit(
@@ -775,18 +757,18 @@ impl<'a> Flattener<'a> {
                 )?;
                 self.marker(out, PrimOp::Exit, name)
             }
-            Step::Critical { name, lock, body } => {
+            Node::Critical { name, lock, body } => {
                 let id = self.lock_id(lock);
                 self.marker(out, PrimOp::Enter, name)?;
                 self.emit(out, PrimOp::Lock(id))?;
-                self.walk(body, env, out, in_team)?;
+                self.walk(body, frame, out, in_team)?;
                 self.emit(out, PrimOp::Unlock(id))?;
                 self.marker(out, PrimOp::Exit, name)
             }
-            Step::Mpi { name, .. } if in_team => Err(FlattenError::MpiInThread {
+            Node::Mpi { name, .. } if in_team => Err(FlattenError::MpiInThread {
                 element: name.to_string(),
             }),
-            Step::Mpi { name, op } => self.walk_mpi(name, op, env, out),
+            Node::Mpi { name, op } => self.walk_mpi(name, op, frame, out),
         }
     }
 
@@ -794,22 +776,21 @@ impl<'a> Flattener<'a> {
     /// the spawning flow's environment.
     fn walk_thread(
         &mut self,
-        step: &Step,
-        env: &Env,
+        node: &'a Node,
+        frame: &Frame,
         tid: usize,
     ) -> Result<Vec<PrimOp>, FlattenError> {
-        let mut thread_env = env.clone();
-        thread_env.set_num("tid", tid as f64);
+        let mut thread_frame = self.resolved.thread_frame(frame, tid);
         let mut ops = Vec::new();
-        self.walk(step, &mut thread_env, &mut ops, true)?;
+        self.walk(node, &mut thread_frame, &mut ops, true)?;
         Ok(ops)
     }
 
-    fn lock_id(&mut self, lock: &str) -> usize {
-        match self.locks.iter().position(|l| l == lock) {
+    fn lock_id(&mut self, lock: &'a str) -> usize {
+        match self.locks.iter().position(|&l| l == lock) {
             Some(i) => i,
             None => {
-                self.locks.push(lock.to_string());
+                self.locks.push(lock);
                 self.locks.len() - 1
             }
         }
@@ -818,17 +799,17 @@ impl<'a> Flattener<'a> {
     fn walk_mpi(
         &mut self,
         name: &Arc<str>,
-        op: &MpiOp,
-        env: &mut Env,
+        op: &Mpi,
+        frame: &mut Frame,
         out: &mut Vec<PrimOp>,
     ) -> Result<(), FlattenError> {
         let p = self.machine.sp.processes;
         let comm = &self.machine.comm;
         self.marker(out, PrimOp::Enter, name)?;
         match op {
-            MpiOp::Send { dest, size, tag } => {
-                let dest = self.eval_rank(dest, env, context("dest", name))?;
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Send { dest, size, tag } => {
+                let dest = self.eval_rank(dest, frame, context("dest", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit(
                     out,
                     PrimOp::SendTo {
@@ -839,8 +820,8 @@ impl<'a> Flattener<'a> {
                     },
                 )?;
             }
-            MpiOp::Recv { src, tag } => {
-                let src = self.eval_rank(src, env, context("src", name))?;
+            Mpi::Recv { src, tag } => {
+                let src = self.eval_rank(src, frame, context("src", name))?;
                 self.emit(
                     out,
                     PrimOp::RecvFrom {
@@ -851,31 +832,31 @@ impl<'a> Flattener<'a> {
                     },
                 )?;
             }
-            MpiOp::Broadcast { root, size } => {
-                let root = self.eval_rank(root, env, context("root", name))?;
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Broadcast { root, size } => {
+                let root = self.eval_rank(root, frame, context("root", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit_collective(name, root, comm.broadcast_time(p, bytes), out)?;
             }
-            MpiOp::Reduce { root, size } => {
-                let root = self.eval_rank(root, env, context("root", name))?;
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Reduce { root, size } => {
+                let root = self.eval_rank(root, frame, context("root", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit_collective(name, root, comm.reduce_time(p, bytes), out)?;
             }
-            MpiOp::Allreduce { size } => {
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Allreduce { size } => {
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit_collective(name, 0, comm.allreduce_time(p, bytes), out)?;
             }
-            MpiOp::Scatter { root, size } => {
-                let root = self.eval_rank(root, env, context("root", name))?;
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Scatter { root, size } => {
+                let root = self.eval_rank(root, frame, context("root", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit_collective(name, root, comm.scatter_time(p, bytes), out)?;
             }
-            MpiOp::Gather { root, size } => {
-                let root = self.eval_rank(root, env, context("root", name))?;
-                let bytes = self.eval_bytes(size, env, context("size", name))?;
+            Mpi::Gather { root, size } => {
+                let root = self.eval_rank(root, frame, context("root", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", name))?;
                 self.emit_collective(name, root, comm.gather_time(p, bytes), out)?;
             }
-            MpiOp::Barrier => {
+            Mpi::Barrier => {
                 self.emit_collective(name, 0, comm.barrier_time(p), out)?;
             }
         }
@@ -959,6 +940,7 @@ impl<'a> Flattener<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{MpiOp, Step};
     use prophet_expr::{parse_expression, parse_statements, FunctionDef};
     use prophet_machine::{CommParams, SystemParams};
 
@@ -1396,6 +1378,133 @@ mod tests {
             p.body = body;
             let err = flatten_for_process(&p, &machine(2), 0, Default::default()).unwrap_err();
             assert_eq!(err.to_string(), format!("flatten error: {want}"));
+        }
+    }
+
+    #[test]
+    fn fragment_declarations_outlive_their_element() {
+        // `var` in A's fragment binds for the rest of the rank: B's cost
+        // reads it. A loop variable is unbound again after its loop, so
+        // reading it there (D) fails.
+        let program = |last: Step| {
+            let mut p = Program::new("t");
+            p.body = Step::Seq(vec![
+                Step::Exec {
+                    name: "A".into(),
+                    cost: None,
+                    code: parse_statements("var t = 2.5;").unwrap(),
+                },
+                Step::Loop {
+                    name: "L".into(),
+                    count: parse_expression("2").unwrap(),
+                    var: Some("i".into()),
+                    body: Box::new(exec("C", "i")),
+                },
+                last,
+            ]);
+            p
+        };
+        let m = machine(2);
+        let ops = flatten_for_process(&program(exec("B", "t * pid")), &m, 1, Default::default());
+        let costs: Vec<f64> = ops
+            .unwrap()
+            .iter()
+            .filter_map(|op| match op {
+                PrimOp::Compute { seconds, .. } => Some(*seconds),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(costs, vec![0.0, 0.0, 1.0, 2.5]);
+        let err = flatten_for_process(&program(exec("D", "i")), &m, 1, Default::default());
+        let FlattenError::Eval { context, source } = err.unwrap_err() else {
+            panic!("expected an evaluation error");
+        };
+        assert_eq!(context, "cost of `D`");
+        assert_eq!(
+            source.to_string(),
+            "evaluation error: undefined variable `i`"
+        );
+    }
+
+    #[test]
+    fn eval_error_texts_are_pinned() {
+        // Every failure class of the expression language, as elaboration
+        // reports it: the context, and the `ExprError` text behind it.
+        let code = |src: &str| Step::Exec {
+            name: "F".into(),
+            cost: None,
+            code: parse_statements(src).unwrap(),
+        };
+        let guarded = Step::Branch(vec![(Some(parse_expression("GV").unwrap()), Step::Nop)]);
+        let cases = [
+            (exec("A", "q"), "cost of `A`", "undefined variable `q`"),
+            (
+                exec("A", "Nope(1)"),
+                "cost of `A`",
+                "undefined function `Nope`",
+            ),
+            (
+                exec("A", "FA1(1)"),
+                "cost of `A`",
+                "function `FA1` expects 2 argument(s), got 1",
+            ),
+            (
+                exec("A", "max(1)"),
+                "cost of `A`",
+                "builtin `max` expects 2 argument(s), got 1",
+            ),
+            (
+                exec("A", "Loop()"),
+                "cost of `A`",
+                "call depth exceeded 64 (recursive cost function?)",
+            ),
+            (exec("A", "1 / (P - P)"), "cost of `A`", "division by zero"),
+            (exec("A", "1 % (P - P)"), "cost of `A`", "remainder by zero"),
+            (exec("A", "fmod(1, P - P)"), "cost of `A`", "fmod by zero"),
+            (
+                exec("A", "sqrt(-P)"),
+                "cost of `A`",
+                "sqrt of negative number -2",
+            ),
+            (
+                exec("A", "log(P - P)"),
+                "cost of `A`",
+                "logarithm of non-positive number 0",
+            ),
+            (
+                exec("A", "P > 1"),
+                "cost of `A`",
+                "expected a number, found a boolean",
+            ),
+            (
+                exec("A", "(P > 1) == 1"),
+                "cost of `A`",
+                "cannot compare a number with a boolean",
+            ),
+            (
+                code("while (true) { }"),
+                "code fragment of `F`",
+                "while loop exceeded 1000000 iterations",
+            ),
+            (guarded, "guard", "undefined variable `GV`"),
+        ];
+        for (body, context, message) in cases {
+            let mut p = Program::new("t");
+            p.functions = vec![
+                FunctionDef::parse("FA1", &["a", "b"], "a + b").unwrap(),
+                FunctionDef::parse("Loop", &[], "Loop()").unwrap(),
+            ];
+            p.body = body;
+            let err = flatten_for_process(&p, &machine(2), 0, Default::default()).unwrap_err();
+            let FlattenError::Eval {
+                context: got,
+                source,
+            } = &err
+            else {
+                panic!("{message}: not an evaluation error: {err}");
+            };
+            assert_eq!(got, context);
+            assert_eq!(source.to_string(), format!("evaluation error: {message}"));
         }
     }
 

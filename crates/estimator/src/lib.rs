@@ -14,7 +14,9 @@
 //!   both),
 //! * [`flatten`] — per-process elaboration: walks the IR for each MPI
 //!   process, evaluating code fragments, guards, loop counts and cost
-//!   functions eagerly, producing a list of primitive timed operations
+//!   functions eagerly over the program's [`Resolved`] names (resolved
+//!   once per [`Program`], so evaluation indexes a slot frame and never
+//!   looks a name up), producing a list of primitive timed operations
 //!   (compute / send / recv / collective / thread team) in one of two
 //!   [`ElabForm`]s: the traced form carries the `Enter`/`Exit` markers a
 //!   traced simulation writes to the trace file, the lean form omits
@@ -77,6 +79,7 @@ pub mod estimator;
 pub mod flatten;
 pub mod interp;
 pub mod program;
+mod resolve;
 
 pub use analytic::evaluate_analytic;
 pub use batch::{BatchProgram, BatchScratch};
@@ -87,3 +90,4 @@ pub use flatten::{
     PrimOp,
 };
 pub use program::{MpiOp, Program, Step};
+pub use resolve::Resolved;

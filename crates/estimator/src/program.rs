@@ -5,8 +5,10 @@
 //! produced from the UML model by `prophet-core::transform` via the same
 //! flow tree that drives C++ emission.
 
+use crate::resolve::Resolved;
 use prophet_expr::{Expr, FunctionDef, Stmt};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An MPI communication operation (the profile's message-passing
 /// building blocks).
@@ -172,6 +174,11 @@ impl Step {
 }
 
 /// A complete executable program model.
+///
+/// Build it field by field, then elaborate it: the first elaboration (or
+/// an explicit [`Program::resolve`]) resolves its names once and keeps
+/// the result, so a program must not be edited after it has been
+/// elaborated. A clone starts unresolved and may be edited freely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Model name.
@@ -184,6 +191,7 @@ pub struct Program {
     pub functions: Vec<FunctionDef>,
     /// The body.
     pub body: Step,
+    resolved: ResolveOnce,
 }
 
 impl Program {
@@ -195,7 +203,43 @@ impl Program {
             locals: Vec::new(),
             functions: Vec::new(),
             body: Step::Nop,
+            resolved: ResolveOnce::default(),
         }
+    }
+
+    /// Resolve every variable and function name of the program to an
+    /// index, once: later calls (and every elaboration) reuse the
+    /// result. `Session` calls this when it compiles or loads a model,
+    /// so no request pays for it.
+    pub fn resolve(&self) -> &Resolved {
+        self.resolved.0.get_or_init(|| Resolved::new(self))
+    }
+}
+
+/// [`Program`]'s resolution slot: derived data, so it never makes two
+/// programs unequal, and a clone (which may be edited) starts empty.
+#[derive(Default)]
+struct ResolveOnce(OnceLock<Resolved>);
+
+impl Clone for ResolveOnce {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for ResolveOnce {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ResolveOnce {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "resolved"
+        } else {
+            "unresolved"
+        })
     }
 }
 

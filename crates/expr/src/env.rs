@@ -1,8 +1,10 @@
-//! Evaluation environment: values, variables, user functions, builtins.
+//! Values, function definitions, and the name-keyed environment of the
+//! reference evaluator ([`crate::eval`]).
 
 use crate::ast::Expr;
 use crate::error::{ExprError, ExprResult};
 use crate::parser::parse_expression;
+use crate::resolved::{MAX_CALL_DEPTH, MAX_LOOP_ITERS};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -82,15 +84,13 @@ impl FunctionDef {
     }
 }
 
-/// Signature of a builtin: fixed arity table is checked by the evaluator.
-pub(crate) type Builtin = fn(&[f64]) -> ExprResult<f64>;
-
-/// The evaluation environment: variable bindings, user-defined functions,
-/// and the deterministic builtin table.
+/// The name-keyed environment of the reference evaluator: variable
+/// bindings and user-defined functions, looked up by name.
 ///
-/// System properties that the paper passes to `execute()` — `uid`, `pid`,
-/// `tid`, and machine parameters like `P` (number of processors) — are
-/// plain variables set by the estimator before evaluating a cost function.
+/// Production evaluation resolves names to slots once instead
+/// ([`crate::resolved::Scope`]); this environment is the oracle the
+/// resolved engine is tested against, value for value and error for
+/// error.
 #[derive(Debug, Clone)]
 pub struct Env {
     vars: HashMap<String, Value>,
@@ -109,14 +109,14 @@ impl Default for Env {
 }
 
 impl Env {
-    /// Empty environment with default guards (call depth 64,
-    /// 1,000,000 loop iterations).
+    /// Empty environment with the default guards
+    /// ([`MAX_CALL_DEPTH`] calls, [`MAX_LOOP_ITERS`] loop iterations).
     pub fn new() -> Self {
         Self {
             vars: HashMap::new(),
             functions: HashMap::new(),
-            max_call_depth: 64,
-            max_loop_iters: 1_000_000,
+            max_call_depth: MAX_CALL_DEPTH,
+            max_loop_iters: MAX_LOOP_ITERS,
         }
     }
 
@@ -175,67 +175,12 @@ impl Env {
     pub fn var_count(&self) -> usize {
         self.vars.len()
     }
-
-    /// Look up a builtin by name, returning `(arity, fn)`.
-    pub(crate) fn builtin(name: &str) -> Option<(usize, Builtin)> {
-        // All builtins are pure and deterministic, so model evaluation
-        // is reproducible.
-        let b: (usize, Builtin) = match name {
-            "abs" => (1, |a| Ok(a[0].abs())),
-            "floor" => (1, |a| Ok(a[0].floor())),
-            "ceil" => (1, |a| Ok(a[0].ceil())),
-            "round" => (1, |a| Ok(a[0].round())),
-            "sqrt" => (1, |a| {
-                if a[0] < 0.0 {
-                    Err(ExprError::eval(format!("sqrt of negative number {}", a[0])))
-                } else {
-                    Ok(a[0].sqrt())
-                }
-            }),
-            "exp" => (1, |a| Ok(a[0].exp())),
-            "log" => (1, |a| guard_log(a[0], f64::ln)),
-            "log2" => (1, |a| guard_log(a[0], f64::log2)),
-            "log10" => (1, |a| guard_log(a[0], f64::log10)),
-            "sin" => (1, |a| Ok(a[0].sin())),
-            "cos" => (1, |a| Ok(a[0].cos())),
-            "tanh" => (1, |a| Ok(a[0].tanh())),
-            "min" => (2, |a| Ok(a[0].min(a[1]))),
-            "max" => (2, |a| Ok(a[0].max(a[1]))),
-            "pow" => (2, |a| Ok(a[0].powf(a[1]))),
-            "fmod" => (2, |a| {
-                if a[1] == 0.0 {
-                    Err(ExprError::eval("fmod by zero"))
-                } else {
-                    Ok(a[0] % a[1])
-                }
-            }),
-            _ => return None,
-        };
-        Some(b)
-    }
-
-    /// Names of all builtins (for diagnostics and the checker).
-    pub fn builtin_names() -> &'static [&'static str] {
-        &[
-            "abs", "floor", "ceil", "round", "sqrt", "exp", "log", "log2", "log10", "sin", "cos",
-            "tanh", "min", "max", "pow", "fmod",
-        ]
-    }
-}
-
-fn guard_log(x: f64, f: fn(f64) -> f64) -> ExprResult<f64> {
-    if x <= 0.0 {
-        Err(ExprError::eval(format!(
-            "logarithm of non-positive number {x}"
-        )))
-    } else {
-        Ok(f(x))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtin::Builtin;
 
     #[test]
     fn value_conversions() {
@@ -267,21 +212,18 @@ mod tests {
 
     #[test]
     fn builtins_present_and_consistent() {
-        for name in Env::builtin_names() {
-            assert!(Env::builtin(name).is_some(), "missing builtin {name}");
+        for (name, b) in crate::builtin::ALL {
+            assert_eq!(Builtin::from_name(name), Some(b), "builtin {name}");
         }
-        assert!(Env::builtin("nope").is_none());
+        assert!(Builtin::from_name("nope").is_none());
     }
 
     #[test]
     fn builtin_guards() {
-        let (_, sqrt) = Env::builtin("sqrt").unwrap();
-        assert!(sqrt(&[-1.0]).is_err());
-        let (_, log) = Env::builtin("log").unwrap();
-        assert!(log(&[0.0]).is_err());
-        let (_, fmod) = Env::builtin("fmod").unwrap();
-        assert!(fmod(&[1.0, 0.0]).is_err());
-        assert_eq!(fmod(&[7.0, 4.0]).unwrap(), 3.0);
+        assert!(Builtin::Sqrt.apply(&[-1.0]).is_err());
+        assert!(Builtin::Log.apply(&[0.0]).is_err());
+        assert!(Builtin::Fmod.apply(&[1.0, 0.0]).is_err());
+        assert_eq!(Builtin::Fmod.apply(&[7.0, 4.0]).unwrap(), 3.0);
     }
 
     #[test]

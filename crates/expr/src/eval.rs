@@ -1,13 +1,20 @@
-//! Tree-walking evaluator for expressions and statements.
+//! The reference evaluator: a tree walk over the name-keyed [`Env`].
+//!
+//! Every variable read, assignment and call looks its name up in the
+//! environment. Production code evaluates resolved expressions instead
+//! ([`crate::resolved`]); this walk is the oracle they are tested
+//! against. Both share the operators and builtins.
 //!
 //! Guards: user-function call depth is limited by [`Env::new`]'s
 //! `max_call_depth` (cost functions may compose each other — Section 4 —
 //! but accidental infinite recursion must fail cleanly), and `while` loops
 //! are limited by `max_loop_iters`.
 
-use crate::ast::{BinOp, Expr, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, Stmt};
+use crate::builtin::Builtin;
 use crate::env::{Env, Value};
 use crate::error::{ExprError, ExprResult};
+use crate::resolved::{binary, unary};
 use std::sync::Arc;
 
 impl Expr {
@@ -19,8 +26,7 @@ impl Expr {
 
 impl Stmt {
     /// Execute this statement against `env`. Declarations (`var`) bind into
-    /// `env` directly; the caller decides the lifetime of fragment locals
-    /// (the estimator pops them after the fragment runs).
+    /// `env` directly, like assignments, and outlive the fragment.
     pub fn exec(&self, env: &mut Env) -> ExprResult<()> {
         exec_stmt(self, env, 0)
     }
@@ -47,13 +53,7 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
         Expr::Var(name) => env
             .get_var(name)
             .ok_or_else(|| ExprError::eval(format!("undefined variable `{name}`"))),
-        Expr::Unary(op, inner) => {
-            let v = eval_expr(inner, env, depth)?;
-            match op {
-                UnOp::Neg => Ok(Value::Num(-v.as_num()?)),
-                UnOp::Not => Ok(Value::Bool(!v.truthy())),
-            }
-        }
+        Expr::Unary(op, inner) => unary(*op, eval_expr(inner, env, depth)?),
         Expr::Binary(op, a, b) => {
             // Short-circuit logicals first.
             match op {
@@ -75,47 +75,7 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
             }
             let va = eval_expr(a, env, depth)?;
             let vb = eval_expr(b, env, depth)?;
-            // Equality works on like kinds; ordering and arithmetic are
-            // numeric.
-            match op {
-                BinOp::Eq | BinOp::Ne => {
-                    let eq = match (va, vb) {
-                        (Value::Num(x), Value::Num(y)) => x == y,
-                        (Value::Bool(x), Value::Bool(y)) => x == y,
-                        _ => return Err(ExprError::eval("cannot compare a number with a boolean")),
-                    };
-                    Ok(Value::Bool(if *op == BinOp::Eq { eq } else { !eq }))
-                }
-                _ => {
-                    let x = va.as_num()?;
-                    let y = vb.as_num()?;
-                    match op {
-                        BinOp::Add => Ok(Value::Num(x + y)),
-                        BinOp::Sub => Ok(Value::Num(x - y)),
-                        BinOp::Mul => Ok(Value::Num(x * y)),
-                        BinOp::Div => {
-                            if y == 0.0 {
-                                Err(ExprError::eval("division by zero"))
-                            } else {
-                                Ok(Value::Num(x / y))
-                            }
-                        }
-                        BinOp::Rem => {
-                            if y == 0.0 {
-                                Err(ExprError::eval("remainder by zero"))
-                            } else {
-                                Ok(Value::Num(x % y))
-                            }
-                        }
-                        BinOp::Pow => Ok(Value::Num(x.powf(y))),
-                        BinOp::Lt => Ok(Value::Bool(x < y)),
-                        BinOp::Le => Ok(Value::Bool(x <= y)),
-                        BinOp::Gt => Ok(Value::Bool(x > y)),
-                        BinOp::Ge => Ok(Value::Bool(x >= y)),
-                        BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne => unreachable!(),
-                    }
-                }
-            }
+            binary(*op, va, vb)
         }
         Expr::Cond(c, t, f) => {
             if eval_expr(c, env, depth)?.truthy() {
@@ -127,7 +87,8 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
         Expr::Call(name, args) => {
             // Builtins first (they cannot be shadowed — keeps emitted C++
             // semantics aligned, where these map to <cmath>).
-            if let Some((arity, f)) = Env::builtin(name) {
+            if let Some(f) = Builtin::from_name(name) {
+                let arity = f.arity();
                 if args.len() != arity {
                     return Err(ExprError::eval(format!(
                         "builtin `{name}` expects {arity} argument(s), got {}",
@@ -138,7 +99,7 @@ fn eval_expr(e: &Expr, env: &mut Env, depth: usize) -> ExprResult<Value> {
                 for a in args {
                     vals.push(eval_expr(a, env, depth)?.as_num()?);
                 }
-                return Ok(Value::Num(f(&vals)?));
+                return Ok(Value::Num(f.apply(&vals)?));
             }
             let def = env
                 .get_function(name)

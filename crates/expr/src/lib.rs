@@ -20,37 +20,52 @@
 //!
 //! * [`token`] / [`parser`] — lexer and Pratt parser for a C-like
 //!   expression grammar (arithmetic, comparisons, logicals, `?:`, calls),
-//! * [`ast`] — expression and statement trees,
-//! * [`mod@env`] — evaluation environment (variables, user functions,
-//!   deterministic builtins),
-//! * [`eval`] — tree-walking evaluator with recursion/iteration limits,
+//! * [`ast`] — expression and statement trees; they keep their names for
+//!   C++ emission, the model checker and error texts,
+//! * [`resolved`] — the evaluator elaboration runs: a [`Scope`] resolves
+//!   every variable to a slot of a flat [`Frame`] and every call to a
+//!   function index or a [`Builtin`] once, folding constants, so
+//!   evaluation does no name lookup and no allocation,
+//! * [`builtin`] — the deterministic builtin functions,
+//! * [`mod@env`] / [`eval`] — the name-keyed reference evaluator, a tree
+//!   walk over a `HashMap` environment with the same recursion and
+//!   iteration limits; tests hold the resolved engine to it, value for
+//!   value and error for error,
 //! * [`cpp`] — C++ emission used by the PMP generator, so the emitted
 //!   model text matches the paper's Figure 8 listing shape.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use prophet_expr::{parse_expression, Env, Value};
+//! use prophet_expr::{parse_expression, FunctionDef, Scope, Value};
 //!
-//! let e = parse_expression("0.04 + 0.01 * log2(P)").unwrap();
-//! let mut env = Env::new();
-//! env.set_var("P", Value::Num(8.0));
-//! assert!((e.eval(&mut env).unwrap().as_num().unwrap() - 0.07).abs() < 1e-12);
+//! let f = FunctionDef::parse("FA1", &["n"], "0.04 + 0.01 * log2(n)").unwrap();
+//! let mut scope = Scope::new(&[f]);
+//! let e = scope.expr(&parse_expression("FA1(P)").unwrap());
+//! let p = scope.slot("P");
+//! let mut frame = scope.frame();
+//! frame.set(p, Value::Num(8.0));
+//! let t = scope.eval(&e, &mut frame).unwrap().as_num().unwrap();
+//! assert!((t - 0.07).abs() < 1e-12);
 //! ```
 
 pub mod ast;
+pub mod builtin;
 pub mod cpp;
 pub mod env;
 pub mod error;
 pub mod eval;
 pub mod parser;
+pub mod resolved;
 pub mod token;
 
 pub use ast::{BinOp, Expr, Stmt, UnOp};
+pub use builtin::Builtin;
 pub use env::{Env, FunctionDef, Value};
 pub use error::{ExprError, ExprResult};
 pub use eval::exec_fragment;
 pub use parser::{parse_expression, parse_statements, Parser};
+pub use resolved::{Frame, RExpr, RStmt, Scope, Slot};
 pub use token::{Token, TokenKind, Tokenizer};
 
 #[cfg(test)]

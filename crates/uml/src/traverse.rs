@@ -72,10 +72,17 @@ pub trait Navigator {
 /// Order: for each diagram, elements in creation order; composite
 /// elements (`CallActivity`) recurse into their body diagram between their
 /// `Enter` and `Leave` phases. This is the tree walk of Figure 5.
+///
+/// Each diagram is entered at most once per traversal: a composite whose
+/// body was already entered — a body shared by two composites, or a
+/// nesting cycle back into an open diagram — gets its two phases without
+/// the body. The walk therefore terminates on every model, in time
+/// linear in its size.
 pub struct ExplicitStackNavigator {
     stack: Vec<Frame>,
     started: bool,
     root: DiagramId,
+    entered: Vec<bool>,
 }
 
 enum Frame {
@@ -94,14 +101,24 @@ impl ExplicitStackNavigator {
             stack: Vec::new(),
             started: false,
             root,
+            entered: Vec::new(),
         }
     }
+}
+
+/// Mark `d` entered; false if it already was.
+fn first_entry(entered: &mut Vec<bool>, d: DiagramId) -> bool {
+    if entered.len() <= d.0 {
+        entered.resize(d.0 + 1, false);
+    }
+    !std::mem::replace(&mut entered[d.0], true)
 }
 
 impl Navigator for ExplicitStackNavigator {
     fn next_step(&mut self, model: &Model) -> NavStep {
         if !self.started {
             self.started = true;
+            first_entry(&mut self.entered, self.root);
             self.stack.push(Frame::Diagram {
                 id: self.root,
                 next: 0,
@@ -133,11 +150,13 @@ impl Navigator for ExplicitStackNavigator {
                 // the body is visited between the two phases.
                 self.stack.push(Frame::Leave(eid));
                 if let NodeKind::CallActivity(sub) = model.element(eid).kind {
-                    self.stack.push(Frame::Diagram {
-                        id: sub,
-                        next: 0,
-                        opened: false,
-                    });
+                    if first_entry(&mut self.entered, sub) {
+                        self.stack.push(Frame::Diagram {
+                            id: sub,
+                            next: 0,
+                            opened: false,
+                        });
+                    }
                 }
                 NavStep::Element(eid, VisitPhase::Enter)
             }
@@ -156,18 +175,22 @@ impl RecursiveWalk {
     /// Build the full step list for `root` recursively.
     pub fn new(model: &Model, root: DiagramId) -> Self {
         let mut steps = Vec::new();
-        fn walk(model: &Model, d: DiagramId, out: &mut Vec<NavStep>) {
+        fn walk(model: &Model, d: DiagramId, entered: &mut Vec<bool>, out: &mut Vec<NavStep>) {
             out.push(NavStep::EnterDiagram(d));
             for &eid in &model.diagram(d).nodes {
                 out.push(NavStep::Element(eid, VisitPhase::Enter));
                 if let NodeKind::CallActivity(sub) = model.element(eid).kind {
-                    walk(model, sub, out);
+                    if first_entry(entered, sub) {
+                        walk(model, sub, entered, out);
+                    }
                 }
                 out.push(NavStep::Element(eid, VisitPhase::Leave));
             }
             out.push(NavStep::LeaveDiagram(d));
         }
-        walk(model, root, &mut steps);
+        let mut entered = Vec::new();
+        first_entry(&mut entered, root);
+        walk(model, root, &mut entered, &mut steps);
         steps.push(NavStep::Done);
         Self {
             steps: steps.into_iter(),
@@ -349,6 +372,30 @@ mod tests {
         let sa1 = names.iter().position(|s| s == "SA1:Enter").unwrap();
         assert!(sa_enter < sa1 && sa1 < sa_leave);
         assert_eq!(handler.diagrams, vec!["main", "SA"]);
+    }
+
+    #[test]
+    fn shared_and_cyclic_bodies_are_entered_once() {
+        // main: First and Second call Body; Body's Back calls main again.
+        let mut b = ModelBuilder::new("loops");
+        let main = b.main_diagram();
+        let body = b.diagram("Body");
+        b.call_activity(main, "First", body);
+        b.call_activity(main, "Second", body);
+        b.call_activity(body, "Back", main);
+        let m = b.build();
+        let run = |nav: &mut dyn Navigator| {
+            let mut h = RecordingHandler::default();
+            Traverser::new().traverse(&m, nav, &mut h);
+            h
+        };
+        let a = run(&mut ExplicitStackNavigator::new(m.main_diagram()));
+        let b = run(&mut RecursiveWalk::new(&m, m.main_diagram()));
+        assert_eq!(a.diagrams, vec!["main", "Body"]);
+        assert_eq!(a.diagrams, b.diagrams);
+        assert_eq!(a.visits, b.visits);
+        // Every element still gets both phases, once.
+        assert_eq!(a.visits.len(), 6);
     }
 
     #[test]

@@ -16,11 +16,45 @@ use prophet_xml::{Document, Element as XmlElement, XmlError, XmlResult};
 /// The output therefore does not depend on the model's arena numbering,
 /// and parsing it and serializing again reproduces it byte for byte —
 /// one serialization is the canonical form that content keys digest.
+///
+/// Each diagram reached from the main diagram is written once, however
+/// many composites call it, and a nesting cycle (which the checker
+/// rejects, PP014) ends where it re-enters an open diagram.
 pub fn model_to_xml(model: &Model) -> String {
+    let handler = XmlContentHandler {
+        diagrams: written_diagrams(model),
+    };
+    Document::with_root(handler.finish(model)).to_xml_string()
+}
+
+/// The diagrams [`model_to_xml`] writes, in document order: the order
+/// the Figure-6 traversal leaves them.
+fn written_diagrams(model: &Model) -> Vec<DiagramId> {
     let mut handler = XmlContentHandler::default();
     let mut nav = ExplicitStackNavigator::new(model.main_diagram());
     Traverser::new().traverse(model, &mut nav, &mut handler);
-    Document::with_root(handler.finish(model)).to_xml_string()
+    handler.diagrams
+}
+
+/// Every diagram in the order [`model_to_xml`] writes it (a composite's
+/// body before the diagram holding the composite, the main diagram
+/// last), then the diagrams the main diagram does not reach — which it
+/// does not write — in arena order.
+///
+/// Numbering elements along this order gives the ids [`model_from_xml`]
+/// assigns, so a model and its parse agree on it.
+pub fn document_order(model: &Model) -> Vec<DiagramId> {
+    let mut order = written_diagrams(model);
+    let mut written = vec![false; model.diagrams.len()];
+    for d in &order {
+        written[d.0] = true;
+    }
+    order.extend(
+        (0..model.diagrams.len())
+            .filter(|&i| !written[i])
+            .map(DiagramId),
+    );
+    order
 }
 
 /// Parse a model from XML produced by [`model_to_xml`].
@@ -410,6 +444,66 @@ mod tests {
         // are written as document-order ordinals, so the first
         // re-serialization is already byte-identical.
         assert_eq!(model_to_xml(&back), xml);
+    }
+
+    /// `main`: start → First → Second → end, where both composites call
+    /// one body diagram holding a single action.
+    fn shared_body_model() -> Model {
+        let mut b = ModelBuilder::new("shared");
+        let main = b.main_diagram();
+        let body = b.diagram("Body");
+        b.action(body, "Work", "0.5");
+        let start = b.initial(main, "start");
+        let first = b.call_activity(main, "First", body);
+        let second = b.call_activity(main, "Second", body);
+        let end = b.final_node(main, "end");
+        b.flow(main, start, first);
+        b.flow(main, first, second);
+        b.flow(main, second, end);
+        b.build()
+    }
+
+    #[test]
+    fn a_shared_body_is_written_once() {
+        let m = shared_body_model();
+        let xml = model_to_xml(&m);
+        assert_eq!(xml.matches("<diagram name=\"Body\">").count(), 1, "{xml}");
+        let back = model_from_xml(&xml).unwrap();
+        assert_eq!(back.element_count(), m.element_count());
+        assert_eq!(back.diagrams.len(), m.diagrams.len());
+        assert_eq!(model_to_xml(&back), xml);
+        assert_eq!(document_order(&back), document_order(&m));
+    }
+
+    #[test]
+    fn a_nesting_cycle_is_written_once_and_reads_back() {
+        // `main` calls itself; the checker rejects this (PP014), but the
+        // serialization that keys it must still terminate.
+        let mut b = ModelBuilder::new("cyclic");
+        let main = b.main_diagram();
+        let start = b.initial(main, "start");
+        let again = b.call_activity(main, "Again", main);
+        let end = b.final_node(main, "end");
+        b.flow(main, start, again);
+        b.flow(main, again, end);
+        let m = b.build();
+        let xml = model_to_xml(&m);
+        assert_eq!(xml.matches("<diagram ").count(), 1, "{xml}");
+        assert!(xml.contains("sub=\"main\""), "{xml}");
+        let back = model_from_xml(&xml).unwrap();
+        assert_eq!(back.element_count(), 3);
+        assert_eq!(model_to_xml(&back), xml);
+    }
+
+    #[test]
+    fn document_order_lists_unreached_diagrams_last() {
+        let mut m = shared_body_model();
+        let orphan = m.add_diagram("Orphan");
+        let order = document_order(&m);
+        assert_eq!(order.len(), 3);
+        assert_eq!(order[1], m.main_diagram());
+        assert_eq!(order[2], orphan);
+        assert!(!model_to_xml(&m).contains("Orphan"));
     }
 
     #[test]

@@ -299,3 +299,72 @@ fn fleet_pins_by_digest_survives_a_kill_and_warm_restarts() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Inline model XML for `main: start → <two composites> → end`; the
+/// composites call `body` (or `main` itself, a nesting cycle).
+fn nested_model_xml(name: &str, cyclic: bool) -> String {
+    let mut b = prophet::uml::ModelBuilder::new(name);
+    let main = b.main_diagram();
+    let body = if cyclic {
+        main
+    } else {
+        let body = b.diagram("Body");
+        b.action(body, "Work", "0.5");
+        body
+    };
+    let start = b.initial(main, "start");
+    let first = b.call_activity(main, "First", body);
+    let second = b.call_activity(main, "Second", body);
+    let end = b.final_node(main, "end");
+    b.flow(main, start, first);
+    b.flow(main, first, second);
+    b.flow(main, second, end);
+    prophet::uml::xmi::model_to_xml(&b.build())
+}
+
+#[test]
+fn nesting_cycles_get_the_checkers_422_and_shared_bodies_compile() {
+    let shard = spawn(&["serve", "--addr", "127.0.0.1:0", "--workers", "2"]);
+    let shards = shard.addr.to_string();
+    let router = spawn(&[
+        "router",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--shards",
+        &shards,
+        "--probe-ms",
+        "100",
+    ]);
+    let body = |xml: String| {
+        Json::object([
+            ("model", Json::from(xml)),
+            ("nodes", Json::from(2usize)),
+            ("backend", Json::from("analytic")),
+        ])
+    };
+    for (port, addr) in [("shard", shard.addr), ("router", router.addr)] {
+        // Keying a cyclic model used to recurse without end; now the
+        // checker sees it and rejects it.
+        let r = client::post(
+            addr,
+            "/v1/estimate",
+            &body(nested_model_xml("cyclic", true)),
+        )
+        .unwrap_or_else(|e| panic!("{port}: {e}"));
+        assert_eq!(r.status, 422, "{port}: {}", r.body);
+        assert!(r.body.to_string().contains("PP014"), "{port}: {}", r.body);
+
+        // A body called twice is one diagram in the XML: the model that
+        // compiles is the one sent, and it runs the body twice.
+        let r = client::post(
+            addr,
+            "/v1/estimate",
+            &body(nested_model_xml("shared", false)),
+        )
+        .unwrap_or_else(|e| panic!("{port}: {e}"));
+        assert_eq!(r.status, 200, "{port}: {}", r.body);
+        assert_eq!(field(&r.body, &["predicted_time"]), 1.0, "{port}");
+    }
+}

@@ -7,6 +7,7 @@
 //! clean re-write.
 
 use prophet::check::McfConfig;
+use prophet::codegen::generate_cpp;
 use prophet::core::store::FORMAT_VERSION;
 use prophet::core::{
     flatten_invocations, mpi_grid, transform_invocations, ArtifactKey, ArtifactStore, Scenario,
@@ -55,6 +56,11 @@ fn every_demo_model_roundtrips_bit_identically() {
             loaded.model_xml(),
             session.model_xml(),
             "{name}: the model must survive the store byte for byte"
+        );
+        assert_eq!(
+            generate_cpp(loaded.model()).unwrap().full_text(),
+            generate_cpp(session.model()).unwrap().full_text(),
+            "{name}: generated C++ must survive the store"
         );
         assert_eq!(loaded.diagnostics().len(), session.diagnostics().len());
 
