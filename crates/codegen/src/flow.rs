@@ -57,15 +57,29 @@ impl FlowNode {
 /// Build the flow tree of `diagram`, recursing into composite bodies.
 ///
 /// # Errors
-/// Reports malformed graphs with element names (no panics on user data).
+/// Reports malformed graphs with element names (no panics on user data),
+/// including a composite whose body (transitively) contains it.
 pub fn build_flow_tree(model: &Model, diagram: DiagramId) -> Result<FlowNode, String> {
+    build_nested(model, diagram, &mut Vec::new())
+}
+
+/// [`build_flow_tree`] inside the composite bodies `open` (outermost
+/// first).
+fn build_nested(
+    model: &Model,
+    diagram: DiagramId,
+    open: &mut Vec<DiagramId>,
+) -> Result<FlowNode, String> {
     let entry = entry_of(model, diagram)?;
+    open.push(diagram);
     let mut builder = FlowBuilder {
         model,
         diagram,
+        open,
         steps: 0,
     };
     let (flow, stopped_at) = builder.walk_chain(entry, &[])?;
+    open.pop();
     if let Some(stop) = stopped_at {
         return Err(format!(
             "flow of diagram `{}` stopped unexpectedly at `{}`",
@@ -116,6 +130,8 @@ fn entry_of(model: &Model, diagram: DiagramId) -> Result<ElementId, String> {
 struct FlowBuilder<'a> {
     model: &'a Model,
     diagram: DiagramId,
+    /// Diagrams whose flow is being built, this one last.
+    open: &'a mut Vec<DiagramId>,
     steps: usize,
 }
 
@@ -169,7 +185,14 @@ impl<'a> FlowBuilder<'a> {
                     items.push(FlowNode::Exec(at));
                 }
                 NodeKind::CallActivity(sub) => {
-                    let body = build_flow_tree(self.model, sub)?;
+                    if self.open.contains(&sub) {
+                        return Err(format!(
+                            "composite `{}` calls diagram `{}`, which contains it",
+                            el.name,
+                            self.model.diagram(sub).name
+                        ));
+                    }
+                    let body = build_nested(self.model, sub, self.open)?;
                     items.push(FlowNode::Composite {
                         element: at,
                         body: Box::new(body),
@@ -514,6 +537,23 @@ mod tests {
         let m = b.build();
         let err = build_flow_tree(&m, m.main_diagram()).unwrap_err();
         assert!(err.contains("cyclic"), "{err}");
+    }
+
+    #[test]
+    fn nesting_cycle_rejected() {
+        let mut b = ModelBuilder::new("cyc");
+        let main = b.main_diagram();
+        let body = b.diagram("Body");
+        let i = b.initial(main, "start");
+        let outer = b.call_activity(main, "Outer", body);
+        b.flow(main, i, outer);
+        b.call_activity(body, "Back", main);
+        let m = b.build();
+        let err = build_flow_tree(&m, m.main_diagram()).unwrap_err();
+        assert_eq!(
+            err,
+            "composite `Back` calls diagram `main`, which contains it"
+        );
     }
 
     #[test]
