@@ -26,10 +26,11 @@
 //! from the freshly compiled session it was saved from.
 
 use prophet_check::{Diagnostic, Severity};
-use prophet_estimator::{ElabEntry, FlattenLimits, MpiOp, PrimOp, Program, RankOps, Step};
+use prophet_estimator::{
+    ElabEntry, Elaboration, ElementId, ElementNames, FlattenLimits, MpiOp, PrimOp, Program, Step,
+};
 use prophet_expr::{Expr, FunctionDef, Stmt};
 use prophet_machine::{CommParams, SystemParams};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A payload that failed to decode (wrong tag, short buffer,
@@ -119,25 +120,16 @@ impl Writer {
 }
 
 /// Bounds-checked byte reader over an encoded payload.
-///
-/// Element names are interned per reader: every op and step of one
-/// decoded session that names the same element shares one `Arc<str>`,
-/// as they do in a freshly compiled session.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    names: HashSet<Arc<str>>,
 }
 
 impl<'a> Reader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            names: HashSet::new(),
-        }
+        Self { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -206,15 +198,18 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(len)?).or_else(|_| err("non-UTF-8 string"))
     }
 
-    /// An element name (same encoding as a string), interned.
+    /// A step's element name (same encoding as a string).
     fn name(&mut self) -> Result<Arc<str>, DecodeError> {
+        Ok(self.utf8()?.into())
+    }
+
+    /// An op's element name (same encoding as a string), as its id in
+    /// `names`, the table of the program the ops were elaborated from.
+    fn element(&mut self, names: &ElementNames) -> Result<ElementId, DecodeError> {
         let s = self.utf8()?;
-        if let Some(name) = self.names.get(s) {
-            return Ok(Arc::clone(name));
-        }
-        let name: Arc<str> = s.into();
-        self.names.insert(Arc::clone(&name));
-        Ok(name)
+        names
+            .id(s)
+            .ok_or_else(|| DecodeError(format!("op names unknown element `{s}`")))
     }
 
     /// Element count of a collection, validated against the remaining
@@ -736,19 +731,19 @@ pub fn get_diagnostics(r: &mut Reader<'_>) -> Result<Vec<Diagnostic>, DecodeErro
 // Elaboration entries (pre-flattened op lists)
 // ---------------------------------------------------------------------
 
-fn put_prim_op(w: &mut Writer, op: &PrimOp) {
+fn put_prim_op(w: &mut Writer, names: &ElementNames, op: &PrimOp) {
     match op {
         PrimOp::Enter(name) => {
             w.u8(0);
-            w.str(name);
+            w.str(names.name(*name));
         }
         PrimOp::Exit(name) => {
             w.u8(1);
-            w.str(name);
+            w.str(names.name(*name));
         }
         PrimOp::Compute { element, seconds } => {
             w.u8(2);
-            w.str(element);
+            w.str(names.name(*element));
             w.f64(*seconds);
         }
         PrimOp::SendTo {
@@ -758,7 +753,7 @@ fn put_prim_op(w: &mut Writer, op: &PrimOp) {
             tag,
         } => {
             w.u8(3);
-            w.str(element);
+            w.str(names.name(*element));
             w.usize(*dest);
             w.u64(*bytes);
             w.i64(*tag);
@@ -770,24 +765,24 @@ fn put_prim_op(w: &mut Writer, op: &PrimOp) {
             bytes,
         } => {
             w.u8(4);
-            w.str(element);
+            w.str(names.name(*element));
             w.usize(*src);
             w.i64(*tag);
             w.u64(*bytes);
         }
         PrimOp::Wait { element, seconds } => {
             w.u8(5);
-            w.str(element);
+            w.str(names.name(*element));
             w.f64(*seconds);
         }
         PrimOp::Threads { element, arms } => {
             w.u8(6);
-            w.str(element);
+            w.str(names.name(*element));
             w.count(arms.len());
             for arm in arms {
                 w.count(arm.len());
                 for op in arm {
-                    put_prim_op(w, op);
+                    put_prim_op(w, names, op);
                 }
             }
         }
@@ -802,39 +797,39 @@ fn put_prim_op(w: &mut Writer, op: &PrimOp) {
     }
 }
 
-fn get_prim_op(r: &mut Reader<'_>) -> Result<PrimOp, DecodeError> {
+fn get_prim_op(r: &mut Reader<'_>, names: &ElementNames) -> Result<PrimOp, DecodeError> {
     Ok(match r.u8()? {
-        0 => PrimOp::Enter(r.name()?),
-        1 => PrimOp::Exit(r.name()?),
+        0 => PrimOp::Enter(r.element(names)?),
+        1 => PrimOp::Exit(r.element(names)?),
         2 => PrimOp::Compute {
-            element: r.name()?,
+            element: r.element(names)?,
             seconds: r.f64()?,
         },
         3 => PrimOp::SendTo {
-            element: r.name()?,
+            element: r.element(names)?,
             dest: r.usize()?,
             bytes: r.u64()?,
             tag: r.i64()?,
         },
         4 => PrimOp::RecvFrom {
-            element: r.name()?,
+            element: r.element(names)?,
             src: r.usize()?,
             tag: r.i64()?,
             bytes: r.u64()?,
         },
         5 => PrimOp::Wait {
-            element: r.name()?,
+            element: r.element(names)?,
             seconds: r.f64()?,
         },
         6 => {
-            let element = r.name()?;
+            let element = r.element(names)?;
             let n = r.count(4)?;
             let mut arms = Vec::with_capacity(cap(n));
             for _ in 0..n {
                 let len = r.count(5)?;
                 let mut arm = Vec::with_capacity(cap(len));
                 for _ in 0..len {
-                    arm.push(get_prim_op(r)?);
+                    arm.push(get_prim_op(r, names)?);
                 }
                 arms.push(arm);
             }
@@ -864,13 +859,18 @@ pub fn put_elab_entry(w: &mut Writer, e: &ElabEntry) {
     for rank in e.ops.iter() {
         w.count(rank.len());
         for op in rank.iter() {
-            put_prim_op(w, op);
+            put_prim_op(w, e.ops.names(), op);
         }
     }
 }
 
-/// Decode one pre-flattened elaboration entry from `r`.
-pub fn get_elab_entry(r: &mut Reader<'_>) -> Result<ElabEntry, DecodeError> {
+/// Decode one pre-flattened elaboration entry of the program whose
+/// element names are `names` from `r`. An op naming an element the
+/// program does not have is a [`DecodeError`].
+pub fn get_elab_entry(
+    r: &mut Reader<'_>,
+    names: &Arc<ElementNames>,
+) -> Result<ElabEntry, DecodeError> {
     let sp = SystemParams {
         nodes: r.usize()?,
         cpus_per_node: r.usize()?,
@@ -889,16 +889,16 @@ pub fn get_elab_entry(r: &mut Reader<'_>) -> Result<ElabEntry, DecodeError> {
         max_loop_iterations: r.u64()?,
     };
     let n = r.count(4)?;
-    let mut ranks: Vec<Arc<[PrimOp]>> = Vec::with_capacity(cap(n));
+    let mut ranks = Vec::with_capacity(cap(n));
     for _ in 0..n {
         let len = r.count(5)?;
         let mut ops = Vec::with_capacity(cap(len));
         for _ in 0..len {
-            ops.push(get_prim_op(r)?);
+            ops.push(get_prim_op(r, names)?);
         }
-        ranks.push(ops.into());
+        ranks.push(ops);
     }
-    let ops: RankOps = ranks.into();
+    let ops = Arc::new(Elaboration::new(Arc::clone(names), ranks));
     Ok(ElabEntry {
         sp,
         comm,
@@ -1106,7 +1106,7 @@ mod tests {
         put_elab_entry(&mut w, &entry);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        let back = get_elab_entry(&mut r).unwrap();
+        let back = get_elab_entry(&mut r, p.resolve().names()).unwrap();
         r.finish().unwrap();
         assert_eq!(back.sp, entry.sp);
         assert_eq!(back.comm, entry.comm);
@@ -1115,5 +1115,15 @@ mod tests {
         for (a, b) in back.ops.iter().zip(entry.ops.iter()) {
             assert_eq!(&a[..], &b[..]);
         }
+
+        // Another program has no element `A`: its ops do not decode.
+        let mut other = Program::new("other");
+        other.body = Step::Exec {
+            name: "B".into(),
+            cost: None,
+            code: vec![],
+        };
+        let err = get_elab_entry(&mut Reader::new(&bytes), other.resolve().names()).unwrap_err();
+        assert_eq!(err.0, "op names unknown element `A`");
     }
 }

@@ -767,10 +767,13 @@ fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Result<Session, Decode
     let mcf_xml = codec::get_str(&mut r)?;
     let diagnostics = codec::get_diagnostics(&mut r)?;
     let program = codec::get_program(&mut r)?;
+    // Stored ops name their elements by text; they get the ids of the
+    // loaded program's own table.
+    let names = program.resolve().names();
     let entry_count = codec::get_count(&mut r, 92)?;
     let mut entries = Vec::with_capacity(entry_count);
     for _ in 0..entry_count {
-        entries.push(codec::get_elab_entry(&mut r)?);
+        entries.push(codec::get_elab_entry(&mut r, names)?);
     }
     r.finish()?;
 

@@ -64,15 +64,15 @@
 //! [`Evaluation`] has a report with zero events and no facilities, and
 //! an empty trace; `trace` in [`EstimatorOptions`] is ignored.
 
-use crate::elab::{flatten_all, RankOps};
+use crate::elab::{flatten_all, Elaboration, RankOps};
 use crate::estimator::{EstimatorError, EstimatorOptions, Evaluation};
 use crate::flatten::PrimOp;
+use crate::names::ElementNames;
 use prophet_machine::MachineModel;
 use prophet_sim::{SimError, SimReport};
 use prophet_trace::TraceFile;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Evaluate `program` on `machine` analytically (no DES kernel) with
 /// the reference walker, uncached — the differential reference for
@@ -142,7 +142,7 @@ type Channels = HashMap<(usize, usize, i64), VecDeque<(f64, u64)>>;
 struct Replay<'a> {
     machine: &'a MachineModel,
     /// Per-rank flattened op lists (never mutated during the replay).
-    ops: &'a [Arc<[PrimOp]>],
+    ops: &'a Elaboration,
     /// Per-rank instruction pointer.
     ip: Vec<usize>,
     /// Per-rank clock.
@@ -184,9 +184,9 @@ impl Replay<'_> {
             time,
             channels,
         } = self;
-        let ops = &ops[pid];
+        let rank = &ops[pid];
         let mut progressed = false;
-        while let Some(op) = ops.get(ip[pid]) {
+        while let Some(op) = rank.get(ip[pid]) {
             match op {
                 PrimOp::Enter(_) | PrimOp::Exit(_) => {}
                 // Master-flow locks guard against this rank's own thread
@@ -226,7 +226,7 @@ impl Replay<'_> {
                     time[pid] = time[pid].max(arrival);
                 }
                 PrimOp::Threads { arms, .. } => {
-                    time[pid] += team_time(arms, machine.sp.cpus_per_node)?;
+                    time[pid] += team_time(ops.names(), arms, machine.sp.cpus_per_node)?;
                 }
             }
             ip[pid] += 1;
@@ -270,13 +270,17 @@ impl Replay<'_> {
 /// approximation: greedy list scheduling of arm totals onto the
 /// servers, raised to a per-lock serialization lower bound of
 /// `min(first acquisition offset) + Σ locked time`.
-pub(crate) fn team_time(arms: &[Vec<PrimOp>], servers: usize) -> Result<f64, EstimatorError> {
+pub(crate) fn team_time(
+    names: &ElementNames,
+    arms: &[Vec<PrimOp>],
+    servers: usize,
+) -> Result<f64, EstimatorError> {
     if arms.is_empty() {
         return Ok(0.0);
     }
     let profiles = arms
         .iter()
-        .map(|a| arm_profile(a, servers))
+        .map(|a| arm_profile(names, a, servers))
         .collect::<Result<Vec<_>, _>>()?;
 
     if arms.len() <= servers && profiles.iter().all(|p| !p.nested_locks) {
@@ -391,7 +395,11 @@ struct ArmProfile {
     nested_locks: bool,
 }
 
-fn arm_profile(ops: &[PrimOp], servers: usize) -> Result<ArmProfile, EstimatorError> {
+fn arm_profile(
+    names: &ElementNames,
+    ops: &[PrimOp],
+    servers: usize,
+) -> Result<ArmProfile, EstimatorError> {
     let mut t = 0.0f64;
     let mut events: Vec<ArmEvent> = Vec::new();
     // Lock currently held: `(id, section start)`.
@@ -430,7 +438,7 @@ fn arm_profile(ops: &[PrimOp], servers: usize) -> Result<ArmProfile, EstimatorEr
             PrimOp::Threads { arms, .. } => {
                 // Flatten forbids nested teams today; keep the recursion
                 // so the analytic backend stays total over the op algebra.
-                let span = team_time(arms, servers)?;
+                let span = team_time(names, arms, servers)?;
                 if open.is_none() && span > 0.0 {
                     if let Some(ArmEvent::Free(d)) = events.last_mut() {
                         *d += span;
@@ -442,7 +450,8 @@ fn arm_profile(ops: &[PrimOp], servers: usize) -> Result<ArmProfile, EstimatorEr
             }
             PrimOp::SendTo { element, .. } | PrimOp::RecvFrom { element, .. } => {
                 return Err(EstimatorError::Mismatch(format!(
-                    "communication op `{element}` inside a thread team"
+                    "communication op `{}` inside a thread team",
+                    names.name(*element)
                 )));
             }
         }

@@ -2,7 +2,7 @@
 //! SP point. Every analytic prediction goes through here.
 //!
 //! [`crate::analytic::evaluate_ops`] (the reference walker) re-walks
-//! the full `Arc<[PrimOp]>` structure per evaluation: it re-skips the
+//! the full [`PrimOp`] lists per evaluation: it re-skips the
 //! trace markers, re-hashes `(src, dst, tag)` channel keys into a fresh
 //! `HashMap` of `VecDeque`s, re-prices every Hockney transfer and
 //! re-schedules every thread team — even though all of that is a pure
@@ -292,7 +292,11 @@ impl BatchProgram {
                         }
                     }
                     PrimOp::Threads { arms, .. } => {
-                        match crate::analytic::team_time(arms, machine.sp.cpus_per_node) {
+                        match crate::analytic::team_time(
+                            rank_ops.names(),
+                            arms,
+                            machine.sp.cpus_per_node,
+                        ) {
                             Ok(span) => (Kind::Add, 0, span),
                             Err(e) => {
                                 fails.push(e);
@@ -455,8 +459,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elab::flatten_all;
+    use crate::elab::{flatten_all, Elaboration};
     use crate::estimator::EstimatorOptions;
+    use crate::names::{ElementId, ElementNames};
     use crate::program::{MpiOp, Program, Step};
     use prophet_expr::parse_expression;
     use prophet_machine::{CommParams, MachineModel, SystemParams};
@@ -464,6 +469,16 @@ mod tests {
 
     fn machine(nodes: usize, cpn: usize) -> MachineModel {
         MachineModel::new(SystemParams::flat_mpi(nodes, cpn), CommParams::default()).unwrap()
+    }
+
+    /// `base` with `new` numbered too, and the ids of `new`.
+    fn with_names<const N: usize>(
+        base: &ElementNames,
+        new: [&str; N],
+    ) -> (Arc<ElementNames>, [ElementId; N]) {
+        let mut names = base.clone();
+        let ids = new.map(|name| names.intern(&name.into()));
+        (Arc::new(names), ids)
     }
 
     fn exec(name: &str, cost: &str) -> Step {
@@ -676,20 +691,21 @@ mod tests {
             },
         };
         let collective = flatten_all(&p, &m, Default::default()).unwrap();
+        let (names, [s, r, w]) = with_names(collective.names(), ["s", "r", "w"]);
         let send = |bytes: u64, tag: i64| PrimOp::SendTo {
-            element: "s".into(),
+            element: s,
             dest: 1,
             bytes,
             tag,
         };
         let recv = |src: usize, tag: i64| PrimOp::RecvFrom {
-            element: "r".into(),
+            element: r,
             src,
             tag,
             bytes: 0,
         };
         let work = |seconds: f64| PrimOp::Compute {
-            element: "w".into(),
+            element: w,
             seconds,
         };
         // Work after every receive makes the prediction depend on which
@@ -726,7 +742,7 @@ mod tests {
                 // A receive no rank ever sends: a `RecvNever`.
                 ranks[2].push(recv(3, 9));
             }
-            ranks.into_iter().map(Arc::from).collect::<Vec<_>>().into()
+            Arc::new(Elaboration::new(Arc::clone(&names), ranks))
         };
         let options = EstimatorOptions::default();
 
@@ -762,10 +778,11 @@ mod tests {
         // reaches it, with the deadlock if an unmatched receive stalls
         // the rank first.
         let m = machine(2, 1);
+        let (names, [t, s, a, r]) = with_names(&ElementNames::default(), ["T", "s", "A", "r"]);
         let team = || PrimOp::Threads {
-            element: "T".into(),
+            element: t,
             arms: vec![vec![PrimOp::SendTo {
-                element: "s".into(),
+                element: s,
                 dest: 1,
                 bytes: 8,
                 tag: 0,
@@ -773,14 +790,14 @@ mod tests {
         };
         let reached = vec![
             PrimOp::Compute {
-                element: "A".into(),
+                element: a,
                 seconds: 1.0,
             },
             team(),
         ];
         let stalled = vec![
             PrimOp::RecvFrom {
-                element: "r".into(),
+                element: r,
                 src: 1,
                 tag: 0,
                 bytes: 0,
@@ -788,7 +805,7 @@ mod tests {
             team(),
         ];
         for (rank0, expected) in [(reached, "Mismatch"), (stalled, "Deadlock")] {
-            let ops: RankOps = vec![rank0.into(), vec![].into()].into();
+            let ops: RankOps = Arc::new(Elaboration::new(Arc::clone(&names), vec![rank0, vec![]]));
             let walker = crate::analytic::evaluate_ops("t", &ops, &m, &EstimatorOptions::default())
                 .unwrap_err();
             let batch = BatchProgram::prepare(&ops, &m)

@@ -23,9 +23,11 @@
 //!   [`ElabForm`]. The *program* is NOT part of the key: one cache
 //!   serves exactly one compiled program, the invariant `Session`
 //!   maintains by owning its cache privately.
-//! * **Storage.** Each entry holds one [`RankOps`]: an
-//!   `Arc<[Arc<[PrimOp]>]>` — one shared op list per rank. Both backends
-//!   borrow these lists; nothing is cloned per evaluation. The first
+//! * **Storage.** Each entry holds one [`RankOps`]: a shared
+//!   [`Elaboration`] — one op list per rank, each rank's lock count, and
+//!   the program's [`ElementNames`] the ops' ids index. Both backends
+//!   borrow these lists; nothing is cloned per evaluation, and ops are
+//!   plain data, so no evaluation writes a shared counter per op. The first
 //!   analytic evaluation of a lean entry also stores the
 //!   [`BatchProgram`] compiled from it, which every later analytic
 //!   evaluation replays.
@@ -59,15 +61,59 @@
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
-use crate::flatten::{flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
+use crate::flatten::{flatten_rank, lock_count, ElabForm, FlattenError, FlattenLimits, PrimOp};
+use crate::names::ElementNames;
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// The elaboration of one scenario: one shared op list per MPI rank.
-pub type RankOps = Arc<[Arc<[PrimOp]>]>;
+/// The elaboration of one scenario, shared by every evaluation of it.
+pub type RankOps = Arc<Elaboration>;
+
+/// The elaboration of one scenario: one op list per MPI rank (it
+/// dereferences to the slice of them), the program's element names the
+/// ops' ids index, and how many locks each rank takes.
+#[derive(Debug)]
+pub struct Elaboration {
+    ranks: Box<[Box<[PrimOp]>]>,
+    locks: Box<[usize]>,
+    names: Arc<ElementNames>,
+}
+
+impl Elaboration {
+    /// Op lists elaborated elsewhere (the store's decoder), whose ids
+    /// index `names`. Counts each rank's locks once, here.
+    pub fn new(names: Arc<ElementNames>, ranks: Vec<Vec<PrimOp>>) -> Self {
+        let locks = ranks.iter().map(|ops| lock_count(ops)).collect();
+        Self {
+            ranks: ranks.into_iter().map(Vec::into_boxed_slice).collect(),
+            locks,
+            names,
+        }
+    }
+
+    /// The element names the ops' ids index.
+    pub fn names(&self) -> &ElementNames {
+        &self.names
+    }
+
+    /// Number of distinct `<<critical+>>` locks rank `pid` takes (thread
+    /// arms included): [`lock_count`] of its ops.
+    pub fn lock_count(&self, pid: usize) -> usize {
+        self.locks[pid]
+    }
+}
+
+impl Deref for Elaboration {
+    type Target = [Box<[PrimOp]>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.ranks
+    }
+}
 
 /// Elaborate every rank of `program` on `machine`, uncached, in the
 /// traced form: [`elaborate`] with [`ElabForm::Traced`].
@@ -85,7 +131,8 @@ pub fn flatten_all(
 /// [`ElaborationCache::get_or_flatten_form`] memoizes it per SP point.
 /// It evaluates over the program's resolved names
 /// ([`Program::resolve`]); the rank-independent frame is built once and
-/// copied per rank.
+/// copied per rank. SPMD ranks elaborate to lists of similar length, so
+/// each rank's list starts at its predecessor's length.
 pub fn elaborate(
     program: &Program,
     machine: &MachineModel,
@@ -94,11 +141,21 @@ pub fn elaborate(
 ) -> Result<RankOps, FlattenError> {
     let resolved = program.resolve();
     let base = resolved.base_frame(machine);
-    let mut ranks: Vec<Arc<[PrimOp]>> = Vec::with_capacity(machine.sp.processes);
-    for pid in 0..machine.sp.processes {
-        ranks.push(flatten_rank(resolved, machine, &base, pid, limits, form)?.into());
+    let processes = machine.sp.processes;
+    let mut ranks = Vec::with_capacity(processes);
+    let mut locks = Vec::with_capacity(processes);
+    let mut capacity = 0;
+    for pid in 0..processes {
+        let rank = flatten_rank(resolved, machine, &base, pid, limits, form, capacity)?;
+        capacity = rank.ops.len();
+        ranks.push(rank.ops.into_boxed_slice());
+        locks.push(rank.locks);
     }
-    Ok(ranks.into())
+    Ok(Arc::new(Elaboration {
+        ranks: ranks.into(),
+        locks: locks.into(),
+        names: Arc::clone(&resolved.names),
+    }))
 }
 
 /// Content key of one elaboration: everything [`elaborate`] reads
@@ -636,7 +693,7 @@ mod tests {
             .filter(|op| !matches!(op, PrimOp::Enter(_) | PrimOp::Exit(_)))
             .map(|op| match op {
                 PrimOp::Threads { element, arms } => PrimOp::Threads {
-                    element: element.clone(),
+                    element: *element,
                     arms: arms.iter().map(|arm| strip_markers(arm)).collect(),
                 },
                 other => other.clone(),

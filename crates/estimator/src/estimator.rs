@@ -4,7 +4,7 @@
 use crate::batch::{BatchProgram, BatchScratch};
 use crate::elab::{elaborate, ElaborationCache, RankOps};
 use crate::flatten::{ElabForm, FlattenError, FlattenLimits};
-use crate::interp::OpProcess;
+use crate::interp::{OpProcess, Run};
 use crate::program::Program;
 use prophet_machine::MachineModel;
 use prophet_sim::{Config, SimError, SimReport, Simulator};
@@ -12,6 +12,7 @@ use prophet_trace::TraceFile;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which evaluation engine answers a scenario.
 ///
@@ -223,49 +224,42 @@ impl Estimator {
         let sp = machine.sp;
         debug_assert_eq!(rank_ops.len(), sp.processes, "elaboration/machine mismatch");
 
-        // Integrate with the machine model in a fresh simulator.
+        // Integrate with the machine model in a fresh simulator: one
+        // 1-server facility per `<<critical+>>` lock of each rank (counted
+        // once, at elaboration), then one master flow per rank.
         let mut sim = Simulator::new(Config::default());
         let layout = machine.instantiate(&mut sim);
-        let mailboxes = Rc::new(layout.proc_mailboxes.clone());
-        let trace_sink = if options.trace {
-            Some(Rc::new(RefCell::new(TraceFile::new(
-                name.to_string(),
-                sp.processes,
-            ))))
-        } else {
-            None
-        };
-        let error = Rc::new(RefCell::new(None));
-
-        for (pid, ops) in rank_ops.iter().enumerate() {
-            // One 1-server facility per `<<critical+>>` lock of this rank.
-            let locks: Vec<_> = (0..crate::flatten::lock_count(ops))
-                .map(|l| sim.add_facility(&format!("rank{pid}.lock{l}"), 1))
-                .collect();
-            let proc = OpProcess::master(
-                pid,
-                std::sync::Arc::clone(ops),
-                machine.cpu_facility_of(&layout, pid),
-                Rc::clone(&mailboxes),
-                machine.comm,
-                trace_sink.clone(),
-                Rc::new(locks),
-                Rc::clone(&error),
-            );
+        let locks = (0..sp.processes)
+            .map(|pid| {
+                (0..rank_ops.lock_count(pid))
+                    .map(|l| sim.add_facility(&format!("rank{pid}.lock{l}"), 1))
+                    .collect()
+            })
+            .collect();
+        let run = Rc::new(Run {
+            ops: Arc::clone(rank_ops),
+            mailboxes: layout.proc_mailboxes.clone(),
+            locks,
+            comm: machine.comm,
+            trace: options
+                .trace
+                .then(|| RefCell::new(TraceFile::new(name.to_string(), sp.processes))),
+            error: RefCell::new(None),
+        });
+        for pid in 0..sp.processes {
+            let proc = OpProcess::master(&run, pid, machine.cpu_facility_of(&layout, pid));
             sim.spawn(&format!("rank{pid}"), Box::new(proc));
         }
 
         // Run.
         let report = sim.run()?;
-        if let Some(msg) = error.borrow_mut().take() {
+        if let Some(msg) = run.error.take() {
             return Err(EstimatorError::Mismatch(msg));
         }
 
-        let trace = match trace_sink {
+        let trace = match &run.trace {
             Some(sink) => {
-                let mut tf = Rc::try_unwrap(sink)
-                    .expect("all trace holders dropped after run")
-                    .into_inner();
+                let mut tf = sink.take();
                 tf.end_time = tf.end_time.max(report.end_time);
                 tf
             }

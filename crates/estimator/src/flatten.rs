@@ -17,35 +17,40 @@
 //! ([`Program::resolve`]): every expression reads and writes one flat
 //! slot frame by index, a rank starts from one copy of the elaboration's
 //! base frame, and a thread-team member from one copy of its spawner's.
+//! Ops name their element by [`ElementId`], an index into the program's
+//! [`ElementNames`]; the flattener looks a name's text up only to word
+//! an error.
 
+use crate::names::{ElementId, ElementNames};
 use crate::program::Program;
 use crate::resolve::{Mpi, Node, Resolved};
 use prophet_expr::{ExprError, Frame, RExpr, Value};
 use prophet_machine::MachineModel;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A primitive timed operation executed by the simulation process.
+///
+/// Plain data: an op names its element by the `Copy` [`ElementId`] of
+/// its program's [`ElementNames`], so building, replaying and dropping
+/// op lists writes no shared reference count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrimOp {
-    /// Trace marker: element entered. Element names are shared with the
-    /// [`Step`](crate::program::Step) that emitted the op, so cloning an
-    /// op never copies one.
-    Enter(Arc<str>),
+    /// Trace marker: element entered.
+    Enter(ElementId),
     /// Trace marker: element exited.
-    Exit(Arc<str>),
+    Exit(ElementId),
     /// Occupy one CPU of the owning node for `seconds`.
     Compute {
         /// Element name.
-        element: Arc<str>,
+        element: ElementId,
         /// Service time.
         seconds: f64,
     },
     /// Send `bytes` to rank `dest` (eager; sender pays only overhead).
     SendTo {
         /// Element name.
-        element: Arc<str>,
+        element: ElementId,
         /// Destination rank.
         dest: usize,
         /// Payload size.
@@ -57,7 +62,7 @@ pub enum PrimOp {
     /// arrival time.
     RecvFrom {
         /// Element name.
-        element: Arc<str>,
+        element: ElementId,
         /// Expected source rank.
         src: usize,
         /// Expected tag.
@@ -69,7 +74,7 @@ pub enum PrimOp {
     /// Hold (no CPU): used for analytic collective costs.
     Wait {
         /// Element name.
-        element: Arc<str>,
+        element: ElementId,
         /// Duration.
         seconds: f64,
     },
@@ -77,7 +82,7 @@ pub enum PrimOp {
     /// join. Used for both `<<parallel+>>` regions and UML fork/join.
     Threads {
         /// Element name (trace label).
-        element: Arc<str>,
+        element: ElementId,
         /// Per-thread op lists.
         arms: Vec<Vec<PrimOp>>,
     },
@@ -86,6 +91,9 @@ pub enum PrimOp {
     /// Release a previously acquired lock.
     Unlock(usize),
 }
+
+// Elaboration memory is ops: keep one op within half a cache line.
+const _: () = assert!(std::mem::size_of::<PrimOp>() <= 32);
 
 /// Elaboration failure: which node or expression broke, and how.
 ///
@@ -290,7 +298,8 @@ pub fn flatten_invocations() -> u64 {
 
 static FLATTEN_CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Elaborate `program` for MPI process `pid`, in the traced form.
+/// Elaborate `program` for MPI process `pid`, in the traced form. The
+/// ops' [`ElementId`]s index `program.resolve().names()`.
 pub fn flatten_for_process(
     program: &Program,
     machine: &MachineModel,
@@ -298,18 +307,21 @@ pub fn flatten_for_process(
     limits: FlattenLimits,
 ) -> Result<Vec<PrimOp>, FlattenError> {
     let resolved = program.resolve();
-    flatten_rank(
-        resolved,
-        machine,
-        &resolved.base_frame(machine),
-        pid,
-        limits,
-        ElabForm::Traced,
-    )
+    let base = resolved.base_frame(machine);
+    let rank = flatten_rank(resolved, machine, &base, pid, limits, ElabForm::Traced, 0)?;
+    Ok(rank.ops)
+}
+
+/// One rank's elaboration: its ops and the number of distinct locks
+/// they take.
+pub(crate) struct RankElab {
+    pub(crate) ops: Vec<PrimOp>,
+    pub(crate) locks: usize,
 }
 
 /// Elaborate rank `pid` from a [`Resolved::base_frame`] of the same
-/// program and machine. Counts one [`flatten_invocations`].
+/// program and machine into a list of `capacity` ops to start with.
+/// Counts one [`flatten_invocations`].
 pub(crate) fn flatten_rank(
     resolved: &Resolved,
     machine: &MachineModel,
@@ -317,7 +329,8 @@ pub(crate) fn flatten_rank(
     pid: usize,
     limits: FlattenLimits,
     form: ElabForm,
-) -> Result<Vec<PrimOp>, FlattenError> {
+    capacity: usize,
+) -> Result<RankElab, FlattenError> {
     FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
     let mut frame = resolved.rank_frame(base, pid);
     let mut fl = Flattener {
@@ -330,9 +343,12 @@ pub(crate) fn flatten_rank(
         ops_emitted: 0,
         locks: Vec::new(),
     };
-    let mut out = Vec::new();
-    fl.walk(&resolved.body, &mut frame, &mut out, false)?;
-    Ok(out)
+    let mut ops = Vec::with_capacity(capacity);
+    fl.walk(&resolved.body, &mut frame, &mut ops, false)?;
+    Ok(RankElab {
+        ops,
+        locks: fl.locks.len(),
+    })
 }
 
 /// Number of distinct locks referenced by an op list (including nested
@@ -356,22 +372,25 @@ pub fn lock_count(ops: &[PrimOp]) -> usize {
     max
 }
 
-/// Stable content digest of a flattened op list (FNV-1a over a canonical
-/// byte encoding; independent of `std`'s hasher internals).
+/// Stable content digest of a flattened op list whose element ids index
+/// `names` (FNV-1a over a canonical byte encoding; independent of
+/// `std`'s hasher internals).
 ///
 /// Together with the op count this pins the *shape* of an elaboration:
-/// golden tests snapshot `(ops.len(), op_digest(&ops))` per rank so a
-/// flattener or cache refactor cannot silently reorder, drop, or
+/// golden tests snapshot `(ops.len(), op_digest(names, &ops))` per rank
+/// so a flattener or cache refactor cannot silently reorder, drop, or
 /// renumber primitive ops. Every field of every op participates —
-/// element names, times (bit-exact), ranks, tags, sizes, lock ids, and
-/// nested thread arms (with arm boundaries marked, so moving an op
+/// element names (by their text, so the digest does not depend on how
+/// ids are numbered), times (bit-exact), ranks, tags, sizes, lock ids,
+/// and nested thread arms (with arm boundaries marked, so moving an op
 /// between arms changes the digest).
-pub fn op_digest(ops: &[PrimOp]) -> u64 {
-    fn s(h: &mut Fnv, v: &str) {
-        h.word(v.len() as u64);
-        h.bytes(v.as_bytes());
-    }
-    fn walk(h: &mut Fnv, ops: &[PrimOp]) {
+pub fn op_digest(names: &ElementNames, ops: &[PrimOp]) -> u64 {
+    fn walk(h: &mut Fnv, names: &ElementNames, ops: &[PrimOp]) {
+        let s = |h: &mut Fnv, id: &ElementId| {
+            let v = names.name(*id);
+            h.word(v.len() as u64);
+            h.bytes(v.as_bytes());
+        };
         for op in ops {
             match op {
                 PrimOp::Enter(e) => {
@@ -423,7 +442,7 @@ pub fn op_digest(ops: &[PrimOp]) -> u64 {
                     for arm in arms {
                         h.word(8); // arm boundary marker
                         h.word(arm.len() as u64);
-                        walk(h, arm);
+                        walk(h, names, arm);
                     }
                 }
                 PrimOp::Lock(id) => {
@@ -439,7 +458,7 @@ pub fn op_digest(ops: &[PrimOp]) -> u64 {
     }
     let mut h = Fnv::new();
     h.word(ops.len() as u64);
-    walk(&mut h, ops);
+    walk(&mut h, names, ops);
     h.finish()
 }
 
@@ -519,14 +538,19 @@ impl<'a> Flattener<'a> {
     fn marker(
         &mut self,
         out: &mut Vec<PrimOp>,
-        marker: fn(Arc<str>) -> PrimOp,
-        name: &Arc<str>,
+        marker: fn(ElementId) -> PrimOp,
+        name: ElementId,
     ) -> Result<(), FlattenError> {
         self.count()?;
         if self.markers {
-            out.push(marker(name.clone()));
+            out.push(marker(name));
         }
         Ok(())
+    }
+
+    /// The text of element `id`, for an error message.
+    fn name(&self, id: ElementId) -> &'a str {
+        self.resolved.names.name(id)
     }
 
     /// Count one op toward [`FlattenLimits::max_ops`].
@@ -612,19 +636,20 @@ impl<'a> Flattener<'a> {
                 Ok(())
             }
             Node::Exec { name, cost, code } => {
+                let name = *name;
                 self.marker(out, PrimOp::Enter, name)?;
                 if !code.is_empty() {
                     self.resolved
                         .scope
                         .exec(code, frame)
                         .map_err(|e| FlattenError::Eval {
-                            context: context("code fragment", name).to_string(),
+                            context: context("code fragment", self.name(name)).to_string(),
                             source: e,
                         })?;
                 }
                 let seconds = match cost {
                     Some(expr) => {
-                        let what = context("cost", name);
+                        let what = context("cost", self.name(name));
                         let t = self.eval_num(expr, frame, what)?;
                         if !(t.is_finite() && t >= 0.0) {
                             return Err(FlattenError::InvalidTime {
@@ -639,7 +664,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::Compute {
-                        element: name.clone(),
+                        element: name,
                         seconds,
                     },
                 )?;
@@ -666,9 +691,9 @@ impl<'a> Flattener<'a> {
                 Ok(()) // no arm taken: decision falls through
             }
             Node::Composite { name, body } => {
-                self.marker(out, PrimOp::Enter, name)?;
+                self.marker(out, PrimOp::Enter, *name)?;
                 self.walk(body, frame, out, in_team)?;
-                self.marker(out, PrimOp::Exit, name)
+                self.marker(out, PrimOp::Exit, *name)
             }
             Node::Loop {
                 name,
@@ -676,7 +701,8 @@ impl<'a> Flattener<'a> {
                 var,
                 body,
             } => {
-                let what = context("iterations", name);
+                let name = *name;
+                let what = context("iterations", self.name(name));
                 let n = self.eval_num(count, frame, what)?;
                 if !(n.is_finite() && n >= 0.0) {
                     return Err(FlattenError::InvalidCount {
@@ -687,7 +713,7 @@ impl<'a> Flattener<'a> {
                 let n = n.round() as u64;
                 if n > self.limits.max_loop_iterations {
                     return Err(FlattenError::LoopLimit {
-                        element: name.to_string(),
+                        element: self.name(name).to_string(),
                         iterations: n,
                         limit: self.limits.max_loop_iterations,
                     });
@@ -705,10 +731,10 @@ impl<'a> Flattener<'a> {
                 }
                 self.marker(out, PrimOp::Exit, name)
             }
-            Node::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
+            Node::Parallel { .. } if in_team => Err(FlattenError::NestedParallel {
                 element: String::new(),
             }),
-            Node::Parallel(arms) => {
+            Node::Parallel { fork, arms } => {
                 // UML fork/join: one thread per arm.
                 let mut arm_ops = Vec::with_capacity(arms.len());
                 for (t, arm) in arms.iter().enumerate() {
@@ -717,25 +743,26 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::Threads {
-                        element: self.resolved.fork.clone(),
+                        element: *fork,
                         arms: arm_ops,
                     },
                 )
             }
             Node::ParallelRegion { name, .. } if in_team => Err(FlattenError::NestedParallel {
-                element: name.to_string(),
+                element: self.name(*name).to_string(),
             }),
             Node::ParallelRegion {
                 name,
                 threads,
                 body,
             } => {
+                let name = *name;
                 let team = match threads {
                     Some(expr) => {
-                        let t = self.eval_num(expr, frame, context("threads", name))?;
+                        let t = self.eval_num(expr, frame, context("threads", self.name(name)))?;
                         if !(1.0..=4096.0).contains(&t) {
                             return Err(FlattenError::InvalidTeam {
-                                element: name.to_string(),
+                                element: self.name(name).to_string(),
                                 value: t,
                             });
                         }
@@ -751,7 +778,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::Threads {
-                        element: name.clone(),
+                        element: name,
                         arms: arm_ops,
                     },
                 )?;
@@ -759,16 +786,16 @@ impl<'a> Flattener<'a> {
             }
             Node::Critical { name, lock, body } => {
                 let id = self.lock_id(lock);
-                self.marker(out, PrimOp::Enter, name)?;
+                self.marker(out, PrimOp::Enter, *name)?;
                 self.emit(out, PrimOp::Lock(id))?;
                 self.walk(body, frame, out, in_team)?;
                 self.emit(out, PrimOp::Unlock(id))?;
-                self.marker(out, PrimOp::Exit, name)
+                self.marker(out, PrimOp::Exit, *name)
             }
             Node::Mpi { name, .. } if in_team => Err(FlattenError::MpiInThread {
-                element: name.to_string(),
+                element: self.name(*name).to_string(),
             }),
-            Node::Mpi { name, op } => self.walk_mpi(name, op, frame, out),
+            Node::Mpi { name, op } => self.walk_mpi(*name, op, frame, out),
         }
     }
 
@@ -798,22 +825,23 @@ impl<'a> Flattener<'a> {
 
     fn walk_mpi(
         &mut self,
-        name: &Arc<str>,
+        name: ElementId,
         op: &Mpi,
         frame: &mut Frame,
         out: &mut Vec<PrimOp>,
     ) -> Result<(), FlattenError> {
         let p = self.machine.sp.processes;
         let comm = &self.machine.comm;
+        let text = self.name(name);
         self.marker(out, PrimOp::Enter, name)?;
         match op {
             Mpi::Send { dest, size, tag } => {
-                let dest = self.eval_rank(dest, frame, context("dest", name))?;
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let dest = self.eval_rank(dest, frame, context("dest", text))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit(
                     out,
                     PrimOp::SendTo {
-                        element: name.clone(),
+                        element: name,
                         dest,
                         bytes,
                         tag: *tag,
@@ -821,11 +849,11 @@ impl<'a> Flattener<'a> {
                 )?;
             }
             Mpi::Recv { src, tag } => {
-                let src = self.eval_rank(src, frame, context("src", name))?;
+                let src = self.eval_rank(src, frame, context("src", text))?;
                 self.emit(
                     out,
                     PrimOp::RecvFrom {
-                        element: name.clone(),
+                        element: name,
                         src,
                         tag: *tag,
                         bytes: 0,
@@ -833,27 +861,27 @@ impl<'a> Flattener<'a> {
                 )?;
             }
             Mpi::Broadcast { root, size } => {
-                let root = self.eval_rank(root, frame, context("root", name))?;
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let root = self.eval_rank(root, frame, context("root", text))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit_collective(name, root, comm.broadcast_time(p, bytes), out)?;
             }
             Mpi::Reduce { root, size } => {
-                let root = self.eval_rank(root, frame, context("root", name))?;
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let root = self.eval_rank(root, frame, context("root", text))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit_collective(name, root, comm.reduce_time(p, bytes), out)?;
             }
             Mpi::Allreduce { size } => {
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit_collective(name, 0, comm.allreduce_time(p, bytes), out)?;
             }
             Mpi::Scatter { root, size } => {
-                let root = self.eval_rank(root, frame, context("root", name))?;
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let root = self.eval_rank(root, frame, context("root", text))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit_collective(name, root, comm.scatter_time(p, bytes), out)?;
             }
             Mpi::Gather { root, size } => {
-                let root = self.eval_rank(root, frame, context("root", name))?;
-                let bytes = self.eval_bytes(size, frame, context("size", name))?;
+                let root = self.eval_rank(root, frame, context("root", text))?;
+                let bytes = self.eval_bytes(size, frame, context("size", text))?;
                 self.emit_collective(name, root, comm.gather_time(p, bytes), out)?;
             }
             Mpi::Barrier => {
@@ -867,7 +895,7 @@ impl<'a> Flattener<'a> {
     /// zero-byte control messages, then hold the analytic cost.
     fn emit_collective(
         &mut self,
-        name: &Arc<str>,
+        name: ElementId,
         root: usize,
         cost: f64,
         out: &mut Vec<PrimOp>,
@@ -884,7 +912,7 @@ impl<'a> Flattener<'a> {
                     self.emit(
                         out,
                         PrimOp::RecvFrom {
-                            element: name.clone(),
+                            element: name,
                             src: other,
                             tag,
                             bytes: 0,
@@ -896,7 +924,7 @@ impl<'a> Flattener<'a> {
                     self.emit(
                         out,
                         PrimOp::SendTo {
-                            element: name.clone(),
+                            element: name,
                             dest: other,
                             bytes: 0,
                             tag,
@@ -907,7 +935,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::SendTo {
-                        element: name.clone(),
+                        element: name,
                         dest: root,
                         bytes: 0,
                         tag,
@@ -916,7 +944,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::RecvFrom {
-                        element: name.clone(),
+                        element: name,
                         src: root,
                         tag,
                         bytes: 0,
@@ -928,7 +956,7 @@ impl<'a> Flattener<'a> {
             self.emit(
                 out,
                 PrimOp::Wait {
-                    element: name.clone(),
+                    element: name,
                     seconds: cost,
                 },
             )?;
@@ -956,22 +984,53 @@ mod tests {
         }
     }
 
+    /// The id `p` numbers the element `name` with.
+    fn id(p: &Program, name: &str) -> ElementId {
+        p.resolve().names().id(name).unwrap()
+    }
+
     #[test]
     fn exec_becomes_enter_compute_exit() {
         let mut p = Program::new("t");
         p.body = exec("A1", "2.5");
         let ops = flatten_for_process(&p, &machine(1), 0, Default::default()).unwrap();
+        let a1 = id(&p, "A1");
         assert_eq!(
             ops,
             vec![
-                PrimOp::Enter("A1".into()),
+                PrimOp::Enter(a1),
                 PrimOp::Compute {
-                    element: "A1".into(),
+                    element: a1,
                     seconds: 2.5
                 },
-                PrimOp::Exit("A1".into())
+                PrimOp::Exit(a1)
             ]
         );
+    }
+
+    #[test]
+    fn each_element_name_is_numbered_once() {
+        // Two steps named `A`, and two forks: one id each, in the table
+        // every elaboration of the program shares.
+        let mut p = Program::new("t");
+        let fork = || Step::Parallel(vec![exec("B", "1"), exec("A", "1")]);
+        p.body = Step::Seq(vec![exec("A", "1"), fork(), exec("A", "2"), fork()]);
+        let names = p.resolve().names();
+        assert_eq!(names.len(), 3);
+        for name in ["A", "fork", "B"] {
+            assert_eq!(names.name(id(&p, name)), name);
+        }
+        let ranks = crate::elab::flatten_all(&p, &machine(1), Default::default()).unwrap();
+        assert!(std::ptr::eq(ranks.names(), &**names));
+        let elements: Vec<ElementId> = ranks[0]
+            .iter()
+            .filter_map(|op| match *op {
+                PrimOp::Compute { element, .. } | PrimOp::Threads { element, .. } => Some(element),
+                _ => None,
+            })
+            .collect();
+        let (a, fork) = (id(&p, "A"), id(&p, "fork"));
+        assert_eq!(elements, [a, fork, a, fork]);
     }
 
     #[test]
@@ -994,7 +1053,7 @@ mod tests {
         let names: Vec<_> = ops
             .iter()
             .filter_map(|o| match o {
-                PrimOp::Compute { element, .. } => Some(element.to_string()),
+                PrimOp::Compute { element, .. } => Some(p.resolve().names().name(*element)),
                 _ => None,
             })
             .collect();
@@ -1173,7 +1232,7 @@ mod tests {
         let ops = flatten_for_process(&p, &machine(1), 0, Default::default()).unwrap();
         assert_eq!(
             ops,
-            vec![PrimOp::Enter("bar".into()), PrimOp::Exit("bar".into())]
+            vec![PrimOp::Enter(id(&p, "bar")), PrimOp::Exit(id(&p, "bar"))]
         );
     }
 
@@ -1242,10 +1301,11 @@ mod tests {
             exec("A", "GV"),
         ]);
         let ranks = crate::elab::flatten_all(&p, &machine(2), Default::default()).unwrap();
+        let a = id(&p, "A");
         let cost_of_a = |ops: &[PrimOp]| {
             ops.iter()
                 .find_map(|o| match o {
-                    PrimOp::Compute { element, seconds } if &**element == "A" => Some(*seconds),
+                    PrimOp::Compute { element, seconds } if *element == a => Some(*seconds),
                     _ => None,
                 })
                 .unwrap()

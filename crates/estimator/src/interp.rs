@@ -1,18 +1,37 @@
 //! The simulation process that replays primitive ops on the DES engine.
+//!
+//! One DES run shares one `Run`: the elaboration it replays, the
+//! ranks' mailboxes and lock facilities, the trace and the first error.
+//! A flow replays its ops by reference — a rank's master flow its
+//! rank's list, a team member one arm of a `Threads` op in it — and its
+//! pending state holds element ids, so replay never copies an op or
+//! touches a shared counter. Element names are looked up only to write
+//! trace events and to name spawned thread flows.
 
-use crate::flatten::PrimOp;
+use crate::elab::RankOps;
+use crate::flatten::{PrimOp, JOIN_BASE};
+use crate::names::ElementId;
 use prophet_machine::CommModel;
-use prophet_sim::{Action, FacilityId, MailboxId, Msg, ProcCtx, Process, ProcessId, Resumed};
+use prophet_sim::{Action, FacilityId, MailboxId, Msg, ProcCtx, Process, Resumed};
 use prophet_trace::{EventKind, TraceEvent, TraceFile};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
-/// Shared, single-threaded trace sink (the kernel is single-threaded).
-pub type TraceSink = Rc<RefCell<TraceFile>>;
-
-/// Tag base for thread-team join notifications (see flatten).
-use crate::flatten::JOIN_BASE;
+/// What every flow of one DES run shares.
+pub(crate) struct Run {
+    /// The elaboration replayed.
+    pub(crate) ops: RankOps,
+    /// Mailbox of every rank (index = rank).
+    pub(crate) mailboxes: Vec<MailboxId>,
+    /// Per rank, one 1-server facility per `<<critical+>>` lock.
+    pub(crate) locks: Vec<Vec<FacilityId>>,
+    pub(crate) comm: CommModel,
+    /// The trace being recorded, if the run is traced.
+    pub(crate) trace: Option<RefCell<TraceFile>>,
+    /// The first communication mismatch (reported via the panic-free
+    /// path: the flow terminates, the estimator surfaces the message).
+    pub(crate) error: RefCell<Option<String>>,
+}
 
 /// State of an in-flight blocking operation.
 enum Pending {
@@ -21,16 +40,15 @@ enum Pending {
     Recv {
         src: usize,
         tag: i64,
-        element: Arc<str>,
+        element: ElementId,
     },
     /// Received a message whose Hockney arrival is in the future; holding
-    /// until then. The element name is recorded as `MsgRecv` on wake.
-    ArrivalHold(Option<Arc<str>>),
+    /// until then. The element is recorded as `MsgRecv` on wake.
+    ArrivalHold(Option<ElementId>),
     /// Waiting for `remaining` join notifications with `tag`.
     Join {
         remaining: usize,
         tag: i64,
-        element: Arc<str>,
     },
 }
 
@@ -40,21 +58,15 @@ pub struct OpProcess {
     pub pid: usize,
     /// Thread id (0 = the rank's master flow).
     pub tid: usize,
-    /// Shared (possibly cache-resident) op list this flow replays; the
-    /// interpreter never mutates or consumes it, so one elaboration can
-    /// serve any number of evaluations.
-    ops: Arc<[PrimOp]>,
+    run: Rc<Run>,
+    /// For a team member: the index of its `Threads` op in the rank's
+    /// list and its arm. `None` for the rank's master flow.
+    arm: Option<(usize, usize)>,
     ip: usize,
     cpu: FacilityId,
-    /// Mailbox of every rank (index = rank).
-    mailboxes: Rc<Vec<MailboxId>>,
-    /// This flow's receive mailbox: the rank mailbox for masters, a
-    /// dedicated one for join coordination inside thread parents.
+    /// This flow's receive mailbox (the rank mailbox; threads never
+    /// receive).
     my_mailbox: MailboxId,
-    comm: CommModel,
-    trace: Option<TraceSink>,
-    /// One 1-server facility per `<<critical+>>` lock of this rank.
-    locks: Rc<Vec<FacilityId>>,
     /// Where to notify on completion (thread flows only).
     notify: Option<(MailboxId, i64)>,
     pending: Pending,
@@ -62,81 +74,71 @@ pub struct OpProcess {
     stash: Vec<Msg>,
     /// Monotone region counter for join tags.
     region_seq: i64,
-    send_overhead: f64,
-    /// Fatal mismatch message (reported via panic-free path: the kernel's
-    /// deadlock/termination reporting).
-    pub error: Rc<RefCell<Option<String>>>,
+}
+
+impl Run {
+    /// The ops a flow of rank `pid` replays: the rank's list, or one arm
+    /// of a `Threads` op in it.
+    fn ops(&self, pid: usize, arm: Option<(usize, usize)>) -> &[PrimOp] {
+        let rank = &self.ops[pid];
+        match arm {
+            None => rank,
+            Some((op, arm)) => match &rank[op] {
+                PrimOp::Threads { arms, .. } => &arms[arm],
+                _ => unreachable!("a team member replays an arm of a `Threads` op"),
+            },
+        }
+    }
 }
 
 impl OpProcess {
-    /// Build a master process for `pid`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn master(
-        pid: usize,
-        ops: Arc<[PrimOp]>,
-        cpu: FacilityId,
-        mailboxes: Rc<Vec<MailboxId>>,
-        comm: CommModel,
-        trace: Option<TraceSink>,
-        locks: Rc<Vec<FacilityId>>,
-        error: Rc<RefCell<Option<String>>>,
-    ) -> Self {
-        let my_mailbox = mailboxes[pid];
+    /// Build the master flow of rank `pid`.
+    pub(crate) fn master(run: &Rc<Run>, pid: usize, cpu: FacilityId) -> Self {
         Self {
             pid,
             tid: 0,
-            ops,
+            run: Rc::clone(run),
+            arm: None,
             ip: 0,
             cpu,
-            mailboxes,
-            my_mailbox,
-            comm,
-            trace,
-            locks,
+            my_mailbox: run.mailboxes[pid],
             notify: None,
             pending: Pending::None,
             stash: Vec::new(),
             region_seq: 0,
-            send_overhead: comm.params.send_overhead,
-            error,
         }
     }
 
-    fn child(&self, tid: usize, ops: Vec<PrimOp>, notify: (MailboxId, i64)) -> Self {
+    fn child(&self, tid: usize, arm: (usize, usize), notify: (MailboxId, i64)) -> Self {
         Self {
             pid: self.pid,
             tid,
-            ops: ops.into(),
+            run: Rc::clone(&self.run),
+            arm: Some(arm),
             ip: 0,
             cpu: self.cpu,
-            mailboxes: Rc::clone(&self.mailboxes),
             my_mailbox: self.my_mailbox, // unused by threads (no recv)
-            comm: self.comm,
-            trace: self.trace.clone(),
-            locks: Rc::clone(&self.locks),
             notify: Some(notify),
             pending: Pending::None,
             stash: Vec::new(),
             region_seq: 0,
-            send_overhead: self.send_overhead,
-            error: Rc::clone(&self.error),
         }
     }
 
-    fn record(&self, time: f64, element: &str, kind: EventKind) {
-        if let Some(trace) = &self.trace {
+    fn record(&self, time: f64, element: ElementId, kind: EventKind) {
+        if let Some(trace) = &self.run.trace {
             trace.borrow_mut().push(TraceEvent {
                 time,
                 pid: self.pid,
                 tid: self.tid,
-                element: element.to_string(),
+                element: self.run.ops.names().name(element).to_string(),
                 kind,
             });
         }
     }
 
     fn fail(&mut self, ctx: &mut ProcCtx<'_>, message: String) -> Action {
-        let mut slot = self.error.borrow_mut();
+        let mut slot = self.run.error.borrow_mut();
         if slot.is_none() {
             *slot = Some(format!(
                 "rank {} tid {} at t={:.9}: {message}",
@@ -152,17 +154,14 @@ impl OpProcess {
 
     /// Does `msg` satisfy the pending receive?
     fn matches(msg: &Msg, src: usize, tag: i64) -> bool {
-        msg.from == ProcessId(usize::MAX) // never true; placeholder
-            || (msg.tag == tag && msg.payload as usize == src)
+        msg.tag == tag && msg.payload as usize == src
     }
 
     /// Handle a delivered message against the pending receive. Returns the
     /// next action (continue execution, keep waiting, or hold for the
     /// Hockney arrival time).
     fn on_message(&mut self, ctx: &mut ProcCtx<'_>, msg: Msg) -> Action {
-        let Pending::Recv { src, tag, element } =
-            std::mem::replace(&mut self.pending, Pending::None)
-        else {
+        let Pending::Recv { src, tag, element } = self.pending else {
             return self.fail(
                 ctx,
                 format!("unexpected message (tag {}) delivered", msg.tag),
@@ -171,10 +170,10 @@ impl OpProcess {
         if !Self::matches(&msg, src, tag) {
             // Out-of-order arrival: stash it and keep waiting.
             self.stash.push(msg);
-            self.pending = Pending::Recv { src, tag, element };
             return Action::Receive(self.my_mailbox);
         }
-        self.complete_recv(ctx, msg, src, tag, element)
+        self.pending = Pending::None;
+        self.complete_recv(ctx, msg, src, element)
     }
 
     fn complete_recv(
@@ -182,13 +181,12 @@ impl OpProcess {
         ctx: &mut ProcCtx<'_>,
         msg: Msg,
         src: usize,
-        _tag: i64,
-        element: Arc<str>,
+        element: ElementId,
     ) -> Action {
         // Data messages experience Hockney transfer time; control
         // messages (tag < 0, zero bytes) are instantaneous.
         let arrival = if msg.size_bytes > 0 {
-            msg.sent_at + self.comm.ptp_time(src, self.pid, msg.size_bytes)
+            msg.sent_at + self.run.comm.ptp_time(src, self.pid, msg.size_bytes)
         } else {
             msg.sent_at
         };
@@ -199,37 +197,31 @@ impl OpProcess {
             return Action::Hold(arrival - now);
         }
         if let Some(el) = recv_marker {
-            self.record(now, &el, EventKind::MsgRecv);
+            self.record(now, el, EventKind::MsgRecv);
         }
         self.run(ctx)
     }
 
     /// Try to satisfy the pending receive from the stash.
     fn try_stash(&mut self, ctx: &mut ProcCtx<'_>) -> Option<Action> {
-        let Pending::Recv {
-            src,
-            tag,
-            ref element,
-        } = self.pending
-        else {
+        let Pending::Recv { src, tag, element } = self.pending else {
             return None;
         };
-        let element = element.clone();
-        if let Some(pos) = self.stash.iter().position(|m| Self::matches(m, src, tag)) {
-            let msg = self.stash.remove(pos);
-            self.pending = Pending::None;
-            return Some(self.complete_recv(ctx, msg, src, tag, element));
-        }
-        None
+        let pos = self.stash.iter().position(|m| Self::matches(m, src, tag))?;
+        let msg = self.stash.remove(pos);
+        self.pending = Pending::None;
+        Some(self.complete_recv(ctx, msg, src, element))
     }
 
     /// Main dispatch: execute ops until one blocks.
     fn run(&mut self, ctx: &mut ProcCtx<'_>) -> Action {
+        let run = Rc::clone(&self.run);
+        let ops = run.ops(self.pid, self.arm);
         loop {
-            if self.error.borrow().is_some() {
+            if run.error.borrow().is_some() {
                 return Action::Terminate;
             }
-            let Some(op) = self.ops.get(self.ip).cloned() else {
+            let Some(op) = ops.get(self.ip) else {
                 // Flow complete.
                 if let Some((mbox, tag)) = self.notify {
                     ctx.send(
@@ -245,13 +237,14 @@ impl OpProcess {
                 }
                 return Action::Terminate;
             };
+            let at = self.ip;
             self.ip += 1;
-            match op {
+            match *op {
                 PrimOp::Enter(name) => {
-                    self.record(ctx.now(), &name, EventKind::Enter);
+                    self.record(ctx.now(), name, EventKind::Enter);
                 }
                 PrimOp::Exit(name) => {
-                    self.record(ctx.now(), &name, EventKind::Exit);
+                    self.record(ctx.now(), name, EventKind::Exit);
                 }
                 PrimOp::Compute { seconds, .. } => {
                     if seconds > 0.0 {
@@ -270,11 +263,10 @@ impl OpProcess {
                     tag,
                 } => {
                     if bytes > 0 {
-                        self.record(ctx.now(), &element, EventKind::MsgSend);
+                        self.record(ctx.now(), element, EventKind::MsgSend);
                     }
-                    let mbox = self.mailboxes[dest];
                     ctx.send(
-                        mbox,
+                        run.mailboxes[dest],
                         Msg {
                             from: ctx.pid(),
                             tag,
@@ -285,8 +277,9 @@ impl OpProcess {
                             sent_at: ctx.now(),
                         },
                     );
-                    if bytes > 0 && self.send_overhead > 0.0 {
-                        return Action::Hold(self.send_overhead);
+                    let overhead = run.comm.params.send_overhead;
+                    if bytes > 0 && overhead > 0.0 {
+                        return Action::Hold(overhead);
                     }
                 }
                 PrimOp::RecvFrom {
@@ -298,31 +291,27 @@ impl OpProcess {
                     }
                     return Action::Receive(self.my_mailbox);
                 }
-                PrimOp::Threads { element, arms } => {
+                PrimOp::Threads { element, ref arms } => {
                     let tag = JOIN_BASE - self.region_seq;
                     self.region_seq += 1;
-                    let n = arms.len();
-                    for (t, arm_ops) in arms.into_iter().enumerate() {
-                        let child = self.child(t, arm_ops, (self.my_mailbox, tag));
-                        ctx.spawn(
-                            &format!("p{}.{}.t{}", self.pid, element, t),
-                            Box::new(child),
-                        );
+                    let name = run.ops.names().name(element);
+                    for t in 0..arms.len() {
+                        let child = self.child(t, (at, t), (self.my_mailbox, tag));
+                        ctx.spawn(&format!("p{}.{}.t{}", self.pid, name, t), Box::new(child));
                     }
-                    if n > 0 {
+                    if !arms.is_empty() {
                         self.pending = Pending::Join {
-                            remaining: n,
+                            remaining: arms.len(),
                             tag,
-                            element,
                         };
                         return Action::Receive(self.my_mailbox);
                     }
                 }
                 PrimOp::Lock(id) => {
-                    return Action::Reserve(self.locks[id]);
+                    return Action::Reserve(run.locks[self.pid][id]);
                 }
                 PrimOp::Unlock(id) => {
-                    ctx.release(self.locks[id]);
+                    ctx.release(run.locks[self.pid][id]);
                 }
             }
         }
@@ -337,7 +326,7 @@ impl Process for OpProcess {
                 match std::mem::replace(&mut self.pending, Pending::None) {
                     Pending::ArrivalHold(marker) => {
                         if let Some(el) = marker {
-                            self.record(ctx.now(), &el, EventKind::MsgRecv);
+                            self.record(ctx.now(), el, EventKind::MsgRecv);
                         }
                         self.run(ctx)
                     }
@@ -348,40 +337,29 @@ impl Process for OpProcess {
                     }
                 }
             }
-            Resumed::MsgReceived(msg) => {
-                match std::mem::replace(&mut self.pending, Pending::None) {
-                    Pending::Join {
-                        remaining,
-                        tag,
-                        element,
-                    } => {
-                        if msg.tag != tag {
-                            // A data message arrived during the join: stash.
-                            self.stash.push(msg);
-                            self.pending = Pending::Join {
-                                remaining,
-                                tag,
-                                element,
-                            };
-                            return Action::Receive(self.my_mailbox);
-                        }
-                        if remaining > 1 {
-                            self.pending = Pending::Join {
-                                remaining: remaining - 1,
-                                tag,
-                                element,
-                            };
-                            return Action::Receive(self.my_mailbox);
-                        }
-                        self.run(ctx)
+            Resumed::MsgReceived(msg) => match self.pending {
+                Pending::Join { remaining, tag } => {
+                    if msg.tag != tag {
+                        // A data message arrived during the join: stash.
+                        self.stash.push(msg);
+                        return Action::Receive(self.my_mailbox);
                     }
-                    Pending::Recv { src, tag, element } => {
-                        self.pending = Pending::Recv { src, tag, element };
-                        self.on_message(ctx, msg)
+                    if remaining > 1 {
+                        self.pending = Pending::Join {
+                            remaining: remaining - 1,
+                            tag,
+                        };
+                        return Action::Receive(self.my_mailbox);
                     }
-                    _ => self.fail(ctx, format!("unexpected message (tag {})", msg.tag)),
+                    self.pending = Pending::None;
+                    self.run(ctx)
                 }
-            }
+                Pending::Recv { .. } => self.on_message(ctx, msg),
+                _ => {
+                    self.pending = Pending::None;
+                    self.fail(ctx, format!("unexpected message (tag {})", msg.tag))
+                }
+            },
         }
     }
 }
@@ -391,6 +369,7 @@ mod tests {
     // The interpreter is exercised end-to-end through the estimator tests;
     // unit tests here cover the message-matching helper.
     use super::*;
+    use prophet_sim::ProcessId;
 
     #[test]
     fn matching_is_by_rank_payload_and_tag() {

@@ -20,10 +20,12 @@
 //!   (compute / send / recv / collective / thread team) in one of two
 //!   [`ElabForm`]s: the traced form carries the `Enter`/`Exit` markers a
 //!   traced simulation writes to the trace file, the lean form omits
-//!   them and serves every other evaluation,
+//!   them and serves every other evaluation. An op names its element by
+//!   an [`ElementId`] of the program's [`ElementNames`], numbered once by
+//!   [`Program::resolve`],
 //! * [`elab`] — memoized elaboration: [`elab::ElaborationCache`] interns
 //!   the flattened op lists per `(SP, comm, limits, form)` content key
-//!   as shared `Arc<[PrimOp]>` lists, so R untraced sweeps over S SP
+//!   as one shared [`Elaboration`] each, so R untraced sweeps over S SP
 //!   points on both backends flatten S times, not S×R×2 (the sweep hot
 //!   path was elaboration-dominated; see `bench_analytic`/`bench_sweep`),
 //! * [`interp`] — the simulation process that replays primitive ops on
@@ -78,16 +80,20 @@ pub mod elab;
 pub mod estimator;
 pub mod flatten;
 pub mod interp;
+mod names;
 pub mod program;
 mod resolve;
 
 pub use analytic::evaluate_analytic;
 pub use batch::{BatchProgram, BatchScratch};
-pub use elab::{elaborate, flatten_all, ElabEntry, ElabStats, ElaborationCache, RankOps};
+pub use elab::{
+    elaborate, flatten_all, ElabEntry, ElabStats, Elaboration, ElaborationCache, RankOps,
+};
 pub use estimator::{Backend, Estimator, EstimatorError, EstimatorOptions, Evaluation};
 pub use flatten::{
     flatten_for_process, flatten_invocations, op_digest, ElabForm, FlattenError, FlattenLimits,
     PrimOp,
 };
+pub use names::{ElementId, ElementNames};
 pub use program::{MpiOp, Program, Step};
 pub use resolve::Resolved;

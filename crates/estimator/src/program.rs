@@ -89,7 +89,8 @@ pub enum Step {
     /// Execute a performance element: run its code fragment, then occupy
     /// the CPU for the evaluated cost (the `execute()` of the paper).
     Exec {
-        /// Element name (trace label), shared by every op it emits.
+        /// Element name (trace label). [`Program::resolve`] numbers each
+        /// distinct name once, and the ops carry that id.
         name: Arc<str>,
         /// Cost expression (seconds). `None` means zero cost.
         cost: Option<Expr>,

@@ -4,9 +4,11 @@
 //! counts, rank and size expressions and code fragments once per rank
 //! and SP point. [`Resolved`] is the same program with every name
 //! resolved by a [`Scope`]: variables to slots of one flat [`Frame`],
-//! calls to function indices or builtins. The flattener walks its
+//! calls to function indices or builtins, element names to
+//! [`ElementId`]s of one [`ElementNames`] table. The flattener walks its
 //! [`Node`] tree, and a rank starts from one copy of the base frame.
 
+use crate::names::{ElementId, ElementNames};
 use crate::program::{MpiOp, Program, Step};
 use prophet_expr::{Expr, Frame, RExpr, RStmt, Scope, Slot, Value};
 use prophet_machine::MachineModel;
@@ -32,43 +34,49 @@ pub struct Resolved {
     /// Globals then locals, with their initial values.
     vars: Box<[(Slot, f64)]>,
     pub(crate) body: Node,
-    /// The element name of every UML fork's thread team.
-    pub(crate) fork: Arc<str>,
+    /// Every element name `body` carries; shared by every elaboration of
+    /// the program.
+    pub(crate) names: Arc<ElementNames>,
 }
 
 /// One [`Step`] with its expressions resolved.
 #[derive(Debug)]
 pub(crate) enum Node {
     Exec {
-        name: Arc<str>,
+        name: ElementId,
         cost: Option<RExpr>,
         code: Box<[RStmt]>,
     },
     Seq(Box<[Node]>),
     Branch(Box<[(Option<RExpr>, Node)]>),
-    Parallel(Box<[Node]>),
+    /// A UML fork: one thread per arm. Every fork's team is named
+    /// `fork`.
+    Parallel {
+        fork: ElementId,
+        arms: Box<[Node]>,
+    },
     Composite {
-        name: Arc<str>,
+        name: ElementId,
         body: Box<Node>,
     },
     Loop {
-        name: Arc<str>,
+        name: ElementId,
         count: RExpr,
         var: Option<Slot>,
         body: Box<Node>,
     },
     ParallelRegion {
-        name: Arc<str>,
+        name: ElementId,
         threads: Option<RExpr>,
         body: Box<Node>,
     },
     Critical {
-        name: Arc<str>,
+        name: ElementId,
         lock: Box<str>,
         body: Box<Node>,
     },
     Mpi {
-        name: Arc<str>,
+        name: ElementId,
         op: Mpi,
     },
     Nop,
@@ -104,15 +112,25 @@ impl Resolved {
             .chain(&program.locals)
             .any(|(name, _)| name == "pid");
         let pid = (!shadowed).then(|| scope.slot("pid"));
-        let body = resolve_step(&mut scope, &program.body);
-        Self {
+        let mut resolver = Resolver {
             scope,
+            names: ElementNames::default(),
+        };
+        let body = resolver.step(&program.body);
+        Self {
+            scope: resolver.scope,
             system,
             pid,
             vars,
             body,
-            fork: "fork".into(),
+            names: Arc::new(resolver.names),
         }
+    }
+
+    /// The program's element names: what every [`ElementId`] of its
+    /// elaborations indexes.
+    pub fn names(&self) -> &Arc<ElementNames> {
+        &self.names
     }
 
     /// The frame every rank starts from: the system properties except
@@ -158,57 +176,74 @@ impl Resolved {
     }
 }
 
-fn resolve_step(scope: &mut Scope, step: &Step) -> Node {
-    let boxed = |scope: &mut Scope, s: &Step| Box::new(resolve_step(scope, s));
-    match step {
-        Step::Exec { name, cost, code } => Node::Exec {
-            name: name.clone(),
-            cost: cost.as_ref().map(|e| scope.expr(e)),
-            code: scope.fragment(code),
-        },
-        Step::Seq(items) => Node::Seq(items.iter().map(|s| resolve_step(scope, s)).collect()),
-        Step::Branch(arms) => Node::Branch(
-            arms.iter()
-                .map(|(g, s)| (g.as_ref().map(|g| scope.expr(g)), resolve_step(scope, s)))
-                .collect(),
-        ),
-        Step::Parallel(arms) => {
-            Node::Parallel(arms.iter().map(|s| resolve_step(scope, s)).collect())
+/// Resolution state: the scope names resolve in, and the element-name
+/// table being numbered.
+struct Resolver {
+    scope: Scope,
+    names: ElementNames,
+}
+
+impl Resolver {
+    fn name(&mut self, name: &Arc<str>) -> ElementId {
+        self.names.intern(name)
+    }
+
+    fn boxed(&mut self, step: &Step) -> Box<Node> {
+        Box::new(self.step(step))
+    }
+
+    fn step(&mut self, step: &Step) -> Node {
+        match step {
+            Step::Exec { name, cost, code } => Node::Exec {
+                name: self.name(name),
+                cost: cost.as_ref().map(|e| self.scope.expr(e)),
+                code: self.scope.fragment(code),
+            },
+            Step::Seq(items) => Node::Seq(items.iter().map(|s| self.step(s)).collect()),
+            Step::Branch(arms) => Node::Branch(
+                arms.iter()
+                    .map(|(g, s)| (g.as_ref().map(|g| self.scope.expr(g)), self.step(s)))
+                    .collect(),
+            ),
+            Step::Parallel(arms) => Node::Parallel {
+                fork: self.name(&"fork".into()),
+                arms: arms.iter().map(|s| self.step(s)).collect(),
+            },
+            Step::Composite { name, body } => Node::Composite {
+                name: self.name(name),
+                body: self.boxed(body),
+            },
+            Step::Loop {
+                name,
+                count,
+                var,
+                body,
+            } => Node::Loop {
+                name: self.name(name),
+                count: self.scope.expr(count),
+                var: var.as_deref().map(|v| self.scope.slot(v)),
+                body: self.boxed(body),
+            },
+            Step::ParallelRegion {
+                name,
+                threads,
+                body,
+            } => Node::ParallelRegion {
+                name: self.name(name),
+                threads: threads.as_ref().map(|e| self.scope.expr(e)),
+                body: self.boxed(body),
+            },
+            Step::Critical { name, lock, body } => Node::Critical {
+                name: self.name(name),
+                lock: lock.as_str().into(),
+                body: self.boxed(body),
+            },
+            Step::Mpi { name, op } => Node::Mpi {
+                name: self.name(name),
+                op: resolve_mpi(&mut self.scope, op),
+            },
+            Step::Nop => Node::Nop,
         }
-        Step::Composite { name, body } => Node::Composite {
-            name: name.clone(),
-            body: boxed(scope, body),
-        },
-        Step::Loop {
-            name,
-            count,
-            var,
-            body,
-        } => Node::Loop {
-            name: name.clone(),
-            count: scope.expr(count),
-            var: var.as_deref().map(|v| scope.slot(v)),
-            body: boxed(scope, body),
-        },
-        Step::ParallelRegion {
-            name,
-            threads,
-            body,
-        } => Node::ParallelRegion {
-            name: name.clone(),
-            threads: threads.as_ref().map(|e| scope.expr(e)),
-            body: boxed(scope, body),
-        },
-        Step::Critical { name, lock, body } => Node::Critical {
-            name: name.clone(),
-            lock: lock.as_str().into(),
-            body: boxed(scope, body),
-        },
-        Step::Mpi { name, op } => Node::Mpi {
-            name: name.clone(),
-            op: resolve_mpi(scope, op),
-        },
-        Step::Nop => Node::Nop,
     }
 }
 

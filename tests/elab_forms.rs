@@ -68,7 +68,7 @@ fn strip_markers(ops: &[PrimOp]) -> Vec<PrimOp> {
         .filter(|op| !matches!(op, PrimOp::Enter(_) | PrimOp::Exit(_)))
         .map(|op| match op {
             PrimOp::Threads { element, arms } => PrimOp::Threads {
-                element: element.clone(),
+                element: *element,
                 arms: arms.iter().map(|arm| strip_markers(arm)).collect(),
             },
             other => other.clone(),

@@ -2,9 +2,10 @@
 //! determinism, sweep consistency, estimator/codegen agreement, and
 //! failure-path behaviour.
 
-use prophet::core::{mpi_grid, to_cpp, Error, Scenario, Session, SweepConfig};
+use prophet::core::{mpi_grid, to_cpp, Backend, Error, Scenario, Session, SweepConfig};
 use prophet::estimator::{Estimator, EstimatorOptions};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
+use prophet::serve::api::{demo_model, demo_models};
 use prophet::trace::TraceAnalysis;
 use prophet::uml::{ModelBuilder, TagValue, VarType};
 use prophet::workloads::models::{jacobi_model, master_worker_model, sample_model};
@@ -27,21 +28,41 @@ fn determinism_across_full_pipeline() {
 
 #[test]
 fn serial_and_parallel_sweeps_agree_on_real_model() {
-    let session = Session::new(jacobi_model(200_000, 5, 1e-8)).unwrap();
-    let points = mpi_grid(&[1, 2, 4, 8], 1);
-    let serial_cfg = SweepConfig {
-        threads: 1,
-        ..Default::default()
-    };
-    let a = session.sweep_with(&points, &serial_cfg, |_, _| {});
-    let parallel_cfg = SweepConfig {
-        threads: 3,
-        ..Default::default()
-    };
-    let b = session.sweep_with(&points, &parallel_cfg, |_, _| {});
-    for (x, y) in a.points.iter().zip(&b.points) {
-        assert_eq!(x.time(), y.time());
-        assert_eq!(x.outcome.is_err(), y.outcome.is_err());
+    // Every bundled model over the 64-point grid, on both backends, by
+    // 1, 2 and 4 sweep workers: bit-identical predictions, the same
+    // failures and the same elaboration-cache counts. Each worker count
+    // sweeps a fresh session, simulation first, then analytic.
+    let nodes: Vec<usize> = (1..=64).collect();
+    let points = mpi_grid(&nodes, 1);
+    for (name, _) in demo_models() {
+        let run = |threads: usize| {
+            let session = Session::new(demo_model(name).unwrap()).unwrap();
+            let outcomes: Vec<Vec<Result<u64, String>>> = [Backend::Simulation, Backend::Analytic]
+                .into_iter()
+                .map(|backend| {
+                    let config = SweepConfig {
+                        threads,
+                        backend,
+                        ..Default::default()
+                    };
+                    let report = session.sweep_with(&points, &config, |_, _| {});
+                    report
+                        .points
+                        .iter()
+                        .map(|p| match &p.outcome {
+                            Ok(time) => Ok(time.to_bits()),
+                            Err(e) => Err(e.to_string()),
+                        })
+                        .collect()
+                })
+                .collect();
+            (outcomes, session.elab_stats())
+        };
+        let serial = run(1);
+        assert_eq!(serial.1.misses, 64, "{name}: {:?}", serial.1);
+        for threads in [2, 4] {
+            assert!(run(threads) == serial, "{name}: {threads} workers disagree");
+        }
     }
 }
 

@@ -74,6 +74,7 @@ fn check(name: &str, model: Model, sp: SystemParams, golden: Golden) {
     assert_eq!(golden.rank_ops.len(), sp.processes, "{name} golden shape");
     let all = flatten_all(session.program(), &machine, Default::default()).unwrap();
     assert_eq!(all.len(), sp.processes, "{name} flatten_all rank count");
+    let names = session.program().resolve().names();
     for (pid, &(len, digest)) in golden.rank_ops.iter().enumerate() {
         let ops =
             flatten_for_process(session.program(), &machine, pid, Default::default()).unwrap();
@@ -87,7 +88,7 @@ fn check(name: &str, model: Model, sp: SystemParams, golden: Golden) {
                 "{name} rank {pid} op count shifted ({path})"
             );
             assert_eq!(
-                op_digest(ops),
+                op_digest(names, ops),
                 digest,
                 "{name} rank {pid} op digest shifted ({path}, len {})",
                 ops.len()
@@ -402,10 +403,9 @@ fn builder_and_parsed_spellings_compile_alike() {
             "{name}"
         );
         let digests = |s: &Session| {
-            flatten_all(s.program(), &machine, Default::default())
-                .unwrap()
-                .iter()
-                .map(|ops| op_digest(ops))
+            let all = flatten_all(s.program(), &machine, Default::default()).unwrap();
+            all.iter()
+                .map(|ops| op_digest(all.names(), ops))
                 .collect::<Vec<_>>()
         };
         assert_eq!(digests(&a), digests(&b), "{name}");

@@ -13,13 +13,13 @@ use prophet::core::{
     flatten_invocations, mpi_grid, transform_invocations, ArtifactKey, ArtifactStore, Scenario,
     Session, StoreStats, SweepConfig,
 };
-use prophet::estimator::PrimOp;
+use prophet::estimator::{op_digest, ElementId, PrimOp};
 use prophet::machine::SystemParams;
 use prophet::serve::api::{demo_model, demo_models};
 use prophet::workloads::models::{jacobi_model, lapw0_model};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Held by every test that elaborates: `flatten_invocations` is
 /// process-wide, so a concurrent flatten would break the count in
@@ -347,8 +347,9 @@ fn builder_and_parsed_spellings_share_one_artifact() {
 #[test]
 fn loaded_elaborations_share_one_name_per_element() {
     let _flattens = flatten_lock();
-    // The decoder interns element names per session, so a store-loaded
-    // elaboration holds one `Arc<str>` per element, as a fresh one does.
+    // The decoder maps every stored element name to its id in the loaded
+    // program's own name table, so a store-loaded elaboration names each
+    // element by one id, as a fresh one does, and the same text.
     let dir = temp_dir("interned");
     let store = ArtifactStore::open(&dir).unwrap();
     let session = Session::new(demo_model("jacobi").unwrap()).unwrap();
@@ -359,19 +360,32 @@ fn loaded_elaborations_share_one_name_per_element() {
 
     let entries = loaded.elab_cache().snapshot();
     assert_eq!(entries.len(), 1, "the evaluated SP point was persisted");
-    let mut by_name: HashMap<&str, Vec<(usize, &Arc<str>)>> = HashMap::new();
+    let names = loaded.program().resolve().names();
+    assert!(
+        std::ptr::eq(entries[0].ops.names(), &**names),
+        "loaded ops index the loaded program's table"
+    );
+    let fresh = &session.elab_cache().snapshot()[0].ops;
+    for (rank, (a, b)) in fresh.iter().zip(entries[0].ops.iter()).enumerate() {
+        assert_eq!(
+            op_digest(fresh.names(), a),
+            op_digest(names, b),
+            "rank {rank}"
+        );
+    }
+    let mut by_name: HashMap<&str, Vec<(usize, ElementId)>> = HashMap::new();
     for (rank, ops) in entries[0].ops.iter().enumerate() {
         for op in ops.iter() {
-            if let Some(name) = element(op) {
-                by_name.entry(name).or_default().push((rank, name));
+            if let Some(id) = element(op) {
+                by_name.entry(names.name(id)).or_default().push((rank, id));
             }
         }
     }
     let mut shared_across_ranks = 0;
     for (name, uses) in &by_name {
         let (_, first) = uses[0];
-        for (rank, other) in uses {
-            assert!(Arc::ptr_eq(first, other), "`{name}` on rank {rank}");
+        for &(rank, other) in uses {
+            assert_eq!(first, other, "`{name}` on rank {rank}");
         }
         if uses.iter().any(|&(rank, _)| rank != uses[0].0) {
             shared_across_ranks += 1;
@@ -380,9 +394,9 @@ fn loaded_elaborations_share_one_name_per_element() {
     assert!(shared_across_ranks > 0, "{:?}", by_name.keys());
 }
 
-/// The element name an op carries, if any.
-fn element(op: &PrimOp) -> Option<&Arc<str>> {
-    match op {
+/// The element an op names, if any.
+fn element(op: &PrimOp) -> Option<ElementId> {
+    match *op {
         PrimOp::Enter(name) | PrimOp::Exit(name) => Some(name),
         PrimOp::Compute { element, .. }
         | PrimOp::SendTo { element, .. }
@@ -457,4 +471,45 @@ fn stored_elaborations_are_lean_and_traced_runs_still_match_the_golden() {
         let stats = loaded.elab_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1), "{name}: {stats:?}");
     }
+}
+
+/// The bytes `save_session` writes for each bundled model after a
+/// 64-point lean sweep (`flat_mpi(1..=64, 1)`, analytic), as one FNV-1a
+/// digest of the artifact file. The store format is pinned byte for
+/// byte: how ops name their elements in memory must not leak into it.
+#[test]
+fn saved_artifact_bytes_do_not_move() {
+    let _flattens = flatten_lock();
+    const EXPECTED: [(&str, u64); 10] = [
+        ("sample", 0x148a2028362944a2),
+        ("kernel6", 0x21c2630313e24b15),
+        ("jacobi", 0x08b1b8d8dab9195a),
+        ("lapw0", 0x594f594ca85e2d3b),
+        ("pipeline", 0x86498885883fdbfe),
+        ("master_worker", 0xbe622260a2961d1d),
+        ("task_farm", 0x183d518e041040dc),
+        ("branching_pipeline", 0x819e5b442afa9563),
+        ("halo_ring", 0x6e5e638caa79f0ad),
+        ("mapreduce", 0xafdbb13f7b9f3ce2),
+    ];
+    let names: Vec<&str> = demo_models().into_iter().map(|(name, _)| name).collect();
+    assert_eq!(names, EXPECTED.map(|(name, _)| name), "bundled model table");
+    let dir = temp_dir("bytes");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let nodes: Vec<usize> = (1..=64).collect();
+    let config = SweepConfig {
+        backend: prophet::core::Backend::Analytic,
+        ..Default::default()
+    };
+    let mut got = Vec::new();
+    for (name, _) in EXPECTED {
+        let session = Session::new(demo_model(name).unwrap()).unwrap();
+        let report = session.sweep_with(&mpi_grid(&nodes, 1), &config, |_, _| {});
+        assert_eq!(report.failures(), 0, "{name}");
+        let key = store.save_session(&session).unwrap();
+        let bytes = std::fs::read(store.entry_path(key)).unwrap();
+        got.push((name, prophet::core::store::fnv1a(&bytes)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(got, EXPECTED, "saved artifact bytes moved");
 }
