@@ -731,10 +731,10 @@ impl<'a> Flattener<'a> {
                 }
                 self.marker(out, PrimOp::Exit, name)
             }
-            Node::Parallel { .. } if in_team => Err(FlattenError::NestedParallel {
+            Node::Parallel(_) if in_team => Err(FlattenError::NestedParallel {
                 element: String::new(),
             }),
-            Node::Parallel { fork, arms } => {
+            Node::Parallel(arms) => {
                 // UML fork/join: one thread per arm.
                 let mut arm_ops = Vec::with_capacity(arms.len());
                 for (t, arm) in arms.iter().enumerate() {
@@ -743,7 +743,7 @@ impl<'a> Flattener<'a> {
                 self.emit(
                     out,
                     PrimOp::Threads {
-                        element: *fork,
+                        element: self.resolved.fork,
                         arms: arm_ops,
                     },
                 )

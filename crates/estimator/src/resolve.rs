@@ -34,8 +34,10 @@ pub struct Resolved {
     /// Globals then locals, with their initial values.
     vars: Box<[(Slot, f64)]>,
     pub(crate) body: Node,
-    /// Every element name `body` carries; shared by every elaboration of
-    /// the program.
+    /// The element name of every UML fork's thread team.
+    pub(crate) fork: ElementId,
+    /// Every element name the program's ops can carry; shared by every
+    /// elaboration of the program.
     pub(crate) names: Arc<ElementNames>,
 }
 
@@ -49,12 +51,7 @@ pub(crate) enum Node {
     },
     Seq(Box<[Node]>),
     Branch(Box<[(Option<RExpr>, Node)]>),
-    /// A UML fork: one thread per arm. Every fork's team is named
-    /// `fork`.
-    Parallel {
-        fork: ElementId,
-        arms: Box<[Node]>,
-    },
+    Parallel(Box<[Node]>),
     Composite {
         name: ElementId,
         body: Box<Node>,
@@ -112,18 +109,17 @@ impl Resolved {
             .chain(&program.locals)
             .any(|(name, _)| name == "pid");
         let pid = (!shadowed).then(|| scope.slot("pid"));
-        let mut resolver = Resolver {
-            scope,
-            names: ElementNames::default(),
-        };
-        let body = resolver.step(&program.body);
+        let mut names = ElementNames::default();
+        let fork = names.intern(&"fork".into());
+        let body = resolve_step(&mut scope, &mut names, &program.body);
         Self {
-            scope: resolver.scope,
+            scope,
             system,
             pid,
             vars,
             body,
-            names: Arc::new(resolver.names),
+            fork,
+            names: Arc::new(names),
         }
     }
 
@@ -176,74 +172,69 @@ impl Resolved {
     }
 }
 
-/// Resolution state: the scope names resolve in, and the element-name
-/// table being numbered.
-struct Resolver {
-    scope: Scope,
-    names: ElementNames,
-}
-
-impl Resolver {
-    fn name(&mut self, name: &Arc<str>) -> ElementId {
-        self.names.intern(name)
-    }
-
-    fn boxed(&mut self, step: &Step) -> Box<Node> {
-        Box::new(self.step(step))
-    }
-
-    fn step(&mut self, step: &Step) -> Node {
-        match step {
-            Step::Exec { name, cost, code } => Node::Exec {
-                name: self.name(name),
-                cost: cost.as_ref().map(|e| self.scope.expr(e)),
-                code: self.scope.fragment(code),
-            },
-            Step::Seq(items) => Node::Seq(items.iter().map(|s| self.step(s)).collect()),
-            Step::Branch(arms) => Node::Branch(
-                arms.iter()
-                    .map(|(g, s)| (g.as_ref().map(|g| self.scope.expr(g)), self.step(s)))
-                    .collect(),
-            ),
-            Step::Parallel(arms) => Node::Parallel {
-                fork: self.name(&"fork".into()),
-                arms: arms.iter().map(|s| self.step(s)).collect(),
-            },
-            Step::Composite { name, body } => Node::Composite {
-                name: self.name(name),
-                body: self.boxed(body),
-            },
-            Step::Loop {
-                name,
-                count,
-                var,
-                body,
-            } => Node::Loop {
-                name: self.name(name),
-                count: self.scope.expr(count),
-                var: var.as_deref().map(|v| self.scope.slot(v)),
-                body: self.boxed(body),
-            },
-            Step::ParallelRegion {
-                name,
-                threads,
-                body,
-            } => Node::ParallelRegion {
-                name: self.name(name),
-                threads: threads.as_ref().map(|e| self.scope.expr(e)),
-                body: self.boxed(body),
-            },
-            Step::Critical { name, lock, body } => Node::Critical {
-                name: self.name(name),
-                lock: lock.as_str().into(),
-                body: self.boxed(body),
-            },
-            Step::Mpi { name, op } => Node::Mpi {
-                name: self.name(name),
-                op: resolve_mpi(&mut self.scope, op),
-            },
-            Step::Nop => Node::Nop,
+fn resolve_step(scope: &mut Scope, names: &mut ElementNames, step: &Step) -> Node {
+    let boxed = |scope: &mut Scope, names: &mut ElementNames, s: &Step| {
+        Box::new(resolve_step(scope, names, s))
+    };
+    match step {
+        Step::Exec { name, cost, code } => Node::Exec {
+            name: names.intern(name),
+            cost: cost.as_ref().map(|e| scope.expr(e)),
+            code: scope.fragment(code),
+        },
+        Step::Seq(items) => Node::Seq(
+            items
+                .iter()
+                .map(|s| resolve_step(scope, names, s))
+                .collect(),
+        ),
+        Step::Branch(arms) => Node::Branch(
+            arms.iter()
+                .map(|(g, s)| {
+                    (
+                        g.as_ref().map(|g| scope.expr(g)),
+                        resolve_step(scope, names, s),
+                    )
+                })
+                .collect(),
+        ),
+        Step::Parallel(arms) => {
+            Node::Parallel(arms.iter().map(|s| resolve_step(scope, names, s)).collect())
         }
+        Step::Composite { name, body } => Node::Composite {
+            name: names.intern(name),
+            body: boxed(scope, names, body),
+        },
+        Step::Loop {
+            name,
+            count,
+            var,
+            body,
+        } => Node::Loop {
+            name: names.intern(name),
+            count: scope.expr(count),
+            var: var.as_deref().map(|v| scope.slot(v)),
+            body: boxed(scope, names, body),
+        },
+        Step::ParallelRegion {
+            name,
+            threads,
+            body,
+        } => Node::ParallelRegion {
+            name: names.intern(name),
+            threads: threads.as_ref().map(|e| scope.expr(e)),
+            body: boxed(scope, names, body),
+        },
+        Step::Critical { name, lock, body } => Node::Critical {
+            name: names.intern(name),
+            lock: lock.as_str().into(),
+            body: boxed(scope, names, body),
+        },
+        Step::Mpi { name, op } => Node::Mpi {
+            name: names.intern(name),
+            op: resolve_mpi(scope, op),
+        },
+        Step::Nop => Node::Nop,
     }
 }
 
