@@ -14,7 +14,6 @@
 //! so its memory goes with the program's.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// One element name of a program: an index into its [`ElementNames`].
@@ -23,7 +22,7 @@ pub struct ElementId(u32);
 
 /// A program's element names, each stored once and numbered in the
 /// order resolution first meets it.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ElementNames {
     names: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, ElementId>,
@@ -55,21 +54,5 @@ impl ElementNames {
     /// The id of the element named `name`, if the program has one.
     pub fn id(&self, name: &str) -> Option<ElementId> {
         self.ids.get(name).copied()
-    }
-
-    /// Number of distinct element names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the program names no element.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-impl fmt::Debug for ElementNames {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.names).finish()
     }
 }
