@@ -797,7 +797,14 @@ fn put_prim_op(w: &mut Writer, names: &ElementNames, op: &PrimOp) {
     }
 }
 
-fn get_prim_op(r: &mut Reader<'_>, names: &ElementNames) -> Result<PrimOp, DecodeError> {
+/// Decode one op; `in_arm` for an op of a thread arm, where a team is a
+/// [`DecodeError`]: an elaboration holds no nested teams, so decoding
+/// recurses one level at most.
+fn get_prim_op(
+    r: &mut Reader<'_>,
+    names: &ElementNames,
+    in_arm: bool,
+) -> Result<PrimOp, DecodeError> {
     Ok(match r.u8()? {
         0 => PrimOp::Enter(r.element(names)?),
         1 => PrimOp::Exit(r.element(names)?),
@@ -821,6 +828,7 @@ fn get_prim_op(r: &mut Reader<'_>, names: &ElementNames) -> Result<PrimOp, Decod
             element: r.element(names)?,
             seconds: r.f64()?,
         },
+        6 if in_arm => return err("thread team inside a thread arm"),
         6 => {
             let element = r.element(names)?;
             let n = r.count(4)?;
@@ -829,7 +837,7 @@ fn get_prim_op(r: &mut Reader<'_>, names: &ElementNames) -> Result<PrimOp, Decod
                 let len = r.count(5)?;
                 let mut arm = Vec::with_capacity(cap(len));
                 for _ in 0..len {
-                    arm.push(get_prim_op(r, names)?);
+                    arm.push(get_prim_op(r, names, true)?);
                 }
                 arms.push(arm);
             }
@@ -894,16 +902,16 @@ pub fn get_elab_entry(
         let len = r.count(5)?;
         let mut ops = Vec::with_capacity(cap(len));
         for _ in 0..len {
-            ops.push(get_prim_op(r, names)?);
+            ops.push(get_prim_op(r, names, false)?);
         }
         ranks.push(ops);
     }
-    let ops = Arc::new(Elaboration::new(Arc::clone(names), ranks));
+    let ops = Elaboration::new(Arc::clone(names), ranks).map_err(|e| DecodeError(e.to_string()))?;
     Ok(ElabEntry {
         sp,
         comm,
         limits,
-        ops,
+        ops: Arc::new(ops),
     })
 }
 
@@ -1125,5 +1133,47 @@ mod tests {
         };
         let err = get_elab_entry(&mut Reader::new(&bytes), other.resolve().names()).unwrap_err();
         assert_eq!(err.0, "op names unknown element `A`");
+    }
+
+    #[test]
+    fn nested_thread_teams_do_not_decode() {
+        let mut p = Program::new("nest");
+        p.body = Step::Exec {
+            name: "A".into(),
+            cost: None,
+            code: vec![],
+        };
+        let names = p.resolve().names();
+        let a = names.id("A").unwrap();
+        let team = |arms| PrimOp::Threads { element: a, arms };
+        let sp = SystemParams::flat_mpi(1, 1);
+        let c = CommParams::default();
+        let limits = FlattenLimits::default();
+        let mut w = Writer::new();
+        for v in [
+            sp.nodes,
+            sp.cpus_per_node,
+            sp.processes,
+            sp.threads_per_process,
+        ] {
+            w.usize(v);
+        }
+        for v in [
+            c.intra_latency,
+            c.intra_bandwidth,
+            c.inter_latency,
+            c.inter_bandwidth,
+            c.send_overhead,
+        ] {
+            w.f64(v);
+        }
+        w.usize(limits.max_ops);
+        w.u64(limits.max_loop_iterations);
+        w.count(1); // one rank
+        w.count(1); // of one op: a team whose arm holds a team
+        put_prim_op(&mut w, names, &team(vec![vec![team(vec![vec![]])]]));
+        let bytes = w.into_bytes();
+        let err = get_elab_entry(&mut Reader::new(&bytes), names).unwrap_err();
+        assert_eq!(err.0, "thread team inside a thread arm");
     }
 }

@@ -436,8 +436,9 @@ fn arm_profile(
                 }
             }
             PrimOp::Threads { arms, .. } => {
-                // Flatten forbids nested teams today; keep the recursion
-                // so the analytic backend stays total over the op algebra.
+                // An elaboration holds no nested teams (flatten and
+                // `Elaboration::new` reject them); the recursion keeps
+                // `team_time` total over any arm list.
                 let span = team_time(names, arms, servers)?;
                 if open.is_none() && span > 0.0 {
                     if let Some(ArmEvent::Free(d)) = events.last_mut() {

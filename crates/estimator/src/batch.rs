@@ -742,7 +742,7 @@ mod tests {
                 // A receive no rank ever sends: a `RecvNever`.
                 ranks[2].push(recv(3, 9));
             }
-            Arc::new(Elaboration::new(Arc::clone(&names), ranks))
+            Arc::new(Elaboration::new(Arc::clone(&names), ranks).unwrap())
         };
         let options = EstimatorOptions::default();
 
@@ -805,7 +805,8 @@ mod tests {
             team(),
         ];
         for (rank0, expected) in [(reached, "Mismatch"), (stalled, "Deadlock")] {
-            let ops: RankOps = Arc::new(Elaboration::new(Arc::clone(&names), vec![rank0, vec![]]));
+            let ops: RankOps =
+                Arc::new(Elaboration::new(Arc::clone(&names), vec![rank0, vec![]]).unwrap());
             let walker = crate::analytic::evaluate_ops("t", &ops, &m, &EstimatorOptions::default())
                 .unwrap_err();
             let batch = BatchProgram::prepare(&ops, &m)

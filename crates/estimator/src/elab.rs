@@ -61,7 +61,7 @@
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
-use crate::flatten::{flatten_rank, lock_count, ElabForm, FlattenError, FlattenLimits, PrimOp};
+use crate::flatten::{flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
 use crate::names::ElementNames;
 use crate::program::Program;
 use prophet_machine::{CommParams, MachineModel, SystemParams};
@@ -76,6 +76,10 @@ pub type RankOps = Arc<Elaboration>;
 /// The elaboration of one scenario: one op list per MPI rank (it
 /// dereferences to the slice of them), the program's element names the
 /// ops' ids index, and how many locks each rank takes.
+///
+/// A thread arm holds no `Threads` op: the flattener rejects nested
+/// teams, and so does [`Elaboration::new`] for op lists built elsewhere,
+/// so every backend replays teams one level deep.
 #[derive(Debug)]
 pub struct Elaboration {
     ranks: Box<[Box<[PrimOp]>]>,
@@ -84,15 +88,19 @@ pub struct Elaboration {
 }
 
 impl Elaboration {
-    /// Op lists elaborated elsewhere (the store's decoder), whose ids
-    /// index `names`. Counts each rank's locks once, here.
-    pub fn new(names: Arc<ElementNames>, ranks: Vec<Vec<PrimOp>>) -> Self {
-        let locks = ranks.iter().map(|ops| lock_count(ops)).collect();
-        Self {
+    /// The elaboration of `ranks`, whose ids index `names`. Counts each
+    /// rank's locks once, here. A `Threads` op inside a thread arm is a
+    /// [`FlattenError::NestedParallel`], as it is when flattening.
+    pub fn new(names: Arc<ElementNames>, ranks: Vec<Vec<PrimOp>>) -> Result<Self, FlattenError> {
+        let locks = ranks
+            .iter()
+            .map(|ops| rank_locks(&names, ops))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
             ranks: ranks.into_iter().map(Vec::into_boxed_slice).collect(),
             locks,
             names,
-        }
+        })
     }
 
     /// The element names the ops' ids index.
@@ -101,7 +109,7 @@ impl Elaboration {
     }
 
     /// Number of distinct `<<critical+>>` locks rank `pid` takes (thread
-    /// arms included): [`lock_count`] of its ops.
+    /// arms included).
     pub fn lock_count(&self, pid: usize) -> usize {
         self.locks[pid]
     }
@@ -113,6 +121,31 @@ impl Deref for Elaboration {
     fn deref(&self) -> &Self::Target {
         &self.ranks
     }
+}
+
+/// Number of distinct locks `ops` take, thread arms included; an error
+/// if an arm holds a team.
+fn rank_locks(names: &ElementNames, ops: &[PrimOp]) -> Result<usize, FlattenError> {
+    let mut max = 0;
+    let mut note = |op: &PrimOp| {
+        if let PrimOp::Lock(id) | PrimOp::Unlock(id) = op {
+            max = max.max(id + 1);
+        }
+    };
+    for op in ops {
+        note(op);
+        if let PrimOp::Threads { arms, .. } = op {
+            for op in arms.iter().flatten() {
+                if let PrimOp::Threads { element, .. } = op {
+                    return Err(FlattenError::NestedParallel {
+                        element: names.name(*element).to_string(),
+                    });
+                }
+                note(op);
+            }
+        }
+    }
+    Ok(max)
 }
 
 /// Elaborate every rank of `program` on `machine`, uncached, in the
@@ -143,19 +176,13 @@ pub fn elaborate(
     let base = resolved.base_frame(machine);
     let processes = machine.sp.processes;
     let mut ranks = Vec::with_capacity(processes);
-    let mut locks = Vec::with_capacity(processes);
     let mut capacity = 0;
     for pid in 0..processes {
-        let rank = flatten_rank(resolved, machine, &base, pid, limits, form, capacity)?;
-        capacity = rank.ops.len();
-        ranks.push(rank.ops.into_boxed_slice());
-        locks.push(rank.locks);
+        let ops = flatten_rank(resolved, machine, &base, pid, limits, form, capacity)?;
+        capacity = ops.len();
+        ranks.push(ops);
     }
-    Ok(Arc::new(Elaboration {
-        ranks: ranks.into(),
-        locks: locks.into(),
-        names: Arc::clone(&resolved.names),
-    }))
+    Elaboration::new(Arc::clone(&resolved.names), ranks).map(Arc::new)
 }
 
 /// Content key of one elaboration: everything [`elaborate`] reads
@@ -1002,5 +1029,29 @@ mod tests {
         assert_eq!(cache.len(), 8);
         assert_eq!(stats.misses, 8, "{stats:?}");
         assert_eq!(stats.hits, 24, "{stats:?}");
+    }
+
+    #[test]
+    fn elaborations_count_arm_locks_and_hold_no_nested_teams() {
+        let p = program();
+        let names = p.resolve().names();
+        let a = names.id("A").unwrap();
+        let team = |arms| PrimOp::Threads { element: a, arms };
+        let flat = vec![
+            PrimOp::Lock(0),
+            PrimOp::Unlock(0),
+            team(vec![vec![PrimOp::Lock(2), PrimOp::Unlock(2)], vec![]]),
+        ];
+        let e = Elaboration::new(Arc::clone(names), vec![flat, vec![]]).unwrap();
+        assert_eq!((e.lock_count(0), e.lock_count(1)), (3, 0));
+
+        let nested = vec![team(vec![vec![team(vec![vec![]])]])];
+        let err = Elaboration::new(Arc::clone(names), vec![nested]).unwrap_err();
+        assert_eq!(
+            err,
+            FlattenError::NestedParallel {
+                element: "A".into()
+            }
+        );
     }
 }

@@ -308,15 +308,7 @@ pub fn flatten_for_process(
 ) -> Result<Vec<PrimOp>, FlattenError> {
     let resolved = program.resolve();
     let base = resolved.base_frame(machine);
-    let rank = flatten_rank(resolved, machine, &base, pid, limits, ElabForm::Traced, 0)?;
-    Ok(rank.ops)
-}
-
-/// One rank's elaboration: its ops and the number of distinct locks
-/// they take.
-pub(crate) struct RankElab {
-    pub(crate) ops: Vec<PrimOp>,
-    pub(crate) locks: usize,
+    flatten_rank(resolved, machine, &base, pid, limits, ElabForm::Traced, 0)
 }
 
 /// Elaborate rank `pid` from a [`Resolved::base_frame`] of the same
@@ -330,7 +322,7 @@ pub(crate) fn flatten_rank(
     limits: FlattenLimits,
     form: ElabForm,
     capacity: usize,
-) -> Result<RankElab, FlattenError> {
+) -> Result<Vec<PrimOp>, FlattenError> {
     FLATTEN_CALLS.fetch_add(1, Ordering::Relaxed);
     let mut frame = resolved.rank_frame(base, pid);
     let mut fl = Flattener {
@@ -345,31 +337,7 @@ pub(crate) fn flatten_rank(
     };
     let mut ops = Vec::with_capacity(capacity);
     fl.walk(&resolved.body, &mut frame, &mut ops, false)?;
-    Ok(RankElab {
-        ops,
-        locks: fl.locks.len(),
-    })
-}
-
-/// Number of distinct locks referenced by an op list (including nested
-/// thread arms). The estimator creates one 1-server facility per lock.
-pub fn lock_count(ops: &[PrimOp]) -> usize {
-    fn scan(ops: &[PrimOp], max: &mut usize) {
-        for op in ops {
-            match op {
-                PrimOp::Lock(id) | PrimOp::Unlock(id) => *max = (*max).max(id + 1),
-                PrimOp::Threads { arms, .. } => {
-                    for a in arms {
-                        scan(a, max);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut max = 0;
-    scan(ops, &mut max);
-    max
+    Ok(ops)
 }
 
 /// Stable content digest of a flattened op list whose element ids index

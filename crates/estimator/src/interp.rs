@@ -78,7 +78,9 @@ pub struct OpProcess {
 
 impl Run {
     /// The ops a flow of rank `pid` replays: the rank's list, or one arm
-    /// of a `Threads` op in it.
+    /// of a `Threads` op in it. Arms hold no `Threads` op (see
+    /// [`crate::Elaboration`]), so a team member's `Threads` op is always
+    /// in the rank's own list.
     fn ops(&self, pid: usize, arm: Option<(usize, usize)>) -> &[PrimOp] {
         let rank = &self.ops[pid];
         match arm {
