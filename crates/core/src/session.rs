@@ -343,6 +343,13 @@ impl Session {
         self.elab.stats()
     }
 
+    /// Bytes the session's [`ElaborationCache`] retains (its op lists
+    /// and batch programs; see [`ElaborationCache::retained_bytes`]) —
+    /// what the service's session pool charges the session for.
+    pub fn retained_bytes(&self) -> usize {
+        self.elab.retained_bytes()
+    }
+
     /// The session's shared [`ElaborationCache`] — what the persistent
     /// artifact store snapshots at save time and re-seeds on load.
     pub fn elab_cache(&self) -> &ElaborationCache {

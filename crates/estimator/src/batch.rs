@@ -323,6 +323,16 @@ impl BatchProgram {
         })
     }
 
+    /// Bytes of the compact arrays: what holding this program costs
+    /// beyond the elaboration it was prepared from.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.kinds.len() * size_of::<Kind>()
+            + self.args.len() * size_of::<u32>()
+            + self.vals.len() * size_of::<f64>()
+            + self.ranks.len() * size_of::<Range<u32>>()
+    }
+
     /// Replay one point: the same round-robin critical-path pass as
     /// [`crate::analytic::evaluate_ops`], bit-identical by construction.
     ///

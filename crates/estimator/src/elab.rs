@@ -49,7 +49,13 @@
 //!   model itself (bounded per rank by [`FlattenLimits::max_ops`]), so
 //!   capacity bounds entry *count*; callers sweeping enormous grids of
 //!   enormous models can lower it or disable caching entirely
-//!   (`SweepConfig::no_elab_cache` / `--no-elab-cache`).
+//!   (`SweepConfig::no_elab_cache` / `--no-elab-cache`). The cache also
+//!   counts the bytes it retains
+//!   ([`ElaborationCache::retained_bytes`]): each entry adds its ops'
+//!   bytes once when its slot fills or is seeded, and its
+//!   [`BatchProgram`]'s arrays once when that is stored. Entries are
+//!   immutable, so the count is exact; the session pool evicts whole
+//!   sessions by it.
 //!
 //! Failed elaborations are cached too: a key whose flatten fails serves
 //! the same [`FlattenError`] to every scenario that hits it, without
@@ -85,22 +91,37 @@ pub struct Elaboration {
     ranks: Box<[Box<[PrimOp]>]>,
     locks: Box<[usize]>,
     names: Arc<ElementNames>,
+    /// Ops across all ranks, thread-arm ops included.
+    ops: usize,
 }
 
 impl Elaboration {
     /// The elaboration of `ranks`, whose ids index `names`. Counts each
-    /// rank's locks once, here. A `Threads` op inside a thread arm is a
-    /// [`FlattenError::NestedParallel`], as it is when flattening.
+    /// rank's locks and ops once, here. A `Threads` op inside a thread
+    /// arm is a [`FlattenError::NestedParallel`], as it is when
+    /// flattening.
     pub fn new(names: Arc<ElementNames>, ranks: Vec<Vec<PrimOp>>) -> Result<Self, FlattenError> {
+        let mut ops = 0;
         let locks = ranks
             .iter()
-            .map(|ops| rank_locks(&names, ops))
+            .map(|rank| {
+                let (locks, count) = scan_rank(&names, rank)?;
+                ops += count;
+                Ok(locks)
+            })
             .collect::<Result<_, _>>()?;
         Ok(Self {
             ranks: ranks.into_iter().map(Vec::into_boxed_slice).collect(),
             locks,
             names,
+            ops,
         })
+    }
+
+    /// Bytes of the ops, thread-arm ops included: what an
+    /// [`ElaborationCache`] entry retains.
+    pub fn bytes(&self) -> usize {
+        self.ops * std::mem::size_of::<PrimOp>()
     }
 
     /// The element names the ops' ids index.
@@ -123,11 +144,13 @@ impl Deref for Elaboration {
     }
 }
 
-/// Number of distinct locks `ops` take, thread arms included; an error
-/// if an arm holds a team.
-fn rank_locks(names: &ElementNames, ops: &[PrimOp]) -> Result<usize, FlattenError> {
+/// Number of distinct locks `ops` take and number of ops, thread arms
+/// included; an error if an arm holds a team.
+fn scan_rank(names: &ElementNames, ops: &[PrimOp]) -> Result<(usize, usize), FlattenError> {
     let mut max = 0;
+    let mut count = 0;
     let mut note = |op: &PrimOp| {
+        count += 1;
         if let PrimOp::Lock(id) | PrimOp::Unlock(id) = op {
             max = max.max(id + 1);
         }
@@ -145,7 +168,7 @@ fn rank_locks(names: &ElementNames, ops: &[PrimOp]) -> Result<usize, FlattenErro
             }
         }
     }
-    Ok(max)
+    Ok((max, count))
 }
 
 /// Elaborate every rank of `program` on `machine`, uncached, in the
@@ -301,6 +324,14 @@ pub struct ElabStats {
     pub bypasses: u64,
 }
 
+impl std::ops::AddAssign for ElabStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypasses += other.bypasses;
+    }
+}
+
 impl ElabStats {
     /// Total lookups observed.
     pub fn lookups(&self) -> u64 {
@@ -351,6 +382,8 @@ pub struct ElaborationCache {
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
+    /// Bytes of every filled entry and stored batch program.
+    bytes: AtomicUsize,
 }
 
 // The cache is auto-`Send`/`Sync` (its fields are atomics and plain
@@ -383,6 +416,7 @@ impl fmt::Debug for ElaborationCache {
         f.debug_struct("ElaborationCache")
             .field("entries", &self.len())
             .field("capacity", &self.capacity)
+            .field("bytes", &self.retained_bytes())
             .field("stats", &self.stats())
             .finish()
     }
@@ -406,6 +440,7 @@ impl ElaborationCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
+            bytes: AtomicUsize::new(0),
         }
     }
 
@@ -470,7 +505,17 @@ impl ElaborationCache {
         }
         let batch = Arc::new(BatchProgram::prepare(&ops, machine)?);
         let batch = match node {
-            Some(node) => Arc::clone(node.batch.get_or_init(|| batch)),
+            Some(node) => {
+                let mut stored = false;
+                let kept = node.batch.get_or_init(|| {
+                    stored = true;
+                    batch
+                });
+                if stored {
+                    self.bytes.fetch_add(kept.bytes(), Ordering::Relaxed);
+                }
+                Arc::clone(kept)
+            }
             None => batch,
         };
         Ok((ops, batch))
@@ -499,6 +544,9 @@ impl ElaborationCache {
         });
         if filled {
             self.misses.fetch_add(1, Ordering::Relaxed);
+            if let Ok(ops) = result {
+                self.bytes.fetch_add(ops.bytes(), Ordering::Relaxed);
+            }
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -531,7 +579,10 @@ impl ElaborationCache {
         };
         // First writer wins; racing a concurrent flatten (or an earlier
         // seed) of the same key is benign — both values are correct.
-        let _ = node.slot.set(Ok(ops));
+        let bytes = ops.bytes();
+        if node.slot.set(Ok(ops)).is_ok() {
+            self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
         true
     }
 
@@ -589,6 +640,14 @@ impl ElaborationCache {
             misses: self.misses.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
         }
+    }
+
+    /// Bytes the cache retains: every filled entry's
+    /// [`Elaboration::bytes`] plus every stored
+    /// [`BatchProgram::bytes`], each counted once. Failed entries count
+    /// nothing.
+    pub fn retained_bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Interned entries so far.
@@ -842,6 +901,40 @@ mod tests {
                 bypasses: 1
             }
         );
+    }
+
+    #[test]
+    fn retained_bytes_count_each_entry_and_batch_once() {
+        let cache = ElaborationCache::new();
+        let p = program();
+        let m = machine(4);
+        let limits = FlattenLimits::default();
+        assert_eq!(cache.retained_bytes(), 0);
+        let ops = cache.get_or_flatten(&p, &m, limits).unwrap();
+        // Four ranks of one `Compute` op each.
+        assert_eq!(ops.bytes(), 4 * std::mem::size_of::<PrimOp>());
+        cache.get_or_flatten(&p, &m, limits).unwrap();
+        assert_eq!(cache.retained_bytes(), ops.bytes(), "a hit adds nothing");
+        let (_, batch) = cache.get_or_flatten_batched(&p, &m, limits).unwrap();
+        cache.get_or_flatten_batched(&p, &m, limits).unwrap();
+        assert!(batch.bytes() > 0);
+        assert_eq!(cache.retained_bytes(), ops.bytes() + batch.bytes());
+
+        // A seeded entry counts; re-seeding a filled key does not.
+        let seeded = ElaborationCache::new();
+        let entry = cache.snapshot().remove(0);
+        for _ in 0..2 {
+            assert!(seeded.seed(entry.sp, entry.comm, entry.limits, entry.ops.clone()));
+        }
+        assert_eq!(seeded.retained_bytes(), ops.bytes());
+
+        // A failed elaboration retains no ops.
+        let tight = FlattenLimits {
+            max_ops: 1,
+            ..Default::default()
+        };
+        cache.get_or_flatten(&p, &m, tight).unwrap_err();
+        assert_eq!(cache.retained_bytes(), ops.bytes() + batch.bytes());
     }
 
     #[test]

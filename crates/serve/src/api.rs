@@ -939,8 +939,9 @@ fn handle_metrics(state: &AppState, req: &Request) -> Response {
                 ("size", Json::from(pool.size)),
                 ("compiles", Json::from(pool.compiles)),
                 ("reuses", Json::from(pool.reuses)),
-                ("bypasses", Json::from(pool.bypasses)),
                 ("evictions", Json::from(state.pool.evictions())),
+                ("budget_evictions", Json::from(pool.budget_evictions)),
+                ("retained_bytes", Json::from(pool.retained_bytes)),
             ]),
         ),
         (

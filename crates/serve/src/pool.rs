@@ -29,11 +29,22 @@
 //! parse → serialize digest, so a pooled hit parses no XML, clones no
 //! model and derives no key.
 //!
-//! The pool is bounded ([`SessionPool::with_capacity`]): beyond
-//! `capacity` distinct keys, new models are compiled per-request and
-//! *not* retained (counted as `bypasses`), mirroring the elaboration
-//! cache's no-eviction policy — steady-state behavior stays predictable
-//! under key churn instead of thrashing an eviction list.
+//! **Retention.** The pool is bounded by bytes: every slot is charged
+//! its session's retained elaboration bytes
+//! ([`Session::retained_bytes`]) plus a fixed per-slot overhead, which
+//! also covers a cached compile error or a compile still in flight. On
+//! every checkout, after the hit or insert, the pool evicts
+//! least-recently-used slots other than the one being checked out until
+//! the total is within [`BUDGET_BYTES`] and the slot count within the
+//! pool's capacity ([`SessionPool::with_capacity`]); a hit refreshes its
+//! slot's recency. So a model that is edited and then estimated again
+//! keeps its compiled session and warm elaborations, however many
+//! models came before it, while memory stays bounded under key churn.
+//! An evicted key is only recompiled on its next request (sessions are
+//! content-keyed and immutable, so predictions do not change), and the
+//! elaboration counters of evicted sessions are kept in retired totals,
+//! so `/v1/metrics` counters never go backwards. Requests that hold an
+//! evicted session keep their `Arc<Session>` until they finish.
 //!
 //! With a persistent [`ArtifactStore`] attached
 //! ([`SessionPool::with_store`]), the pool consults the disk before
@@ -50,12 +61,27 @@
 use prophet_check::McfConfig;
 use prophet_core::{ArtifactStore, ElabStats, Session, StoreStats};
 use prophet_uml::Model;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default bound on retained sessions.
+/// Default ceiling on retained sessions, enforced by the same
+/// least-recently-used eviction as the byte budget.
 pub const DEFAULT_CAPACITY: usize = 64;
+
+/// Bytes one pool retains at most, beyond the session being checked
+/// out: the sum of its slots' charges. An edited model's session
+/// retains about 277 KiB of elaborations over its eight SP points; a
+/// jacobi session swept over 64 points about 18 MiB, which is evicted
+/// at the next checkout of another key.
+pub const BUDGET_BYTES: usize = 4 << 20;
+
+/// Fixed charge of one slot beyond its session's retained elaboration
+/// bytes: the compiled model, program and diagnostics (16–30 KiB of
+/// RSS per compiled bundled model, on a 64-bit build), or a cached
+/// compile error, or a compile still in flight.
+pub const SLOT_BYTES: usize = 24 << 10;
 
 /// Content key of one pooled session — the same `(model, MCF)`
 /// canonical-XML content digest that addresses artifacts in the
@@ -89,12 +115,61 @@ fn elapsed_us(since: std::time::Instant) -> u64 {
 pub struct PoolStats {
     /// Distinct keys currently retained.
     pub size: usize,
-    /// Sessions compiled and retained by the pool.
+    /// Sessions compiled by the pool.
     pub compiles: u64,
     /// Requests served by an already-compiled session.
     pub reuses: u64,
-    /// Requests compiled uncached because the pool was full.
-    pub bypasses: u64,
+    /// Sum of the retained slots' charges, compared against
+    /// [`BUDGET_BYTES`].
+    pub retained_bytes: usize,
+    /// Slots evicted to stay within the byte budget or the capacity.
+    pub budget_evictions: u64,
+}
+
+/// One retained key: its slot and when it was last checked out.
+#[derive(Debug)]
+struct Resident {
+    slot: Slot,
+    used: u64,
+}
+
+impl Resident {
+    /// What the slot counts against the budget.
+    fn charge(&self) -> usize {
+        SLOT_BYTES
+            + match self.slot.get() {
+                Some(Ok(session)) => session.retained_bytes(),
+                _ => 0,
+            }
+    }
+}
+
+/// The pool's state behind its one lock.
+#[derive(Debug, Default)]
+struct Slots {
+    map: HashMap<PoolKey, Resident>,
+    /// Checkout clock: a slot's `used` is its last checkout's tick.
+    clock: u64,
+    /// Elaboration counters of sessions no longer pooled.
+    retired: ElabStats,
+}
+
+impl Slots {
+    /// Sum of every slot's charge.
+    fn charged(&self) -> usize {
+        self.map.values().map(Resident::charge).sum()
+    }
+
+    /// Take `key` out, folding its session's elaboration counters into
+    /// the retired totals. The caller drops it after releasing the lock:
+    /// freeing a session's elaborations is not pool work.
+    fn remove(&mut self, key: PoolKey) -> Option<Resident> {
+        let resident = self.map.remove(&key)?;
+        if let Some(Ok(session)) = resident.slot.get() {
+            self.retired += session.elab_stats();
+        }
+        Some(resident)
+    }
 }
 
 /// Which slice of a shared artifact store this shard owns: the fleet's
@@ -133,18 +208,21 @@ impl StorePartition {
     }
 }
 
-/// A bounded, concurrency-safe pool of compiled [`Session`]s,
-/// optionally backed by a persistent [`ArtifactStore`].
+/// A byte-bounded, least-recently-used, concurrency-safe pool of
+/// compiled [`Session`]s, optionally backed by a persistent
+/// [`ArtifactStore`].
 #[derive(Debug)]
 pub struct SessionPool {
-    slots: Mutex<HashMap<PoolKey, Slot>>,
+    slots: Mutex<Slots>,
     capacity: usize,
+    /// [`BUDGET_BYTES`]; a field so unit tests can shrink it.
+    budget: usize,
     store: Option<Arc<ArtifactStore>>,
     partition: Option<StorePartition>,
     compiles: AtomicU64,
     reuses: AtomicU64,
-    bypasses: AtomicU64,
     evictions: AtomicU64,
+    budget_evictions: AtomicU64,
 }
 
 impl Default for SessionPool {
@@ -154,17 +232,20 @@ impl Default for SessionPool {
 }
 
 impl SessionPool {
-    /// A pool retaining at most `capacity` sessions.
+    /// A pool retaining at most `capacity` sessions and
+    /// [`BUDGET_BYTES`] of charges, besides the session being checked
+    /// out.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Slots::default()),
             capacity,
+            budget: BUDGET_BYTES,
             store: None,
             partition: None,
             compiles: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            budget_evictions: AtomicU64::new(0),
         }
     }
 
@@ -189,10 +270,12 @@ impl SessionPool {
     }
 
     /// Pre-load every artifact in the attached store into the pool (up
-    /// to the pool's capacity), so the first request after a process
-    /// restart is a pool *reuse* — zero compiles. Returns the number of
-    /// sessions loaded; corrupt or stale entries are skipped (and
-    /// evicted by the store). Without a store this is a no-op.
+    /// to the pool's capacity and byte budget), so the first request
+    /// after a process restart is a pool *reuse* — zero compiles.
+    /// Returns the number of sessions loaded; corrupt or stale entries
+    /// are skipped (and evicted by the store). Loading stops at the
+    /// first session that would take the pool past either bound.
+    /// Without a store this is a no-op.
     ///
     /// Intended for boot time (`prophet serve --store`), before the
     /// listener accepts traffic; it is safe but unbounded in I/O, so
@@ -204,26 +287,25 @@ impl SessionPool {
             if self.partition.as_ref().is_some_and(|p| !p.owns(key)) {
                 continue;
             }
-            {
-                let slots = self.slots.lock().expect("pool lock");
-                if slots.len() >= self.capacity {
-                    break;
-                }
-                if slots.contains_key(&key) {
-                    continue;
-                }
+            if self.slots.lock().expect("pool lock").map.contains_key(&key) {
+                continue;
             }
             // Load outside the lock: warm-start runs before traffic,
             // but a request racing the tail of a warm start must block
             // on the map mutex only for the insert, not the file read.
-            if let Some(session) = store.load_session(key) {
-                let slot: Slot = Arc::new(OnceLock::new());
-                slot.set(Ok(Arc::new(session))).expect("fresh slot");
-                self.slots
-                    .lock()
-                    .expect("pool lock")
-                    .entry(key)
-                    .or_insert(slot);
+            let Some(session) = store.load_session(key) else {
+                continue;
+            };
+            let mut slots = self.slots.lock().expect("pool lock");
+            let charge = SLOT_BYTES + session.retained_bytes();
+            if slots.map.len() >= self.capacity || slots.charged() + charge > self.budget {
+                break;
+            }
+            if let Entry::Vacant(entry) = slots.map.entry(key) {
+                entry.insert(Resident {
+                    slot: Arc::new(OnceLock::from(Ok(Arc::new(session)))),
+                    used: 0,
+                });
                 loaded += 1;
             }
         }
@@ -271,73 +353,87 @@ impl SessionPool {
         key: PoolKey,
         inputs: impl FnOnce() -> Result<(Model, McfConfig), String>,
     ) -> Result<(Arc<Session>, bool, CheckoutTiming), String> {
-        let (slot, reused) = {
+        let ((slot, reused), evicted) = {
             let mut slots = self.slots.lock().expect("pool lock");
-            match slots.get(&key) {
-                Some(slot) => {
+            slots.clock += 1;
+            let used = slots.clock;
+            let checked_out = match slots.map.entry(key) {
+                Entry::Occupied(mut entry) => {
                     self.reuses.fetch_add(1, Ordering::Relaxed);
-                    (Arc::clone(slot), true)
+                    entry.get_mut().used = used;
+                    (Arc::clone(&entry.get().slot), true)
                 }
-                None if slots.len() >= self.capacity => {
-                    // Full: compile (or load) for this request only.
-                    // The store still accelerates and persists it —
-                    // disk is the bigger cache.
-                    self.bypasses.fetch_add(1, Ordering::Relaxed);
-                    drop(slots);
-                    let mut timing = CheckoutTiming::default();
-                    let session = self.load_or_compile(key, inputs, &mut timing)?;
-                    return Ok((session, false, timing));
+                Entry::Vacant(entry) => {
+                    let slot = Slot::default();
+                    entry.insert(Resident {
+                        slot: Arc::clone(&slot),
+                        used,
+                    });
+                    (slot, false)
                 }
-                None => {
-                    let slot: Slot = Arc::new(OnceLock::new());
-                    slots.insert(key, Arc::clone(&slot));
-                    (Arc::clone(&slot), false)
-                }
-            }
+            };
+            let evicted = self.shed(&mut slots, key);
+            (checked_out, evicted)
         };
-        // Compile outside the map lock; concurrent requests for the same
-        // new key block here on the OnceLock, not on the whole pool.
+        drop(evicted);
+        // Load or compile outside the map lock; concurrent requests for
+        // the same new key block here on the OnceLock, not on the whole
+        // pool.
         let mut timing = CheckoutTiming::default();
         let result = slot.get_or_init(|| {
+            if let Some(store) = &self.store {
+                let t = std::time::Instant::now();
+                let loaded = store.load_session(key);
+                timing.store_us = elapsed_us(t);
+                if let Some(session) = loaded {
+                    return Ok(Arc::new(session));
+                }
+            }
             // A store hit is not a compile: only a call for the inputs
             // counts as one.
-            let counted = || {
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                inputs()
-            };
-            self.load_or_compile(key, counted, &mut timing)
+            self.compiles.fetch_add(1, Ordering::Relaxed);
+            let (model, mcf) = inputs()?;
+            let t = std::time::Instant::now();
+            let compiled = Session::compile(model, mcf).map_err(|e| prophet_core::render_chain(&e));
+            timing.compile_us = elapsed_us(t);
+            let compiled = Arc::new(compiled?);
+            if let Some(store) = &self.store {
+                // Persistence is best-effort on the request path; the
+                // store counts write errors for /v1/metrics.
+                let _ = store.save_session(&compiled);
+            }
+            Ok(compiled)
         });
         result.clone().map(|session| (session, reused, timing))
     }
 
-    /// The session for `key` from the store, else compiled from
-    /// `inputs` and written back. A store hit rebuilds the session
-    /// without check or transform and never calls `inputs`.
-    fn load_or_compile(
-        &self,
-        key: PoolKey,
-        inputs: impl FnOnce() -> Result<(Model, McfConfig), String>,
-        timing: &mut CheckoutTiming,
-    ) -> Result<Arc<Session>, String> {
-        if let Some(store) = &self.store {
-            let t = std::time::Instant::now();
-            let loaded = store.load_session(key);
-            timing.store_us = elapsed_us(t);
-            if let Some(session) = loaded {
-                return Ok(Arc::new(session));
+    /// Evict least-recently-used slots other than `keep` until the pool
+    /// is within its byte budget and its capacity. Charges are read once
+    /// per call; sessions keep growing as requests elaborate, and the
+    /// next checkout accounts for that. Returns the evicted slots.
+    fn shed(&self, slots: &mut Slots, keep: PoolKey) -> Vec<Resident> {
+        let over = |total: usize, size: usize| total > self.budget || size > self.capacity;
+        let mut total = slots.charged();
+        let mut evicted = Vec::new();
+        if !over(total, slots.map.len()) {
+            return evicted;
+        }
+        let mut victims: Vec<(u64, PoolKey, usize)> = slots
+            .map
+            .iter()
+            .filter(|&(&key, _)| key != keep)
+            .map(|(&key, resident)| (resident.used, key, resident.charge()))
+            .collect();
+        victims.sort_unstable_by_key(|&(used, ..)| used);
+        for (_, key, charge) in victims {
+            if !over(total, slots.map.len()) {
+                break;
             }
+            evicted.extend(slots.remove(key));
+            total = total.saturating_sub(charge);
+            self.budget_evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let (model, mcf) = inputs()?;
-        let t = std::time::Instant::now();
-        let compiled = Session::compile(model, mcf).map_err(|e| prophet_core::render_chain(&e));
-        timing.compile_us = elapsed_us(t);
-        let compiled = Arc::new(compiled?);
-        if let Some(store) = &self.store {
-            // Persistence is best-effort on the request path; the
-            // store counts write errors for /v1/metrics.
-            let _ = store.save_session(&compiled);
-        }
-        Ok(compiled)
+        evicted
     }
 
     /// Drop the pooled session for `key`, if present. The router's
@@ -346,16 +442,17 @@ impl SessionPool {
     /// their `Arc<Session>` until they finish, and the on-disk artifact
     /// (if any) is untouched — eviction frees pool capacity, not disk.
     pub fn evict(&self, key: PoolKey) -> bool {
-        let removed = self.slots.lock().expect("pool lock").remove(&key).is_some();
-        if removed {
+        let removed = self.slots.lock().expect("pool lock").remove(key);
+        if removed.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        removed
+        removed.is_some()
     }
 
     /// How many pooled sessions have been dropped via
     /// [`evict`](Self::evict) — surfaced as
-    /// `session_pool.evictions` on `/v1/metrics`.
+    /// `session_pool.evictions` on `/v1/metrics`. Evictions to stay
+    /// within the budget are [`PoolStats::budget_evictions`].
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -374,31 +471,28 @@ impl SessionPool {
 
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
+        let slots = self.slots.lock().expect("pool lock");
         PoolStats {
-            size: self.slots.lock().expect("pool lock").len(),
+            size: slots.map.len(),
             compiles: self.compiles.load(Ordering::Relaxed),
             reuses: self.reuses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
+            retained_bytes: slots.charged(),
+            budget_evictions: self.budget_evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Aggregate elaboration-cache counters over every pooled session —
+    /// Elaboration-cache counters of every session this pool has held:
+    /// the pooled sessions' plus the retired totals of evicted ones —
     /// the `/v1/metrics` view of the flatten-once contract at work.
+    /// Read under the pool lock, so an eviction moves a session's
+    /// counts from one side to the other atomically and no counter
+    /// decreases between reads.
     pub fn elab_stats(&self) -> ElabStats {
-        let slots: Vec<Slot> = self
-            .slots
-            .lock()
-            .expect("pool lock")
-            .values()
-            .cloned()
-            .collect();
-        let mut total = ElabStats::default();
-        for slot in slots {
-            if let Some(Ok(session)) = slot.get() {
-                let s = session.elab_stats();
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.bypasses += s.bypasses;
+        let slots = self.slots.lock().expect("pool lock");
+        let mut total = slots.retired;
+        for resident in slots.map.values() {
+            if let Some(Ok(session)) = resident.slot.get() {
+                total += session.elab_stats();
             }
         }
         total
@@ -408,7 +502,7 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_core::Scenario;
+    use prophet_core::{Backend, Scenario};
     use prophet_machine::SystemParams;
     use prophet_uml::ModelBuilder;
 
@@ -456,7 +550,8 @@ mod tests {
                 size: 1,
                 compiles: 1,
                 reuses: 1,
-                bypasses: 0
+                retained_bytes: SLOT_BYTES,
+                budget_evictions: 0
             }
         );
     }
@@ -488,17 +583,150 @@ mod tests {
         assert_eq!(stats.reuses + stats.compiles, 8, "{stats:?}");
     }
 
+    fn key(m: &Model) -> PoolKey {
+        PoolKey::of(m, &McfConfig::default())
+    }
+
+    /// A default pool with a byte budget of `budget`.
+    fn budgeted(budget: usize) -> SessionPool {
+        SessionPool {
+            budget,
+            ..SessionPool::default()
+        }
+    }
+
+    fn untraced(processes: usize, backend: Backend) -> Scenario {
+        Scenario::new(SystemParams::flat_mpi(processes, 1))
+            .without_trace()
+            .with_backend(backend)
+    }
+
     #[test]
-    fn full_pool_bypasses_without_evicting() {
-        let pool = SessionPool::with_capacity(1);
+    fn a_hit_refreshes_recency() {
+        // The count ceiling is enforced by the same LRU eviction.
+        let pool = SessionPool::with_capacity(2);
         let mcf = McfConfig::default();
-        pool.session(&model("keep", "1.0"), &mcf).unwrap();
-        pool.session(&model("extra", "2.0"), &mcf).unwrap();
+        let (a, b, c) = (model("a", "1.0"), model("b", "2.0"), model("c", "3.0"));
+        let kept = pool.session(&a, &mcf).unwrap();
+        pool.session(&b, &mcf).unwrap();
+        pool.session(&a, &mcf).unwrap();
+        // `b` is now the least recently used: `c` evicts it, not `a`.
+        pool.session(&c, &mcf).unwrap();
         let stats = pool.stats();
-        assert_eq!((stats.size, stats.bypasses), (1, 1), "{stats:?}");
-        // The retained session still reuses.
-        pool.session(&model("keep", "1.0"), &mcf).unwrap();
-        assert_eq!(pool.stats().reuses, 1);
+        assert_eq!((stats.size, stats.budget_evictions), (2, 1), "{stats:?}");
+        assert!(Arc::ptr_eq(&kept, &pool.session(&a, &mcf).unwrap()));
+        let (_, reused) = pool.checkout(&b, &mcf).unwrap();
+        assert!(!reused, "the evicted key recompiles");
+        assert_eq!(pool.stats().compiles, 4);
+    }
+
+    #[test]
+    fn eviction_is_by_bytes_not_count() {
+        let pool = budgeted(4 * SLOT_BYTES);
+        let mcf = McfConfig::default();
+        let models: Vec<Model> = (0..5)
+            .map(|i| model(&format!("b{i}"), &format!("{}.0 / P", i + 1)))
+            .collect();
+        for m in &models[..4] {
+            pool.session(m, &mcf).unwrap();
+        }
+        assert_eq!(pool.stats().retained_bytes, pool.budget, "exactly full");
+        // The newest session elaborates 64 ranks: the pool is now over
+        // its budget, far under its 64-session capacity.
+        let grown = pool.session(&models[3], &mcf).unwrap();
+        grown.evaluate(&untraced(64, Backend::Simulation)).unwrap();
+        let elab = grown.retained_bytes();
+        assert!(elab > 0 && elab <= SLOT_BYTES, "{elab}");
+        pool.session(&models[4], &mcf).unwrap();
+        // Two least-recently-used slots make room for one slot plus the
+        // elaboration.
+        let stats = pool.stats();
+        assert_eq!((stats.size, stats.budget_evictions), (3, 2), "{stats:?}");
+        assert_eq!(stats.retained_bytes, 3 * SLOT_BYTES + elab);
+        assert!(stats.retained_bytes <= pool.budget);
+        for (m, resident) in models.iter().zip([false, false, true, true, true]) {
+            let present = pool.slots.lock().unwrap().map.contains_key(&key(m));
+            assert_eq!(present, resident, "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn the_session_being_checked_out_is_never_evicted() {
+        let pool = budgeted(0);
+        let mcf = McfConfig::default();
+        let (a, b) = (model("a", "1.0"), model("b", "2.0"));
+        pool.session(&a, &mcf).unwrap();
+        assert_eq!(pool.stats().size, 1, "over budget, but checked out");
+        let kept = pool.session(&b, &mcf).unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.size, stats.budget_evictions), (1, 1), "{stats:?}");
+        let (again, reused) = pool.checkout(&b, &mcf).unwrap();
+        assert!(reused && Arc::ptr_eq(&kept, &again));
+    }
+
+    #[test]
+    fn compile_error_slots_are_charged() {
+        let pool = budgeted(SLOT_BYTES);
+        let mcf = McfConfig::default();
+        pool.session(&model("bad", "1 +"), &mcf).unwrap_err();
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.size, stats.retained_bytes),
+            (1, SLOT_BYTES),
+            "{stats:?}"
+        );
+        // A second slot takes the pool past its budget: the error goes.
+        pool.session(&model("good", "1.0"), &mcf).unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.size, stats.budget_evictions), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn an_evicted_key_recompiles_to_bit_identical_predictions() {
+        let mcf = McfConfig::default();
+        let jacobi = crate::api::demo_model("jacobi").unwrap();
+        let other = model("other", "1.0");
+        for backend in [Backend::Simulation, Backend::Analytic] {
+            let pool = budgeted(0);
+            let scenario = untraced(4, backend);
+            let first = pool.session(&jacobi, &mcf).unwrap();
+            let before = first.evaluate(&scenario).unwrap();
+            pool.session(&other, &mcf).unwrap();
+            let (second, reused) = pool.checkout(&jacobi, &mcf).unwrap();
+            assert!(!reused && !Arc::ptr_eq(&first, &second), "{backend:?}");
+            assert_eq!(pool.stats().compiles, 3, "{backend:?}");
+            let after = second.evaluate(&scenario).unwrap();
+            assert_eq!(
+                before.predicted_time.to_bits(),
+                after.predicted_time.to_bits(),
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn evictions_never_decrease_the_elaboration_counters() {
+        let pool = SessionPool::default();
+        let mcf = McfConfig::default();
+        let m = model("mono", "4.0 / P");
+        let scenario = untraced(2, Backend::Simulation);
+        for _ in 0..2 {
+            pool.session(&m, &mcf).unwrap().evaluate(&scenario).unwrap();
+        }
+        let before = pool.elab_stats();
+        assert_eq!((before.misses, before.hits), (1, 1), "{before:?}");
+        // The rebalance handoff's eviction keeps the evicted counts.
+        assert!(pool.evict(key(&m)));
+        assert_eq!(pool.elab_stats(), before);
+        // A budget eviction, after the key recompiled and elaborated.
+        pool.session(&m, &mcf).unwrap().evaluate(&scenario).unwrap();
+        let before = pool.elab_stats();
+        assert_eq!(before.misses, 2, "{before:?}");
+        let mut pool = pool;
+        pool.budget = 0;
+        pool.session(&model("other", "1.0"), &mcf).unwrap();
+        assert_eq!(pool.stats().budget_evictions, 1);
+        assert_eq!(pool.elab_stats(), before);
     }
 
     #[test]
@@ -594,6 +822,49 @@ mod tests {
         // The corrupt entry was either skipped (and evicted) or simply
         // never reached under the capacity bound; never a panic.
         assert_eq!(pool.stats().compiles, 0);
+    }
+
+    #[test]
+    fn store_seeded_elaborations_are_charged_and_warm_start_stops_at_the_budget() {
+        let store = temp_store("seeded");
+        let mcf = McfConfig::default();
+        let models: Vec<Model> = (0..3)
+            .map(|i| model(&format!("s{i}"), &format!("{}.0 / P", i + 1)))
+            .collect();
+        // Persist sessions that carry one lean elaboration each.
+        let mut elab = 0;
+        for m in &models {
+            let session = Session::compile(m.clone(), mcf.clone()).unwrap();
+            session.evaluate(&untraced(8, Backend::Simulation)).unwrap();
+            elab = session.retained_bytes();
+            assert!(elab > 0);
+            store.save_session(&session).unwrap();
+        }
+        let charge = SLOT_BYTES + elab;
+
+        // A store load counts the seeded elaboration.
+        let pool = SessionPool::with_store(DEFAULT_CAPACITY, Arc::clone(&store));
+        pool.session(&models[0], &mcf).unwrap();
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.compiles, stats.retained_bytes),
+            (0, charge),
+            "{stats:?}"
+        );
+
+        // Warm start stops at the budget, well under the capacity.
+        let pool = SessionPool {
+            budget: 2 * charge,
+            ..SessionPool::with_store(DEFAULT_CAPACITY, Arc::clone(&store))
+        };
+        assert_eq!(pool.warm_start(), 2);
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.size, stats.retained_bytes),
+            (2, 2 * charge),
+            "{stats:?}"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -75,28 +75,29 @@ const fn row(name: &'static str, kind: Kind, path: &'static str) -> Family {
 /// The shard's `/v1/metrics` document as an exposition.
 #[rustfmt::skip]
 pub const SHARD_FAMILIES: &[Family] = &[
-    row("prophet_requests_total",                    Kind::Counter,   "endpoints/{endpoint}/requests"),
-    row("prophet_request_errors_total",              Kind::Counter,   "endpoints/{endpoint}/errors"),
-    row("prophet_request_duration_seconds",          Kind::Histogram, "endpoints/{endpoint}/latency"),
-    row("prophet_request_duration_quantile_seconds", Kind::Quantiles, "endpoints/{endpoint}/latency"),
-    row("prophet_phase_duration_seconds",            Kind::Histogram, "phases/{phase}"),
-    row("prophet_journal_recorded_total",            Kind::Counter,   "journal/recorded"),
-    row("prophet_session_pool_size",                 Kind::Gauge,     "session_pool/size"),
-    row("prophet_session_pool_compiles_total",       Kind::Counter,   "session_pool/compiles"),
-    row("prophet_session_pool_reuses_total",         Kind::Counter,   "session_pool/reuses"),
-    row("prophet_session_pool_bypasses_total",       Kind::Counter,   "session_pool/bypasses"),
-    row("prophet_session_pool_evictions_total",      Kind::Counter,   "session_pool/evictions"),
-    row("prophet_elab_hits_total",                   Kind::Counter,   "elab/hits"),
-    row("prophet_elab_misses_total",                 Kind::Counter,   "elab/misses"),
-    row("prophet_elab_bypasses_total",               Kind::Counter,   "elab/bypasses"),
-    row("prophet_store_disk_hits_total",             Kind::Counter,   "store/disk_hits"),
-    row("prophet_store_disk_misses_total",           Kind::Counter,   "store/disk_misses"),
-    row("prophet_store_writes_total",                Kind::Counter,   "store/writes"),
-    row("prophet_store_write_errors_total",          Kind::Counter,   "store/write_errors"),
-    row("prophet_store_evictions_total",             Kind::Counter,   "store/evictions"),
-    row("prophet_metrics_checkpoints_total",         Kind::Counter,   "lifetime/checkpoints"),
-    row("prophet_requests_lifetime_total",           Kind::Counter,   "lifetime/counters/endpoints.{endpoint}.requests"),
-    row("prophet_request_errors_lifetime_total",     Kind::Counter,   "lifetime/counters/endpoints.{endpoint}.errors"),
+    row("prophet_requests_total",                      Kind::Counter,   "endpoints/{endpoint}/requests"),
+    row("prophet_request_errors_total",                Kind::Counter,   "endpoints/{endpoint}/errors"),
+    row("prophet_request_duration_seconds",            Kind::Histogram, "endpoints/{endpoint}/latency"),
+    row("prophet_request_duration_quantile_seconds",   Kind::Quantiles, "endpoints/{endpoint}/latency"),
+    row("prophet_phase_duration_seconds",              Kind::Histogram, "phases/{phase}"),
+    row("prophet_journal_recorded_total",              Kind::Counter,   "journal/recorded"),
+    row("prophet_session_pool_size",                   Kind::Gauge,     "session_pool/size"),
+    row("prophet_session_pool_compiles_total",         Kind::Counter,   "session_pool/compiles"),
+    row("prophet_session_pool_reuses_total",           Kind::Counter,   "session_pool/reuses"),
+    row("prophet_session_pool_evictions_total",        Kind::Counter,   "session_pool/evictions"),
+    row("prophet_session_pool_budget_evictions_total", Kind::Counter,   "session_pool/budget_evictions"),
+    row("prophet_session_pool_retained_bytes",         Kind::Gauge,     "session_pool/retained_bytes"),
+    row("prophet_elab_hits_total",                     Kind::Counter,   "elab/hits"),
+    row("prophet_elab_misses_total",                   Kind::Counter,   "elab/misses"),
+    row("prophet_elab_bypasses_total",                 Kind::Counter,   "elab/bypasses"),
+    row("prophet_store_disk_hits_total",               Kind::Counter,   "store/disk_hits"),
+    row("prophet_store_disk_misses_total",             Kind::Counter,   "store/disk_misses"),
+    row("prophet_store_writes_total",                  Kind::Counter,   "store/writes"),
+    row("prophet_store_write_errors_total",            Kind::Counter,   "store/write_errors"),
+    row("prophet_store_evictions_total",               Kind::Counter,   "store/evictions"),
+    row("prophet_metrics_checkpoints_total",           Kind::Counter,   "lifetime/checkpoints"),
+    row("prophet_requests_lifetime_total",             Kind::Counter,   "lifetime/counters/endpoints.{endpoint}.requests"),
+    row("prophet_request_errors_lifetime_total",       Kind::Counter,   "lifetime/counters/endpoints.{endpoint}.errors"),
 ];
 
 /// The router's own sections of its aggregated `/v1/metrics` document.

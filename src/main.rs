@@ -921,11 +921,12 @@ fn render_service_metrics(doc: &prophet::serve::json::Json, indent: &str) {
     }
     if let Some(pool) = doc.get("session_pool") {
         println!(
-            "{indent}pool: size {} — compiles {}, reuses {}, bypasses {}",
+            "{indent}pool: size {} ({} bytes) — compiles {}, reuses {}, budget evictions {}",
             metric(pool, "size"),
+            metric(pool, "retained_bytes"),
             metric(pool, "compiles"),
             metric(pool, "reuses"),
-            metric(pool, "bypasses"),
+            metric(pool, "budget_evictions"),
         );
     }
     if let Some(elab) = doc.get("elab") {
