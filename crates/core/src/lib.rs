@@ -23,12 +23,12 @@
 //!   backend that asks again ([`Session::elab_stats`] exposes the hit/miss
 //!   counters; `SweepConfig::no_elab_cache` / `--no-elab-cache` opt
 //!   out),
-//! * [`store`] — the persistent compiled-artifact store: compiled
-//!   sessions serialize to content-addressed, versioned, checksummed
-//!   files ([`ArtifactStore`]), so "compile once" becomes a
-//!   deployment-lifetime property — `Session::compile_stored` skips
-//!   check + transform entirely on a store hit, and corrupt or
-//!   stale-format entries read back as clean misses,
+//! * [`store`] — the persistent artifact store: each compiled model's
+//!   canonical model and MCF XML go to a content-addressed, versioned,
+//!   checksummed file ([`ArtifactStore`]), so a later process finds the
+//!   models it served before. A store hit parses the stored text and
+//!   compiles it (`Session::compile_stored`); corrupt, stale-format or
+//!   uncompilable entries read back as clean misses,
 //! * [`error`] — the unified [`Error`] enum with `source()` chaining.
 //!
 //! ## Quickstart

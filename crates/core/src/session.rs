@@ -251,27 +251,6 @@ impl Session {
         })
     }
 
-    /// Rebuild a session from already-compiled artifacts (the
-    /// deserialization path of [`crate::store::ArtifactStore`]): no
-    /// check, no transform — the caller vouches that the artifacts
-    /// belong to `model`/`mcf`, which the store enforces by content
-    /// digest + checksum.
-    pub(crate) fn from_parts(
-        model: Model,
-        mcf: McfConfig,
-        diagnostics: Vec<Diagnostic>,
-        program: Program,
-    ) -> Self {
-        program.resolve();
-        Self {
-            model,
-            mcf,
-            diagnostics,
-            program,
-            elab: Arc::new(ElaborationCache::new()),
-        }
-    }
-
     /// Compile with the default model-checking configuration.
     pub fn new(model: Model) -> Result<Self, Error> {
         Self::compile(model, McfConfig::default())
@@ -350,8 +329,9 @@ impl Session {
         self.elab.retained_bytes()
     }
 
-    /// The session's shared [`ElaborationCache`] — what the persistent
-    /// artifact store snapshots at save time and re-seeds on load.
+    /// The session's shared [`ElaborationCache`], for callers that
+    /// elaborate against this session's program directly (benches that
+    /// time elaboration apart from evaluation).
     pub fn elab_cache(&self) -> &ElaborationCache {
         &self.elab
     }

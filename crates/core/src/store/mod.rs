@@ -1,14 +1,15 @@
-//! The persistent compiled-artifact store: "compile once" across
-//! process restarts, not just within one.
+//! The persistent artifact store: "compile once" across process
+//! restarts, not just within one.
 //!
 //! The paper's premise is that a performance model is compiled once and
 //! interrogated many times. [`crate::Session`] delivers that within a
 //! process and the serve layer's session pool across connections; this
-//! module extends it across *deployments*: a compiled session — check
-//! diagnostics, executable [`Program`](prophet_estimator::Program) IR,
-//! and (optionally) pre-flattened per-rank op lists — serializes to a
-//! content-addressed file, and any later process can warm-start from it,
-//! skipping check and `to_program` entirely.
+//! module extends it across *deployments*. The model is the one source
+//! everything else derives from, so an artifact holds only the model's
+//! text: its canonical model XML and MCF XML, in a content-addressed
+//! file. A later process loads it by parsing the text and calling
+//! [`Session::compile`], which costs less than decoding compiled
+//! artifacts would.
 //!
 //! * **Addressing.** [`ArtifactKey`] is the same `(model, MCF)` content
 //!   digest pair the serve-layer session pool keys on: FNV-1a over the
@@ -19,39 +20,26 @@
 //!   artifact, on disk exactly as in memory.
 //! * **Format.** One file per key
 //!   (`pp-<model digest>-<mcf digest>.bin`): a 4-byte magic, a
-//!   [`FORMAT_VERSION`], the payload length, the payload (see
-//!   [`codec`]), and an FNV-1a checksum of the payload. Writes go
-//!   through a temp file + atomic rename, so a reader never observes a
-//!   half-written entry.
+//!   [`FORMAT_VERSION`], the payload length, the payload (the model
+//!   XML and then the MCF XML, each prefixed by its length), and an
+//!   FNV-1a checksum of the payload. Writes go through a temp file +
+//!   atomic rename, so a reader never observes a half-written entry.
 //! * **Corruption and staleness are misses, never errors.** A missing
-//!   file, short file, bad magic, stale version, checksum mismatch,
-//!   undecodable payload, or a payload whose recomputed content key
-//!   disagrees with its file name all read back as `None` — and the
-//!   offending file is evicted so the next compile re-writes it
-//!   cleanly. [`StoreStats::evictions`] counts those; nothing in the
-//!   load path panics or propagates an error to a request.
-//! * **Elaborations ride along where cheap.** Saving snapshots the
-//!   session's [`ElaborationCache`](crate::ElaborationCache), whose
-//!   snapshot holds lean elaborations only (no trace markers; a traced
-//!   evaluation re-flattens its own form); entries up
-//!   to [`MAX_PERSISTED_ENTRY_OPS`] primitive ops are embedded and
-//!   re-seeded on load, so a warm-started session's first estimate for
-//!   a pre-warmed SP point skips flattening too. Larger elaborations
-//!   are dropped at save time (they are exactly the ones that are cheap
-//!   to keep *relative to recomputing* only when I/O is free — which it
-//!   is not) and re-flatten on demand.
+//!   file, short file, bad magic, stale version, checksum mismatch, a
+//!   payload whose text disagrees with the file's key or is not its
+//!   own canonical serialization, and a model that no longer compiles
+//!   all read back as `None` — and the offending file is evicted so the
+//!   next compile re-writes it cleanly. [`StoreStats::evictions`]
+//!   counts those; nothing in the load path panics or propagates an
+//!   error to a request.
 //!
 //! The CLI builds stores offline with `prophet warm --store DIR`, and
 //! `prophet serve --store DIR` warm-starts its pool from one at boot;
-//! a shared store directory is also the natural substrate for sharding
-//! predictions across processes (the ROADMAP's scale-out item) — every
-//! shard key is already a stable content digest.
-
-pub mod codec;
+//! a shared store directory also lets a router's shards find each
+//! other's models, since every key is a stable content digest.
 
 use crate::error::Error;
 use crate::session::Session;
-use codec::{DecodeError, Reader, Writer};
 use prophet_check::McfConfig;
 use prophet_uml::Model;
 use std::io::{self, Write};
@@ -64,10 +52,9 @@ static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// On-disk artifact format version. Bump on any payload or header
 /// change: a version mismatch reads as a clean miss (plus eviction),
-/// never as a misdecode. Version 2 persists lean elaborations (no
-/// `Enter`/`Exit` markers); version 3 drops the generated C++ unit,
-/// which sessions no longer hold.
-pub const FORMAT_VERSION: u32 = 3;
+/// never as a misdecode. Version 4 stores the model and MCF text only;
+/// earlier versions also held compiled artifacts.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Format version of the metrics checkpoints, versioned apart from the
 /// artifacts so an artifact format change keeps lifetime counters.
@@ -86,11 +73,6 @@ pub const METRICS_MAGIC: [u8; 4] = *b"PPMC";
 /// each other's lifetime counters — so the full name is
 /// `pp-metrics-<instance>.ckpt`.
 pub const METRICS_PREFIX: &str = "pp-metrics";
-
-/// Elaboration entries larger than this many primitive ops (summed over
-/// all ranks, top level) are not persisted — re-flattening them is
-/// cheaper than reading them back.
-pub const MAX_PERSISTED_ENTRY_OPS: usize = 1 << 16;
 
 /// Suffix of the per-entry access-stamp sidecar (`pp-<m>-<mcf>.atime`).
 ///
@@ -210,29 +192,7 @@ fn mtime_millis(meta: &std::fs::Metadata) -> u64 {
         .unwrap_or(0)
 }
 
-/// Cheap structural validation of an artifact byte image: magic,
-/// version, length field, payload checksum — everything
-/// [`decode_session`] checks before it starts parsing XML. GC uses
-/// this instead of the full decode so a sweep over a large store stays
-/// I/O-bound.
-fn artifact_header_ok(bytes: &[u8]) -> bool {
-    if bytes.len() < 16 + 8 || bytes[0..4] != MAGIC {
-        return false;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return false;
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    if bytes.len() != 16 + payload_len + 8 {
-        return false;
-    }
-    let payload = &bytes[16..16 + payload_len];
-    let checksum = u64::from_le_bytes(bytes[16 + payload_len..].try_into().unwrap());
-    fnv1a(payload) == checksum
-}
-
-/// A content-addressed on-disk store of compiled sessions.
+/// A content-addressed on-disk store of model texts.
 ///
 /// Thread-safe by `&self`: counters are atomics, writes are atomic
 /// renames, and loads never mutate an entry (they may *delete* a
@@ -316,11 +276,10 @@ impl ArtifactStore {
         keys
     }
 
-    /// Load the compiled session stored under `key`, or `None` (a
-    /// *miss*) when no usable artifact exists. Corrupt and
-    /// stale-version entries are evicted on the way out so the next
-    /// compile re-writes them; the session's elaboration cache comes
-    /// back pre-seeded with every persisted elaboration.
+    /// Compile the model stored under `key`, or `None` (a *miss*) when
+    /// no usable artifact exists. Corrupt, stale-version and
+    /// uncompilable entries are evicted on the way out so the next
+    /// compile re-writes them.
     pub fn load_session(&self, key: ArtifactKey) -> Option<Session> {
         let path = self.entry_path(key);
         let bytes = match std::fs::read(&path) {
@@ -331,12 +290,12 @@ impl ArtifactStore {
             }
         };
         match decode_session(&bytes, key) {
-            Ok(session) => {
+            Some(session) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.touch(key);
                 Some(session)
             }
-            Err(_) => {
+            None => {
                 // Corrupt or stale: delete so the slot re-fills with a
                 // current-format artifact on the next write-back — but
                 // only while the file still looks like the bytes that
@@ -359,7 +318,7 @@ impl ArtifactStore {
         }
     }
 
-    /// Persist `session` (artifacts + cheap elaborations) under its
+    /// Persist `session`'s canonical model and MCF text under its
     /// content key, atomically. Failures are counted and returned, but
     /// callers on the serve path deliberately ignore them — a store
     /// that cannot write degrades to compile-per-boot, it does not take
@@ -372,10 +331,9 @@ impl ArtifactStore {
         let key = ArtifactKey::of(session.model(), session.mcf());
         let bytes = encode_session(session);
         let path = self.entry_path(key);
-        // Unique per call (pid + process-wide counter): two threads
-        // saving the same key concurrently — e.g. the pool's bypass
-        // path under capacity pressure — must not share a temp file,
-        // or the atomic-rename guarantee dies with it.
+        // Unique per call (pid + process-wide counter): two threads or
+        // two shards saving the same key concurrently must not share a
+        // temp file, or the atomic-rename guarantee dies with it.
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
             "{}.tmp-{}-{}",
@@ -469,7 +427,7 @@ impl ArtifactStore {
             };
             report.entries_scanned += 1;
             report.bytes_scanned += bytes.len() as u64;
-            if !artifact_header_ok(&bytes) {
+            if unframe(&bytes, MAGIC, FORMAT_VERSION).is_none() {
                 // Same concurrent-writer guard as load_session: only
                 // delete while the file still looks like the bytes
                 // that failed validation.
@@ -560,7 +518,13 @@ impl ArtifactStore {
     /// The underlying I/O error when the temp file cannot be written
     /// or renamed into place.
     pub fn save_metrics(&self, instance: &str, counters: &[(String, u64)]) -> io::Result<()> {
-        let bytes = encode_metrics(counters);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&(counters.len() as u64).to_le_bytes());
+        for (name, value) in counters {
+            put_field(&mut payload, name.as_bytes());
+            payload.extend_from_slice(&value.to_le_bytes());
+        }
+        let bytes = frame(METRICS_MAGIC, METRICS_VERSION, &payload);
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.metrics_path(instance);
         let tmp = path.with_extension(format!(
@@ -583,8 +547,8 @@ impl ArtifactStore {
         let path = self.metrics_path(instance);
         let bytes = std::fs::read(&path).ok()?;
         match decode_metrics(&bytes) {
-            Ok(counters) => Some(counters),
-            Err(_) => {
+            Some(counters) => Some(counters),
+            None => {
                 let _ = std::fs::remove_file(&path);
                 None
             }
@@ -594,17 +558,18 @@ impl ArtifactStore {
 
 impl Session {
     /// [`Session::compile`] with an optional [`ArtifactStore`]: a store
-    /// hit rebuilds the session from disk — skipping check and
-    /// `to_program` entirely — and a miss compiles, then writes the
-    /// artifact back for the next process.
+    /// hit compiles the stored text (see
+    /// [`ArtifactStore::load_session`]), and a miss compiles `model`,
+    /// then writes its text back for the next process.
     ///
     /// Write-back failures are swallowed (and counted in
-    /// [`StoreStats::write_errors`]): persistence is an accelerator,
-    /// not a correctness dependency.
+    /// [`StoreStats::write_errors`]): persistence is a convenience, not
+    /// a correctness dependency.
     ///
     /// # Errors
-    /// Exactly [`Session::compile`]'s errors; the store can only turn a
-    /// success path faster, never a failure path different.
+    /// Exactly [`Session::compile`]'s errors: a stored entry is the
+    /// canonical text of the same model, and one that fails to compile
+    /// is a miss.
     pub fn compile_stored(
         model: Model,
         mcf: McfConfig,
@@ -624,188 +589,129 @@ impl Session {
 }
 
 // ---------------------------------------------------------------------
-// Metrics checkpoint encode / decode
+// File frame and payload fields
 // ---------------------------------------------------------------------
 
-/// Serialize a counter snapshot with the same header discipline as
-/// artifacts: magic + version + payload length + payload + FNV-1a
-/// checksum. The payload is a count followed by length-prefixed name
-/// bytes and a little-endian value per counter.
-fn encode_metrics(counters: &[(String, u64)]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(counters.len() as u64).to_le_bytes());
-    for (name, value) in counters {
-        payload.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        payload.extend_from_slice(name.as_bytes());
-        payload.extend_from_slice(&value.to_le_bytes());
-    }
+/// Frame `payload` for disk, as artifacts and metrics checkpoints
+/// both are: magic, version, payload length, payload, FNV-1a checksum
+/// of the payload.
+fn frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&METRICS_MAGIC);
-    out.extend_from_slice(&METRICS_VERSION.to_le_bytes());
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out
 }
 
-/// Decode and verify a metrics checkpoint; every failure mode is a
-/// [`DecodeError`] the caller treats as a miss.
-fn decode_metrics(bytes: &[u8]) -> Result<Vec<(String, u64)>, DecodeError> {
-    let fail = |what: &str| Err(DecodeError(what.to_string()));
-    if bytes.len() < 16 + 8 {
-        return fail("shorter than header + checksum");
+/// The payload of a framed file, or `None` unless its magic, version,
+/// length field and checksum all agree. GC uses this alone, so a sweep
+/// over a large store parses no XML.
+fn unframe(bytes: &[u8], magic: [u8; 4], version: u32) -> Option<&[u8]> {
+    let mut fields = Fields(bytes);
+    if fields.take(4)? != magic || fields.u32()? != version {
+        return None;
     }
-    if bytes[0..4] != METRICS_MAGIC {
-        return fail("bad magic");
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != METRICS_VERSION {
-        return fail("stale format version");
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    if bytes.len() != 16 + payload_len + 8 {
-        return fail("length field disagrees with file size");
-    }
-    let payload = &bytes[16..16 + payload_len];
-    let checksum = u64::from_le_bytes(bytes[16 + payload_len..].try_into().unwrap());
-    if fnv1a(payload) != checksum {
-        return fail("checksum mismatch");
+    let payload = fields.field()?;
+    let checksum = fields.u64()?;
+    fields.finish()?;
+    (fnv1a(payload) == checksum).then_some(payload)
+}
+
+/// Append one length-prefixed field.
+fn put_field(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Bounds-checked reader of little-endian integers and length-prefixed
+/// fields: every read that would run past the end is `None`.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
     }
 
-    fn take<'a>(payload: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], DecodeError> {
-        if *at + n > payload.len() {
-            return Err(DecodeError("truncated payload".to_string()));
-        }
-        let slice = &payload[*at..*at + n];
-        *at += n;
-        Ok(slice)
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
-    let mut at = 0usize;
-    let count = u64::from_le_bytes(take(payload, &mut at, 8)?.try_into().unwrap()) as usize;
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn field(&mut self) -> Option<&'a [u8]> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        self.take(n)
+    }
+
+    fn text(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.field()?).ok()
+    }
+
+    /// `Some` when every byte was read: trailing bytes are corruption.
+    fn finish(self) -> Option<()> {
+        self.0.is_empty().then_some(())
+    }
+}
+
+/// Decode and verify a metrics checkpoint; `None` on any failure.
+fn decode_metrics(bytes: &[u8]) -> Option<Vec<(String, u64)>> {
+    let payload = unframe(bytes, METRICS_MAGIC, METRICS_VERSION)?;
+    let mut fields = Fields(payload);
+    let count = usize::try_from(fields.u64()?).ok()?;
     // A corrupt count must not drive a huge preallocation.
-    if count > payload.len() {
-        return fail("counter count exceeds payload");
-    }
-    let mut counters = Vec::with_capacity(count);
+    let mut counters = Vec::with_capacity(count.min(payload.len()));
     for _ in 0..count {
-        let name_len = u64::from_le_bytes(take(payload, &mut at, 8)?.try_into().unwrap()) as usize;
-        if name_len > payload.len() {
-            return fail("name length exceeds payload");
-        }
-        let name = String::from_utf8(take(payload, &mut at, name_len)?.to_vec())
-            .map_err(|_| DecodeError("non-UTF-8 counter name".to_string()))?;
-        let value = u64::from_le_bytes(take(payload, &mut at, 8)?.try_into().unwrap());
-        counters.push((name, value));
+        let name = fields.text()?.to_string();
+        counters.push((name, fields.u64()?));
     }
-    if at != payload.len() {
-        return fail("trailing bytes after counters");
-    }
-    Ok(counters)
+    fields.finish()?;
+    Some(counters)
 }
 
-// ---------------------------------------------------------------------
-// Whole-artifact encode / decode
-// ---------------------------------------------------------------------
-
-/// Serialize a compiled session into the full artifact byte image
-/// (header + payload + checksum).
+/// The artifact byte image of `session`: its canonical model XML and
+/// MCF XML, framed.
 fn encode_session(session: &Session) -> Vec<u8> {
-    let mut w = Writer::new();
-    codec::put_str(&mut w, &session.model_xml());
-    codec::put_str(&mut w, &session.mcf().to_xml());
-    codec::put_diagnostics(&mut w, session.diagnostics());
-    codec::put_program(&mut w, session.program());
-    let entries: Vec<_> = session
-        .elab_cache()
-        .snapshot()
-        .into_iter()
-        .filter(|e| e.op_count() <= MAX_PERSISTED_ENTRY_OPS)
-        .collect();
-    codec::put_count(&mut w, entries.len());
-    for entry in &entries {
-        codec::put_elab_entry(&mut w, entry);
-    }
-    let payload = w.into_bytes();
-
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out
+    let mut payload = Vec::new();
+    put_field(&mut payload, session.model_xml().as_bytes());
+    put_field(&mut payload, session.mcf().to_xml().as_bytes());
+    frame(MAGIC, FORMAT_VERSION, &payload)
 }
 
-/// Decode and verify a full artifact byte image back into a session.
-/// Every failure mode — short header, wrong magic, stale version,
-/// length mismatch, checksum mismatch, payload misdecode, content-key
-/// mismatch — is a [`DecodeError`] the caller treats as a miss.
-fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Result<Session, DecodeError> {
-    let fail = |what: &str| Err(DecodeError(what.to_string()));
-    if bytes.len() < 16 + 8 {
-        return fail("shorter than header + checksum");
-    }
-    if bytes[0..4] != MAGIC {
-        return fail("bad magic");
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return fail("stale format version");
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    if bytes.len() != 16 + payload_len + 8 {
-        return fail("length field disagrees with file size");
-    }
-    let payload = &bytes[16..16 + payload_len];
-    let checksum = u64::from_le_bytes(bytes[16 + payload_len..].try_into().unwrap());
-    if fnv1a(payload) != checksum {
-        return fail("checksum mismatch");
-    }
-
-    let mut r = Reader::new(payload);
-    let model_xml = codec::get_str(&mut r)?;
-    let mcf_xml = codec::get_str(&mut r)?;
-    let diagnostics = codec::get_diagnostics(&mut r)?;
-    let program = codec::get_program(&mut r)?;
-    // Stored ops name their elements by text; they get the ids of the
-    // loaded program's own table.
-    let names = program.resolve().names();
-    let entry_count = codec::get_count(&mut r, 92)?;
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        entries.push(codec::get_elab_entry(&mut r, names)?);
-    }
-    r.finish()?;
-
+/// Verify an artifact byte image and compile the model it holds.
+/// `None` on every failure — bad frame, text that disagrees with the
+/// entry's key or is not canonical, or a model that does not compile —
+/// which the caller treats as a miss.
+fn decode_session(bytes: &[u8], expected: ArtifactKey) -> Option<Session> {
+    let mut fields = Fields(unframe(bytes, MAGIC, FORMAT_VERSION)?);
+    let model_xml = fields.text()?;
+    let mcf_xml = fields.text()?;
+    fields.finish()?;
     // The file name is trusted for *addressing* only; the content must
     // independently agree with it, or a renamed/substituted artifact
-    // could impersonate another model. The store writes the *canonical*
+    // could impersonate another model. The store writes the canonical
     // spellings, so the digests recompute directly over the stored
-    // bytes; the fixed-point checks below then pin that the stored
-    // spelling really is the canonical serialization of what it parses
-    // to (together equivalent to re-running `ArtifactKey::of` on the
-    // decoded model and MCF).
+    // text; the fixed-point checks then pin that the stored text really
+    // is the canonical serialization of what it parses to (together
+    // equivalent to re-running `ArtifactKey::of` on the parsed model
+    // and MCF).
     if fnv1a(model_xml.as_bytes()) != expected.model || fnv1a(mcf_xml.as_bytes()) != expected.mcf {
-        return fail("content digest disagrees with the entry's key");
+        return None;
     }
-    let model = prophet_uml::xmi::model_from_xml(&model_xml)
-        .map_err(|e| DecodeError(format!("stored model XML does not parse: {e}")))?;
-    let mcf = McfConfig::from_xml(&mcf_xml)
-        .map_err(|e| DecodeError(format!("stored MCF XML does not parse: {e}")))?;
-    if prophet_uml::xmi::model_to_xml(&model) != model_xml {
-        return fail("stored model XML is not canonical");
+    let model = prophet_uml::xmi::model_from_xml(model_xml).ok()?;
+    let mcf = McfConfig::from_xml(mcf_xml).ok()?;
+    if prophet_uml::xmi::model_to_xml(&model) != model_xml || mcf.to_xml() != mcf_xml {
+        return None;
     }
-    if mcf.to_xml() != mcf_xml {
-        return fail("stored MCF XML is not canonical");
-    }
-
-    let session = Session::from_parts(model, mcf, diagnostics, program);
-    for entry in entries {
-        session
-            .elab_cache()
-            .seed(entry.sp, entry.comm, entry.limits, entry.ops);
-    }
-    Ok(session)
+    Session::compile(model, mcf).ok()
 }
 
 #[cfg(test)]
@@ -907,7 +813,6 @@ mod tests {
     fn save_load_roundtrip_preserves_everything() {
         let store = temp_store("roundtrip");
         let session = Session::new(model("m", "2.0 / P")).unwrap();
-        // Populate the elab cache so entries are persisted too.
         let scenario =
             crate::Scenario::new(prophet_machine::SystemParams::flat_mpi(2, 1)).without_trace();
         let fresh = session.evaluate(&scenario).unwrap();
@@ -917,16 +822,16 @@ mod tests {
         assert_eq!(loaded.program(), session.program());
         assert_eq!(loaded.diagnostics().len(), session.diagnostics().len());
         assert_eq!(loaded.model_xml(), session.model_xml());
+        assert_eq!(loaded.mcf().to_xml(), session.mcf().to_xml());
 
-        // The persisted elaboration is seeded: the first evaluation is
-        // a pure cache hit and agrees bit for bit.
+        // Elaborations are not stored: the loaded session elaborates
+        // afresh and agrees bit for bit.
+        assert_eq!(loaded.retained_bytes(), 0);
         let again = loaded.evaluate(&scenario).unwrap();
         assert_eq!(
             again.predicted_time.to_bits(),
             fresh.predicted_time.to_bits()
         );
-        let stats = loaded.elab_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0), "{stats:?}");
 
         assert_eq!(
             store.stats(),
@@ -948,22 +853,21 @@ mod tests {
     }
 
     #[test]
-    fn compile_stored_hits_skip_check_and_transform() {
-        let store = temp_store("skip");
-        let m = model("skip", "3.0");
+    fn compile_stored_hits_compile_the_stored_text() {
+        let store = temp_store("hit");
+        let m = model("hit", "3.0");
         let mcf = McfConfig::default();
         let s1 = Session::compile_stored(m.clone(), mcf.clone(), Some(&store)).unwrap();
         assert_eq!(store.stats().writes, 1, "miss must write back");
 
-        let before = crate::transform::transform_invocations();
-        let s2 = Session::compile_stored(m.clone(), mcf.clone(), Some(&store)).unwrap();
-        assert_eq!(
-            crate::transform::transform_invocations(),
-            before,
-            "a store hit must not re-transform"
-        );
+        let s2 = Session::compile_stored(m, mcf, Some(&store)).unwrap();
         assert_eq!(s2.program(), s1.program());
-        assert_eq!(store.stats().disk_hits, 1);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.writes),
+            (1, 1),
+            "a hit writes nothing"
+        );
     }
 
     #[test]

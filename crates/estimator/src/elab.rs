@@ -52,7 +52,7 @@
 //!   (`SweepConfig::no_elab_cache` / `--no-elab-cache`). The cache also
 //!   counts the bytes it retains
 //!   ([`ElaborationCache::retained_bytes`]): each entry adds its ops'
-//!   bytes once when its slot fills or is seeded, and its
+//!   bytes once when its slot fills, and its
 //!   [`BatchProgram`]'s arrays once when that is stored. Entries are
 //!   immutable, so the count is exact; the session pool evicts whole
 //!   sessions by it.
@@ -61,16 +61,13 @@
 //! the same [`FlattenError`] to every scenario that hits it, without
 //! re-walking the program. Both forms fail with the same error, because
 //! the lean form still counts its omitted markers toward `max_ops`.
-//!
-//! The persistent store sees lean entries only: [`ElaborationCache::snapshot`]
-//! exports them and [`ElaborationCache::seed`] seeds them.
 
 use crate::batch::BatchProgram;
 use crate::estimator::EstimatorError;
 use crate::flatten::{flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp};
 use crate::names::ElementNames;
 use crate::program::Program;
-use prophet_machine::{CommParams, MachineModel, SystemParams};
+use prophet_machine::MachineModel;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -224,13 +221,7 @@ struct ElabKey {
 
 impl ElabKey {
     fn new(machine: &MachineModel, limits: FlattenLimits, form: ElabForm) -> Self {
-        Self::from_parts(machine.sp, machine.comm.params, limits, form)
-    }
-
-    /// Key from raw scenario parts (what [`ElaborationCache::seed`] and
-    /// the persisted-artifact store work with — no `MachineModel`
-    /// construction, hence no SP validation, on the load path).
-    fn from_parts(sp: SystemParams, c: CommParams, limits: FlattenLimits, form: ElabForm) -> Self {
+        let (sp, c) = (machine.sp, machine.comm.params);
         Self {
             nodes: sp.nodes,
             cpus_per_node: sp.cpus_per_node,
@@ -245,28 +236,6 @@ impl ElabKey {
             ],
             limits,
             form,
-        }
-    }
-
-    /// The system parameters this key was built from.
-    fn sp(&self) -> SystemParams {
-        SystemParams {
-            nodes: self.nodes,
-            cpus_per_node: self.cpus_per_node,
-            processes: self.processes,
-            threads_per_process: self.threads_per_process,
-        }
-    }
-
-    /// The communication parameters this key was built from
-    /// (bit-exact: the key stores the raw f64 bit patterns).
-    fn comm(&self) -> CommParams {
-        CommParams {
-            intra_latency: f64::from_bits(self.comm_bits[0]),
-            intra_bandwidth: f64::from_bits(self.comm_bits[1]),
-            inter_latency: f64::from_bits(self.comm_bits[2]),
-            inter_bandwidth: f64::from_bits(self.comm_bits[3]),
-            send_overhead: f64::from_bits(self.comm_bits[4]),
         }
     }
 
@@ -342,31 +311,6 @@ impl ElabStats {
     /// bypasses). In a cached sweep this is the flatten count.
     pub fn flattens(&self) -> u64 {
         self.misses + self.bypasses
-    }
-}
-
-/// One successful lean elaboration, exported by
-/// [`ElaborationCache::snapshot`] and re-imported by
-/// [`ElaborationCache::seed`] — the unit the persistent artifact store
-/// (`prophet_core::store`) serializes so a warm-started session
-/// re-serves its op lists without re-flattening.
-#[derive(Debug, Clone)]
-pub struct ElabEntry {
-    /// System parameters of the elaborated scenario.
-    pub sp: SystemParams,
-    /// Communication parameters (bit-exact through snapshot→seed).
-    pub comm: CommParams,
-    /// The flatten limits the elaboration ran under.
-    pub limits: FlattenLimits,
-    /// The per-rank op lists, in the [`ElabForm::Lean`] form.
-    pub ops: RankOps,
-}
-
-impl ElabEntry {
-    /// Total primitive-op count across all ranks (top level only; a
-    /// size proxy the store uses for its "persist where cheap" bound).
-    pub fn op_count(&self) -> usize {
-        self.ops.iter().map(|rank| rank.len()).sum()
     }
 }
 
@@ -551,86 +495,6 @@ impl ElaborationCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         (Some(node), result.clone())
-    }
-
-    /// Pre-fill the lean entry for `(sp, comm, limits)` with a lean
-    /// elaboration computed elsewhere (a prior process run, via the persistent
-    /// artifact store). Seeding is not a lookup: it touches no hit/miss
-    /// counter, so a seeded entry's first `get_or_flatten` is a plain
-    /// hit. Returns `false` when the cache is at capacity (the seed is
-    /// dropped) — an already-present entry is left untouched and counts
-    /// as seeded.
-    ///
-    /// The caller must only seed lean op lists that were flattened from
-    /// the same program this cache serves; the store guarantees that by
-    /// keying artifacts on the model content digest and its format
-    /// version.
-    pub fn seed(
-        &self,
-        sp: SystemParams,
-        comm: CommParams,
-        limits: FlattenLimits,
-        ops: RankOps,
-    ) -> bool {
-        let key = ElabKey::from_parts(sp, comm, limits, ElabForm::Lean);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
-            return false;
-        };
-        // First writer wins; racing a concurrent flatten (or an earlier
-        // seed) of the same key is benign — both values are correct.
-        let bytes = ops.bytes();
-        if node.slot.set(Ok(ops)).is_ok() {
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        true
-    }
-
-    /// Every successfully elaborated lean entry currently interned, in
-    /// deterministic `(SP, comm, limits)` order. Traced entries are
-    /// not exported (only traced simulations use them, and they are
-    /// the larger form). Failed elaborations
-    /// are not exported (a seeded cache should re-diagnose them
-    /// freshly), and unfilled entries (a concurrent flatten still in
-    /// flight) are skipped rather than waited for.
-    pub fn snapshot(&self) -> Vec<ElabEntry> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut cur = shard.head.load(Ordering::Acquire);
-            while !cur.is_null() {
-                // SAFETY: published nodes live until the cache drops.
-                let node = unsafe { &*cur };
-                if let (ElabForm::Lean, Some(Ok(ops))) = (node.key.form, node.slot.get()) {
-                    out.push(ElabEntry {
-                        sp: node.key.sp(),
-                        comm: node.key.comm(),
-                        limits: node.key.limits,
-                        ops: ops.clone(),
-                    });
-                }
-                cur = node.next;
-            }
-        }
-        out.sort_by_key(|e| {
-            (
-                [
-                    e.sp.nodes as u64,
-                    e.sp.cpus_per_node as u64,
-                    e.sp.processes as u64,
-                    e.sp.threads_per_process as u64,
-                ],
-                [
-                    e.comm.intra_latency.to_bits(),
-                    e.comm.intra_bandwidth.to_bits(),
-                    e.comm.inter_latency.to_bits(),
-                    e.comm.inter_bandwidth.to_bits(),
-                    e.comm.send_overhead.to_bits(),
-                ],
-                e.limits.max_ops,
-                e.limits.max_loop_iterations,
-            )
-        });
-        out
     }
 
     /// Counter snapshot (hits / misses / bypasses so far).
@@ -920,14 +784,6 @@ mod tests {
         assert!(batch.bytes() > 0);
         assert_eq!(cache.retained_bytes(), ops.bytes() + batch.bytes());
 
-        // A seeded entry counts; re-seeding a filled key does not.
-        let seeded = ElaborationCache::new();
-        let entry = cache.snapshot().remove(0);
-        for _ in 0..2 {
-            assert!(seeded.seed(entry.sp, entry.comm, entry.limits, entry.ops.clone()));
-        }
-        assert_eq!(seeded.retained_bytes(), ops.bytes());
-
         // A failed elaboration retains no ops.
         let tight = FlattenLimits {
             max_ops: 1,
@@ -1010,94 +866,6 @@ mod tests {
         assert!(cache.len() <= 4, "{} entries", cache.len());
         assert_eq!(stats.misses as usize, cache.len(), "{stats:?}");
         assert_eq!(stats.misses + stats.bypasses, 16, "{stats:?}");
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_seed() {
-        let cache = ElaborationCache::new();
-        let p = program();
-        for procs in [1, 2, 4] {
-            for form in [ElabForm::Lean, ElabForm::Traced] {
-                cache
-                    .get_or_flatten_form(&p, &machine(procs), FlattenLimits::default(), form)
-                    .unwrap();
-            }
-        }
-        // Lean entries only: the traced ones stay in memory.
-        let entries = cache.snapshot();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(cache.len(), 6);
-        // Deterministic order regardless of shard layout.
-        let procs: Vec<usize> = entries.iter().map(|e| e.sp.processes).collect();
-        assert_eq!(procs, vec![1, 2, 4]);
-
-        // Seed a fresh cache: every subsequent lookup is a pure hit and
-        // serves the seeded Arc (no re-flatten).
-        let seeded = ElaborationCache::new();
-        for e in &entries {
-            assert!(seeded.seed(e.sp, e.comm, e.limits, e.ops.clone()));
-        }
-        assert_eq!(
-            seeded.stats(),
-            ElabStats::default(),
-            "seeding is not a lookup"
-        );
-        for e in &entries {
-            let m = MachineModel::new(e.sp, e.comm).unwrap();
-            let got = seeded.get_or_flatten(&p, &m, e.limits).unwrap();
-            assert!(
-                Arc::ptr_eq(&got, &e.ops),
-                "seeded entry must be served as-is"
-            );
-        }
-        assert_eq!(seeded.stats().hits, 3);
-        assert_eq!(seeded.stats().misses, 0);
-    }
-
-    #[test]
-    fn snapshot_skips_failed_elaborations() {
-        let mut p = Program::new("bad");
-        p.body = Step::Loop {
-            name: "L".into(),
-            count: parse_expression("100").unwrap(),
-            var: None,
-            body: Box::new(Step::Exec {
-                name: "A".into(),
-                cost: None,
-                code: vec![],
-            }),
-        };
-        let limits = FlattenLimits {
-            max_loop_iterations: 5,
-            ..Default::default()
-        };
-        let cache = ElaborationCache::new();
-        cache.get_or_flatten(&p, &machine(1), limits).unwrap_err();
-        assert!(cache.snapshot().is_empty());
-    }
-
-    #[test]
-    fn seed_respects_capacity() {
-        let cache = ElaborationCache::with_capacity(1);
-        let p = program();
-        let entry = {
-            let scratch = ElaborationCache::new();
-            scratch
-                .get_or_flatten(&p, &machine(1), FlattenLimits::default())
-                .unwrap();
-            scratch.snapshot().remove(0)
-        };
-        assert!(cache.seed(entry.sp, entry.comm, entry.limits, entry.ops.clone()));
-        // A second, distinct seed bounces off the 1-entry bound.
-        let other = {
-            let scratch = ElaborationCache::new();
-            scratch
-                .get_or_flatten(&p, &machine(2), FlattenLimits::default())
-                .unwrap();
-            scratch.snapshot().remove(0)
-        };
-        assert!(!cache.seed(other.sp, other.comm, other.limits, other.ops));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

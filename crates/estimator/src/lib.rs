@@ -86,9 +86,7 @@ mod resolve;
 
 pub use analytic::evaluate_analytic;
 pub use batch::{BatchProgram, BatchScratch};
-pub use elab::{
-    elaborate, flatten_all, ElabEntry, ElabStats, Elaboration, ElaborationCache, RankOps,
-};
+pub use elab::{elaborate, flatten_all, ElabStats, Elaboration, ElaborationCache, RankOps};
 pub use estimator::{Backend, Estimator, EstimatorError, EstimatorOptions, Evaluation};
 pub use flatten::{
     flatten_for_process, flatten_invocations, op_digest, ElabForm, FlattenError, FlattenLimits,

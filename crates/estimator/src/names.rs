@@ -7,8 +7,8 @@
 //! carry the [`ElementId`] instead of the text. Elaboration therefore
 //! emits plain data: building, replaying or dropping an op list touches
 //! no shared reference count. The text is looked up only where text is
-//! produced — trace events, error messages, [`op_digest`](crate::op_digest)
-//! and the store codec.
+//! produced — trace events, error messages and
+//! [`op_digest`](crate::op_digest).
 //!
 //! A table belongs to one program (there is no process-wide interner),
 //! so its memory goes with the program's.

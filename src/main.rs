@@ -17,8 +17,7 @@
 //! prophet serve     [--addr A] [--workers W] [--store DIR] [--token T]
 //! prophet router    --shards H:P,H:P,... [--addr A] [--workers W]
 //!                   [--token T] [--probe-ms MS]
-//! prophet warm      --store DIR [--mcf <mcf.xml>] [--nodes 1,2,4 [--cpus C]]
-//!                   <model.xml>...
+//! prophet warm      --store DIR [--mcf <mcf.xml>] <model.xml>...
 //! prophet metrics   <url> [--watch SECS]
 //! prophet demo      sample|kernel6|jacobi|lapw0|pipeline|master_worker|task_farm|branching_pipeline|halo_ring|mapreduce
 //! ```
@@ -54,15 +53,15 @@
 //! curl -s -X POST localhost:7077/v1/shutdown
 //! ```
 //!
-//! With `--store DIR`, compiled sessions persist across restarts: the
-//! pool warm-starts from the directory at boot (first estimate after a
-//! restart = zero compiles, visible as a `store.disk_hits` counter on
-//! `GET /v1/metrics`), and fresh compiles write their artifact back.
-//! `warm` pre-populates such a store offline — optionally pre-flattening
-//! an SP grid so even elaboration is served from disk:
+//! With `--store DIR`, the models a server compiled persist across
+//! restarts: the store keeps each model's canonical text, the pool
+//! loads (compiles) every stored model at boot, so the first estimate
+//! after a restart is a pool reuse with zero pool compiles (visible as
+//! a `store.disk_hits` counter on `GET /v1/metrics`), and fresh compiles
+//! write their model back. `warm` pre-populates such a store offline:
 //!
 //! ```text
-//! prophet warm --store ./artifacts --nodes 1,2,4,8 jacobi.xml sample.xml
+//! prophet warm --store ./artifacts jacobi.xml sample.xml
 //! prophet serve --store ./artifacts
 //! ```
 //!
@@ -156,7 +155,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  prophet check <model.xml> [--mcf <mcf.xml>]\n  prophet transform <model.xml> [--full] [--skeleton]\n  prophet estimate <model.xml> [--nodes N] [--cpus C] [--processes P] [--threads T] [--backend simulation|analytic] [--trace <file>] [--timeline]\n  prophet sweep <model.xml> --nodes 1,2,4,8 [--cpus C] [--workers W] [--backend simulation|analytic] [--no-elab-cache]\n  prophet optimize <model.xml> [--nodes 1,2,...,16] [--cpus 1,2,4,8] [--objective min_time|min_cost|max_speedup_per_cost] [--deadline S] [--max-cost C] [--node-weight W] [--cpu-weight W] [--backend simulation|analytic] [--verify sim] [--margin F] [--stride K] [--workers W]\n  prophet serve [--addr A] [--workers W] [--store DIR] [--partition H:P,H:P,...] [--token T]\n  prophet router --shards H:P,H:P,... [--addr A] [--workers W] [--token T] [--probe-ms MS]\n  prophet warm --store DIR [--mcf <mcf.xml>] [--nodes 1,2,4 [--cpus C]] <model.xml>...\n  prophet store gc --store DIR --max-bytes BYTES\n  prophet metrics <url> [--watch SECS]\n  prophet demo sample|kernel6|jacobi|lapw0|pipeline|master_worker|task_farm|branching_pipeline|halo_ring|mapreduce"
+    "usage:\n  prophet check <model.xml> [--mcf <mcf.xml>]\n  prophet transform <model.xml> [--full] [--skeleton]\n  prophet estimate <model.xml> [--nodes N] [--cpus C] [--processes P] [--threads T] [--backend simulation|analytic] [--trace <file>] [--timeline]\n  prophet sweep <model.xml> --nodes 1,2,4,8 [--cpus C] [--workers W] [--backend simulation|analytic] [--no-elab-cache]\n  prophet optimize <model.xml> [--nodes 1,2,...,16] [--cpus 1,2,4,8] [--objective min_time|min_cost|max_speedup_per_cost] [--deadline S] [--max-cost C] [--node-weight W] [--cpu-weight W] [--backend simulation|analytic] [--verify sim] [--margin F] [--stride K] [--workers W]\n  prophet serve [--addr A] [--workers W] [--store DIR] [--partition H:P,H:P,...] [--token T]\n  prophet router --shards H:P,H:P,... [--addr A] [--workers W] [--token T] [--probe-ms MS]\n  prophet warm --store DIR [--mcf <mcf.xml>] <model.xml>...\n  prophet store gc --store DIR --max-bytes BYTES\n  prophet metrics <url> [--watch SECS]\n  prophet demo sample|kernel6|jacobi|lapw0|pipeline|master_worker|task_farm|branching_pipeline|halo_ring|mapreduce"
         .to_string()
 }
 
@@ -659,22 +658,10 @@ fn cmd_router(args: &[String]) -> Result<(), CliError> {
 
 /// `prophet warm`: pre-populate a persistent artifact store offline, so
 /// a later `prophet serve --store` (or any `Session::compile_stored`
-/// caller) boots warm. With `--nodes`, additionally pre-flattens the
-/// flat-MPI SP grid through the analytic backend so the stored artifact
-/// carries its elaborations too.
+/// caller) finds every given model stored.
 fn cmd_warm(args: &[String]) -> Result<(), CliError> {
     let store_dir =
         value_flag(args, "--store")?.ok_or_else(|| usage_err("warm requires --store <dir>"))?;
-    let cpus: usize = parsed_flag(args, "--cpus")?.unwrap_or(1);
-    let points: Vec<SweepPoint> = match value_flag(args, "--nodes")? {
-        None => Vec::new(),
-        Some(list) => count_list("node count", "--nodes", list)?
-            .into_iter()
-            .map(|n| SweepPoint {
-                sp: SystemParams::flat_mpi(n, cpus),
-            })
-            .collect(),
-    };
     let mcf = match value_flag(args, "--mcf")? {
         Some(mcf_path) => {
             let mcf_xml = std::fs::read_to_string(mcf_path)
@@ -685,9 +672,8 @@ fn cmd_warm(args: &[String]) -> Result<(), CliError> {
     };
 
     // Positional arguments are model files; every flag above takes a
-    // value, so skip flag/value pairs rather than everything non-`--`
-    // (a value like `1,2,4` must not be mistaken for a model path).
-    const VALUE_FLAGS: [&str; 4] = ["--store", "--cpus", "--nodes", "--mcf"];
+    // value, so skip flag/value pairs rather than everything non-`--`.
+    const VALUE_FLAGS: [&str; 2] = ["--store", "--mcf"];
     let mut model_paths = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -713,57 +699,27 @@ fn cmd_warm(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| runtime_err(format!("cannot read `{path}`: {e}")))?;
         let model = prophet::uml::xmi::model_from_xml(&xml)
             .map_err(|e| runtime_err(format!("cannot parse `{path}`: {e}")))?;
-        let key = ArtifactKey::of(&model, &mcf);
-        // Load an existing artifact (a disk hit) or compile fresh —
-        // deliberately NOT through `compile_stored`, whose immediate
-        // write-back would make every cold model with a `--nodes` grid
-        // pay two full artifact writes (one without elaborations, one
-        // with). Warm writes each artifact exactly once, below. `hit`
-        // comes from the load *succeeding*, not the file existing: a
-        // corrupt or stale-version entry is evicted by the load and
-        // must be re-written even without `--nodes`.
-        let loaded = store.load_session(key);
+        // `hit` comes from the load *succeeding*, not the file existing:
+        // a corrupt or stale-version entry is evicted by the load and
+        // re-written here. Not `compile_stored`, which swallows write
+        // errors that warm must report.
+        let loaded = store.load_session(ArtifactKey::of(&model, &mcf));
         let hit = loaded.is_some();
         let session = match loaded {
             Some(session) => session,
             None => {
-                Session::compile(model, mcf.clone()).map_err(|e| runtime_err(render_chain(&e)))?
+                let session = Session::compile(model, mcf.clone())
+                    .map_err(|e| runtime_err(render_chain(&e)))?;
+                store.save_session(&session).map_err(|e| {
+                    runtime_err(format!("cannot write store entry for `{path}`: {e}"))
+                })?;
+                session
             }
         };
-        if !points.is_empty() {
-            // Pre-flatten the grid through the analytic backend (no
-            // kernel, no trace) so the elaborations persist alongside
-            // the compile artifacts.
-            let report = session.sweep_with(
-                &points,
-                &SweepConfig {
-                    backend: Backend::Analytic,
-                    ..Default::default()
-                },
-                |_, _| {},
-            );
-            for point in &report.points {
-                if let Err(e) = &point.outcome {
-                    return Err(runtime_err(format!(
-                        "cannot pre-elaborate `{path}` at {} node(s): {}",
-                        point.sp.nodes,
-                        render_chain_inline(e)
-                    )));
-                }
-            }
-        }
-        if !hit || !points.is_empty() {
-            // One write per model: a cold artifact, or a refresh that
-            // now carries the pre-elaborated grid.
-            store
-                .save_session(&session)
-                .map_err(|e| runtime_err(format!("cannot write store entry for `{path}`: {e}")))?;
-        }
         println!(
-            "warmed `{}` from {path}: {}, {} pre-elaborated SP point(s)",
+            "warmed `{}` from {path}: {}",
             session.program().name,
             if hit { "already stored" } else { "stored" },
-            points.len()
         );
     }
     let stats = store.stats();

@@ -468,23 +468,6 @@ fn warm_rewrites_a_corrupt_entry_even_without_nodes() {
 }
 
 #[test]
-fn warm_pre_elaborates_an_sp_grid() {
-    let model = temp_model("warm-grid", "jacobi");
-    let dir = temp_store_dir("warm-grid");
-    let (ok, out, err) = prophet(&[
-        "warm",
-        "--store",
-        dir.to_str().unwrap(),
-        "--nodes",
-        "1,2,4,8",
-        model.to_str().unwrap(),
-    ]);
-    assert!(ok, "{err}");
-    assert!(out.contains("4 pre-elaborated SP point(s)"), "{out}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn store_gc_shrinks_a_warmed_store_under_budget() {
     let model = temp_model("gc", "sample");
     let model = model.to_str().unwrap();
@@ -552,17 +535,18 @@ fn warm_usage_errors_name_the_offending_token() {
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("missing <model.xml> argument"), "{err}");
 
-    // Bad node count, token named.
+    // The store holds model text only, so warm elaborates no SP grid:
+    // `--nodes` is an unknown flag.
     let (code, _out, err) = prophet_code(&[
         "warm",
         "--store",
         dir.to_str().unwrap(),
         "--nodes",
-        "1,two",
+        "1,2",
         model,
     ]);
     assert_eq!(code, Some(2), "{err}");
-    assert!(err.contains("bad node count `two`"), "{err}");
+    assert!(err.contains("unknown flag `--nodes`"), "{err}");
 
     // Unknown flag, token named.
     let (code, _out, err) = prophet_code(&[

@@ -357,16 +357,15 @@ fn serve_restart_warm_starts_from_the_store() {
 }
 
 /// `prophet warm` → `prophet serve --store`: the CI warm-start smoke.
-/// A store populated offline serves its first estimate with zero
-/// compiles, and the pre-elaborated SP point lands as an elab hit.
+/// A store populated offline serves its first estimate as a pool reuse
+/// with zero pool compiles: the boot loaded it from disk.
 #[test]
 fn warm_then_serve_boots_hot() {
     let dir = std::env::temp_dir().join(format!("prophet-warm-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store_flag = dir.to_str().unwrap().to_string();
 
-    // Emit a model file and warm it into the store, pre-elaborating
-    // the SP grid the estimate below will ask for.
+    // Emit a model file and warm it into the store.
     let model_path =
         std::env::temp_dir().join(format!("prophet-warm-model-{}.xml", std::process::id()));
     let demo = Command::new(env!("CARGO_BIN_EXE_prophet"))
@@ -376,14 +375,13 @@ fn warm_then_serve_boots_hot() {
     assert!(demo.status.success());
     std::fs::write(&model_path, &demo.stdout).unwrap();
     let warm = Command::new(env!("CARGO_BIN_EXE_prophet"))
-        .args(["warm", "--store", &store_flag, "--nodes", "1,2,4"])
+        .args(["warm", "--store", &store_flag])
         .arg(&model_path)
         .output()
         .unwrap();
     assert!(warm.status.success(), "{warm:?}");
     let out = String::from_utf8_lossy(&warm.stdout);
     assert!(out.contains("warmed `jacobi`"), "{out}");
-    assert!(out.contains("3 pre-elaborated SP point(s)"), "{out}");
 
     let proc = spawn_serve(&["--workers", "2", "--store", &store_flag]);
     let first = client::post(proc.addr, "/v1/estimate", &estimate_body("jacobi", 4)).unwrap();
@@ -407,12 +405,6 @@ fn warm_then_serve_boots_hot() {
         "{metrics}"
     );
     assert!(field(&metrics, &["store", "disk_hits"]) >= 1.0, "{metrics}");
-    assert_eq!(
-        field(&metrics, &["elab", "hits"]),
-        1.0,
-        "the pre-elaborated SP point must be served from the seeded cache: {metrics}"
-    );
-    assert_eq!(field(&metrics, &["elab", "misses"]), 0.0, "{metrics}");
     drain(proc);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&model_path);

@@ -1,35 +1,25 @@
-//! Integration tests for the persistent compiled-artifact store: save a
-//! compiled session, load it in a "new process" (a fresh `ArtifactStore`
-//! over the same directory), and prove the load skipped check +
-//! transform + flatten while predicting bit-identically — plus the
-//! corruption/versioning contract: truncated, bit-flipped and
-//! future-version entries each read back as a clean miss followed by a
-//! clean re-write.
+//! Integration tests for the persistent artifact store: save a compiled
+//! session, load it in a "new process" (a fresh `ArtifactStore` over the
+//! same directory), and prove the load predicts bit-identically and is
+//! a disk hit rather than a pool compile — plus the file contract: an
+//! artifact holds the model and MCF text and nothing else, and
+//! truncated, bit-flipped, future-version and uncompilable entries each
+//! read back as a clean miss followed by a clean re-write.
 
 use prophet::check::McfConfig;
 use prophet::codegen::generate_cpp;
-use prophet::core::store::FORMAT_VERSION;
+use prophet::core::store::{fnv1a, FORMAT_VERSION, MAGIC};
 use prophet::core::{
-    flatten_invocations, mpi_grid, transform_invocations, ArtifactKey, ArtifactStore, Scenario,
-    Session, StoreStats, SweepConfig,
+    mpi_grid, ArtifactKey, ArtifactStore, Scenario, Session, StoreStats, SweepConfig,
 };
-use prophet::estimator::{op_digest, ElementId, PrimOp};
 use prophet::machine::SystemParams;
 use prophet::serve::api::{demo_model, demo_models};
+use prophet::serve::pool::DEFAULT_CAPACITY;
+use prophet::serve::SessionPool;
+use prophet::uml::ModelBuilder;
 use prophet::workloads::models::{jacobi_model, lapw0_model};
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
-/// Held by every test that elaborates: `flatten_invocations` is
-/// process-wide, so a concurrent flatten would break the count in
-/// `store_hit_skips_check_transform_and_flatten`.
-static FLATTENS: Mutex<()> = Mutex::new(());
-
-fn flatten_lock() -> MutexGuard<'static, ()> {
-    // A failed test that held the lock leaves nothing to repair.
-    FLATTENS.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// A unique, cleaned temp directory per test.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -38,9 +28,25 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The artifact file for a model and MCF text, spelled out from the
+/// documented format: magic, version, payload length, the two texts
+/// each prefixed by its length, and the payload's FNV-1a checksum.
+fn artifact_bytes(model_xml: &str, mcf_xml: &str) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for text in [model_xml, mcf_xml] {
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+    }
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    bytes
+}
+
 #[test]
 fn every_demo_model_roundtrips_bit_identically() {
-    let _flattens = flatten_lock();
     let dir = temp_dir("demos");
     let store = ArtifactStore::open(&dir).unwrap();
     for (name, _) in demo_models() {
@@ -64,72 +70,74 @@ fn every_demo_model_roundtrips_bit_identically() {
         );
         assert_eq!(loaded.diagnostics().len(), session.diagnostics().len());
 
-        // Both backends agree bit-for-bit with the fresh compile.
-        for backend in [
-            prophet::core::Backend::Simulation,
-            prophet::core::Backend::Analytic,
-        ] {
-            let scenario = Scenario::new(SystemParams::flat_mpi(4, 1))
-                .with_backend(backend)
-                .without_trace();
-            let fresh = session.evaluate(&scenario).unwrap().predicted_time;
-            let warm = loaded.evaluate(&scenario).unwrap().predicted_time;
-            assert_eq!(
-                warm.to_bits(),
-                fresh.to_bits(),
-                "{name}/{backend}: loaded artifact must predict bit-identically"
-            );
+        // Both backends agree bit-for-bit with the fresh compile, on a
+        // flat MPI point and on a hybrid one with thread teams.
+        let hybrid = SystemParams {
+            nodes: 2,
+            cpus_per_node: 2,
+            processes: 2,
+            threads_per_process: 2,
+        };
+        for sp in [SystemParams::flat_mpi(4, 1), hybrid] {
+            for backend in [
+                prophet::core::Backend::Simulation,
+                prophet::core::Backend::Analytic,
+            ] {
+                let scenario = Scenario::new(sp).with_backend(backend).without_trace();
+                let fresh = session.evaluate(&scenario).unwrap().predicted_time;
+                let warm = loaded.evaluate(&scenario).unwrap().predicted_time;
+                assert_eq!(
+                    warm.to_bits(),
+                    fresh.to_bits(),
+                    "{name}/{backend} at {sp:?}: loaded artifact must predict bit-identically"
+                );
+            }
         }
     }
 }
 
+/// A store hit needs the key alone: a fresh pool over a warmed store
+/// answers without asking for the request's model, counts a disk hit
+/// rather than a pool compile, and predicts as the first process did.
 #[test]
-fn store_hit_skips_check_transform_and_flatten() {
-    let _flattens = flatten_lock();
-    let dir = temp_dir("skips");
+fn store_hit_is_a_disk_hit_not_a_pool_compile() {
+    let dir = temp_dir("disk-hit");
     let model = demo_model("jacobi").unwrap();
     let mcf = McfConfig::default();
+    let key = ArtifactKey::of(&model, &mcf);
     let points = mpi_grid(&[1, 2, 4, 8], 1);
-
-    // Warm the store offline: compile + pre-elaborate the grid.
-    {
-        let store = ArtifactStore::open(&dir).unwrap();
-        let session = Session::compile_stored(model.clone(), mcf.clone(), Some(&store)).unwrap();
-        let report = session.sweep_with(&points, &SweepConfig::default(), |_, _| {});
-        assert_eq!(report.failures(), 0);
-        store.save_session(&session).unwrap();
-    }
-
-    // "Next process": everything — check, to_program, and the
-    // grid's elaborations — must come from disk. The counters are
-    // process-wide/thread-local, so sweep single-threaded.
-    let store = ArtifactStore::open(&dir).unwrap();
-    let transforms_before = transform_invocations();
-    let flattens_before = flatten_invocations();
-    let session = Session::compile_stored(model, mcf, Some(&store)).unwrap();
-    assert_eq!(
-        transform_invocations(),
-        transforms_before,
-        "store hit must not transform"
-    );
-    let config = SweepConfig {
-        threads: 1,
-        ..Default::default()
+    let first = {
+        let pool = SessionPool::with_store(
+            DEFAULT_CAPACITY,
+            Arc::new(ArtifactStore::open(&dir).unwrap()),
+        );
+        let session = pool.session(&model, &mcf).unwrap();
+        assert_eq!(pool.stats().compiles, 1);
+        session.sweep(&points).times()
     };
-    let report = session.sweep_with(&points, &config, |_, _| {});
-    assert_eq!(report.failures(), 0);
+
+    // "Next process".
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let pool = SessionPool::with_store(DEFAULT_CAPACITY, Arc::clone(&store));
+    let (session, reused, timing) = pool
+        .checkout_keyed(key, || Err("a store hit needs no request inputs".into()))
+        .unwrap();
+    assert!(!reused, "the pool was empty");
+    assert_eq!(pool.stats().compiles, 0, "a disk hit is not a pool compile");
+    assert_eq!(timing.compile_us, 0, "{timing:?}");
     assert_eq!(
-        flatten_invocations(),
-        flattens_before,
-        "pre-elaborated SP points must not re-flatten"
+        store.stats(),
+        StoreStats {
+            disk_hits: 1,
+            ..Default::default()
+        }
     );
-    let stats = session.elab_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (points.len() as u64, 0),
-        "{stats:?}"
-    );
-    assert_eq!(store.stats().disk_hits, 1);
+    let again = session.sweep(&points).times();
+    let bits = |times: &[Option<f64>]| -> Vec<Option<u64>> {
+        times.iter().map(|t| t.map(f64::to_bits)).collect()
+    };
+    assert_eq!(bits(&again), bits(&first));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The corruption/versioning satellite: each damage mode reads back as
@@ -345,74 +353,9 @@ fn builder_and_parsed_spellings_share_one_artifact() {
 }
 
 #[test]
-fn loaded_elaborations_share_one_name_per_element() {
-    let _flattens = flatten_lock();
-    // The decoder maps every stored element name to its id in the loaded
-    // program's own name table, so a store-loaded elaboration names each
-    // element by one id, as a fresh one does, and the same text.
-    let dir = temp_dir("interned");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let session = Session::new(demo_model("jacobi").unwrap()).unwrap();
-    let scenario = Scenario::new(SystemParams::flat_mpi(4, 1)).without_trace();
-    session.evaluate(&scenario).unwrap();
-    let key = store.save_session(&session).unwrap();
-    let loaded = store.load_session(key).unwrap();
-
-    let entries = loaded.elab_cache().snapshot();
-    assert_eq!(entries.len(), 1, "the evaluated SP point was persisted");
-    let names = loaded.program().resolve().names();
-    assert!(
-        std::ptr::eq(entries[0].ops.names(), &**names),
-        "loaded ops index the loaded program's table"
-    );
-    let fresh = &session.elab_cache().snapshot()[0].ops;
-    for (rank, (a, b)) in fresh.iter().zip(entries[0].ops.iter()).enumerate() {
-        assert_eq!(
-            op_digest(fresh.names(), a),
-            op_digest(names, b),
-            "rank {rank}"
-        );
-    }
-    let mut by_name: HashMap<&str, Vec<(usize, ElementId)>> = HashMap::new();
-    for (rank, ops) in entries[0].ops.iter().enumerate() {
-        for op in ops.iter() {
-            if let Some(id) = element(op) {
-                by_name.entry(names.name(id)).or_default().push((rank, id));
-            }
-        }
-    }
-    let mut shared_across_ranks = 0;
-    for (name, uses) in &by_name {
-        let (_, first) = uses[0];
-        for &(rank, other) in uses {
-            assert_eq!(first, other, "`{name}` on rank {rank}");
-        }
-        if uses.iter().any(|&(rank, _)| rank != uses[0].0) {
-            shared_across_ranks += 1;
-        }
-    }
-    assert!(shared_across_ranks > 0, "{:?}", by_name.keys());
-}
-
-/// The element an op names, if any.
-fn element(op: &PrimOp) -> Option<ElementId> {
-    match *op {
-        PrimOp::Enter(name) | PrimOp::Exit(name) => Some(name),
-        PrimOp::Compute { element, .. }
-        | PrimOp::SendTo { element, .. }
-        | PrimOp::RecvFrom { element, .. }
-        | PrimOp::Wait { element, .. }
-        | PrimOp::Threads { element, .. } => Some(element),
-        PrimOp::Lock(_) | PrimOp::Unlock(_) => None,
-    }
-}
-
-#[test]
-fn stored_elaborations_are_lean_and_traced_runs_still_match_the_golden() {
-    let _flattens = flatten_lock();
-    // The store persists lean elaborations only. A traced evaluation on
-    // the loaded session flattens its own traced form and reproduces the
-    // golden trace (`tests/golden.rs`).
+fn loaded_sessions_reproduce_the_golden_traces() {
+    // A traced evaluation on a loaded session elaborates its own traced
+    // form and reproduces the golden trace (`tests/golden.rs`).
     let hybrid = SystemParams {
         nodes: 2,
         cpus_per_node: 2,
@@ -433,32 +376,12 @@ fn stored_elaborations_are_lean_and_traced_runs_still_match_the_golden() {
             (0.005491280000000002, 136, 140),
         ),
     ];
-    let dir = temp_dir("lean");
+    let dir = temp_dir("golden");
     let store = ArtifactStore::open(&dir).unwrap();
     for (name, model, sp, (time, events, trace_len)) in cases {
         let session = Session::new(model).unwrap();
-        session
-            .evaluate(&Scenario::new(sp).without_trace())
-            .unwrap();
-        // A traced entry in memory is not persisted.
-        session.evaluate(&Scenario::new(sp)).unwrap();
         let key = store.save_session(&session).unwrap();
         let loaded = store.load_session(key).unwrap();
-
-        let entries = loaded.elab_cache().snapshot();
-        assert_eq!(entries.len(), 1, "{name}");
-        fn assert_lean(name: &str, ops: &[PrimOp]) {
-            for op in ops {
-                match op {
-                    PrimOp::Enter(_) | PrimOp::Exit(_) => panic!("{name}: marker {op:?}"),
-                    PrimOp::Threads { arms, .. } => arms.iter().for_each(|a| assert_lean(name, a)),
-                    _ => {}
-                }
-            }
-        }
-        for ops in entries[0].ops.iter() {
-            assert_lean(name, ops);
-        }
 
         let traced = loaded.evaluate(&Scenario::new(sp)).unwrap();
         assert_eq!(traced.trace.len(), trace_len, "{name} trace shifted");
@@ -471,29 +394,15 @@ fn stored_elaborations_are_lean_and_traced_runs_still_match_the_golden() {
         let stats = loaded.elab_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1), "{name}: {stats:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The bytes `save_session` writes for each bundled model after a
-/// 64-point lean sweep (`flat_mpi(1..=64, 1)`, analytic), as one FNV-1a
-/// digest of the artifact file. The store format is pinned byte for
-/// byte: how ops name their elements in memory must not leak into it.
+/// The bytes `save_session` writes are exactly the model's canonical
+/// text and its MCF's text, framed: after the 64-point analytic sweep
+/// (`flat_mpi(1..=64, 1)`) each bundled session holds 64 elaborations,
+/// and none of that cache state moves the bytes.
 #[test]
 fn saved_artifact_bytes_do_not_move() {
-    let _flattens = flatten_lock();
-    const EXPECTED: [(&str, u64); 10] = [
-        ("sample", 0x148a2028362944a2),
-        ("kernel6", 0x21c2630313e24b15),
-        ("jacobi", 0x08b1b8d8dab9195a),
-        ("lapw0", 0x594f594ca85e2d3b),
-        ("pipeline", 0x86498885883fdbfe),
-        ("master_worker", 0xbe622260a2961d1d),
-        ("task_farm", 0x183d518e041040dc),
-        ("branching_pipeline", 0x819e5b442afa9563),
-        ("halo_ring", 0x6e5e638caa79f0ad),
-        ("mapreduce", 0xafdbb13f7b9f3ce2),
-    ];
-    let names: Vec<&str> = demo_models().into_iter().map(|(name, _)| name).collect();
-    assert_eq!(names, EXPECTED.map(|(name, _)| name), "bundled model table");
     let dir = temp_dir("bytes");
     let store = ArtifactStore::open(&dir).unwrap();
     let nodes: Vec<usize> = (1..=64).collect();
@@ -501,15 +410,66 @@ fn saved_artifact_bytes_do_not_move() {
         backend: prophet::core::Backend::Analytic,
         ..Default::default()
     };
-    let mut got = Vec::new();
-    for (name, _) in EXPECTED {
+    for (name, _) in demo_models() {
         let session = Session::new(demo_model(name).unwrap()).unwrap();
         let report = session.sweep_with(&mpi_grid(&nodes, 1), &config, |_, _| {});
         assert_eq!(report.failures(), 0, "{name}");
+        assert!(session.retained_bytes() > 0, "{name}: the sweep elaborated");
         let key = store.save_session(&session).unwrap();
         let bytes = std::fs::read(store.entry_path(key)).unwrap();
-        got.push((name, prophet::core::store::fnv1a(&bytes)));
+        let expected = artifact_bytes(
+            &prophet::uml::xmi::model_to_xml(session.model()),
+            &session.mcf().to_xml(),
+        );
+        assert!(bytes == expected, "{name}: artifact bytes");
     }
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(got, EXPECTED, "saved artifact bytes moved");
+}
+
+/// An entry with a valid frame, checksum and key whose canonical model
+/// text fails the model check reads as a miss and is evicted; a pool
+/// over that store answers with the compile error, without panicking.
+#[test]
+fn a_stored_model_that_fails_check_is_a_miss() {
+    let mut b = ModelBuilder::new("broken");
+    let main = b.main_diagram();
+    let i = b.initial(main, "start");
+    let a = b.action(main, "Work", "1 +");
+    let f = b.final_node(main, "end");
+    b.flow(main, i, a);
+    b.flow(main, a, f);
+    let model = b.build();
+    let mcf = McfConfig::default();
+    let model_xml = prophet::uml::xmi::model_to_xml(&model);
+    assert_eq!(
+        prophet::uml::xmi::model_to_xml(&prophet::uml::xmi::model_from_xml(&model_xml).unwrap()),
+        model_xml,
+        "the stored text is canonical"
+    );
+    let bytes = artifact_bytes(&model_xml, &mcf.to_xml());
+
+    let dir = temp_dir("fails-check");
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    let key = ArtifactKey::of(&model, &mcf);
+    let path = store.entry_path(key);
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(store.load_session(key).is_none(), "must be a miss");
+    assert!(!path.exists(), "the entry must be evicted");
+    assert_eq!(
+        store.stats(),
+        StoreStats {
+            disk_misses: 1,
+            evictions: 1,
+            ..Default::default()
+        }
+    );
+
+    std::fs::write(&path, &bytes).unwrap();
+    let pool = SessionPool::with_store(DEFAULT_CAPACITY, Arc::clone(&store));
+    let err = pool.session(&model, &mcf).unwrap_err();
+    assert!(err.contains("model check failed"), "{err}");
+    assert_eq!(pool.stats().compiles, 1);
+    let stats = store.stats();
+    assert_eq!((stats.evictions, stats.writes), (2, 0), "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
