@@ -329,8 +329,7 @@ impl ArtifactStore {
     /// The underlying I/O error when the temp file cannot be written or
     /// renamed into place.
     pub fn save_session(&self, session: &Session) -> io::Result<ArtifactKey> {
-        let key = ArtifactKey::of(session.model(), session.mcf());
-        let bytes = encode_session(session);
+        let (key, bytes) = encode_session(session);
         let path = self.entry_path(key);
         // Unique per call (pid + process-wide counter): two threads or
         // two shards saving the same key concurrently must not share a
@@ -686,13 +685,20 @@ fn decode_metrics(bytes: &[u8]) -> Option<Vec<(String, u64)>> {
     Some(counters)
 }
 
-/// The artifact byte image of `session`: its canonical model XML and
-/// MCF XML, framed.
-fn encode_session(session: &Session) -> Vec<u8> {
+/// The key and artifact byte image of `session`: its canonical model
+/// XML and MCF XML, framed. The key is [`ArtifactKey::of`], digested
+/// from the same text, so the model is serialized once.
+fn encode_session(session: &Session) -> (ArtifactKey, Vec<u8>) {
+    let model_xml = session.model_xml();
+    let mcf_xml = session.mcf().to_xml();
+    let key = ArtifactKey {
+        model: fnv1a(model_xml.as_bytes()),
+        mcf: fnv1a(mcf_xml.as_bytes()),
+    };
     let mut payload = Vec::new();
-    put_field(&mut payload, session.model_xml().as_bytes());
-    put_field(&mut payload, session.mcf().to_xml().as_bytes());
-    frame(MAGIC, FORMAT_VERSION, &payload)
+    put_field(&mut payload, model_xml.as_bytes());
+    put_field(&mut payload, mcf_xml.as_bytes());
+    (key, frame(MAGIC, FORMAT_VERSION, &payload))
 }
 
 /// Verify an artifact byte image and compile the model it holds.
