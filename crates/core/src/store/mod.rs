@@ -148,7 +148,7 @@ pub struct StoreStats {
     /// Writes that failed at the filesystem (the compile still
     /// succeeds; the artifact is just not persisted).
     pub write_errors: u64,
-    /// Corrupt or stale-version entries deleted on load.
+    /// Corrupt, stale-version or uncompilable entries deleted on load.
     pub evictions: u64,
 }
 
@@ -388,6 +388,7 @@ impl ArtifactStore {
         let _ = std::fs::OpenOptions::new()
             .write(true)
             .create(true)
+            .truncate(false)
             .open(self.access_stamp_path(key))
             .and_then(|mut file| file.write_all(format!("{:020}", now_millis()).as_bytes()));
     }
@@ -808,6 +809,36 @@ mod tests {
         assert!(store.load_metrics(inst).is_none());
         std::fs::write(&path, b"NOPEnope_nope_nope_nope_").unwrap();
         assert!(store.load_metrics(inst).is_none());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn absurd_lengths_in_a_valid_frame_are_misses() {
+        // Checksums only catch damage; a crafted file can carry a valid
+        // frame around lengths and counts that point past its end.
+        let mut count = u64::MAX.to_le_bytes().to_vec();
+        assert_eq!(
+            decode_metrics(&frame(METRICS_MAGIC, METRICS_VERSION, &count)),
+            None
+        );
+        count[..8].copy_from_slice(&1u64.to_le_bytes());
+        put_field(&mut count, b"name");
+        assert_eq!(
+            decode_metrics(&frame(METRICS_MAGIC, METRICS_VERSION, &count)),
+            None,
+            "a counter without its value"
+        );
+        let store = temp_store("absurd");
+        let key = ArtifactKey { model: 1, mcf: 2 };
+        let mut payload = u64::MAX.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"<model/>");
+        std::fs::write(
+            store.entry_path(key),
+            frame(MAGIC, FORMAT_VERSION, &payload),
+        )
+        .unwrap();
+        assert!(store.load_session(key).is_none());
+        assert_eq!(store.stats().evictions, 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
