@@ -7,6 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prophet_core::{
     flatten_invocations, mpi_grid, transform_invocations, Backend, Session, SweepConfig, SweepPoint,
 };
+use prophet_estimator::{Estimator, EstimatorOptions};
+use prophet_machine::{CommParams, MachineModel};
 use prophet_workloads::models::jacobi_model;
 
 fn grid_64() -> Vec<SweepPoint> {
@@ -112,22 +114,31 @@ fn bench_sweep(c: &mut Criterion) {
     // The repeated-sweep workload the elaboration cache exists for: the
     // same 8-point grid swept 4 times. Cached, the 8 elaborations are
     // amortized across all 32 evaluations (and across bench iterations);
-    // uncached, every evaluation re-flattens.
+    // the uncached reference (`Estimator::run` per point) re-flattens
+    // every evaluation.
     let grid8 = mpi_grid(&[1, 2, 4, 8, 16, 32, 64, 128], 1);
-    let sweep_4_times = |no_elab_cache: bool| {
-        let config = SweepConfig {
-            threads: 1,
-            no_elab_cache,
-            ..Default::default()
-        };
+    let cached_4_times = || {
         for _ in 0..4 {
-            assert_eq!(session.sweep_with(&grid8, &config, |_, _| {}).failures(), 0);
+            assert_eq!(session.sweep_with(&grid8, &serial, |_, _| {}).failures(), 0);
+        }
+    };
+    let untraced = EstimatorOptions {
+        trace: false,
+        ..Default::default()
+    };
+    let uncached_4_times = || {
+        for _ in 0..4 {
+            for point in &grid8 {
+                let machine = MachineModel::new(point.sp, CommParams::default()).unwrap();
+                let evaluation = Estimator::run(session.program(), &machine, &untraced).unwrap();
+                std::hint::black_box(evaluation.predicted_time);
+            }
         }
     };
     let mut group = c.benchmark_group("sweep/jacobi_8pts_x4");
     group.sample_size(10);
-    group.bench_function("elab_cached", |b| b.iter(|| sweep_4_times(false)));
-    group.bench_function("elab_uncached", |b| b.iter(|| sweep_4_times(true)));
+    group.bench_function("elab_cached", |b| b.iter(cached_4_times));
+    group.bench_function("elab_uncached", |b| b.iter(uncached_4_times));
     group.finish();
 
     // Every dispatch path sweeps the 64-point grid without a failure.

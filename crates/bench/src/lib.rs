@@ -3,6 +3,8 @@
 //! scaling benches, plus the named [`random`] streams the DES benches
 //! and queueing tests sample service times from.
 
+#![forbid(unsafe_code)]
+
 pub mod random;
 
 use prophet_uml::{Model, ModelBuilder, VarType};

@@ -26,6 +26,8 @@
 //! assert!(diags.iter().all(|d| !d.is_error()), "{diags:?}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod mcf;
 pub mod rules;
 

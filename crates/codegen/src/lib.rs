@@ -19,6 +19,8 @@
 //! * [`skeleton`] — the paper's stated future work: generation of a
 //!   C + MPI/OpenMP *program* skeleton from the same model.
 
+#![forbid(unsafe_code)]
+
 pub mod cpp;
 pub mod flow;
 pub mod runtime;

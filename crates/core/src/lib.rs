@@ -14,15 +14,13 @@
 //! * [`session`] — **the engine API**: [`Session::compile`] runs check +
 //!   transform exactly once; [`Session::evaluate`], [`Session::sweep`]
 //!   and [`Session::batch`] then answer any number of "what if"
-//!   scenarios against the immutable artifacts, in parallel and
-//!   lock-free. Each session owns a shared
-//!   [`ElaborationCache`]: the per-rank op
+//!   scenarios against the immutable artifacts, in parallel. Each
+//!   session owns a shared [`ElaborationCache`]: the per-rank op
 //!   lists are flattened once per distinct `(SP, comm, limits)` point
 //!   and form (lean for untraced evaluations, traced for traced
 //!   simulations) and served to every evaluation, worker thread and
-//!   backend that asks again ([`Session::elab_stats`] exposes the hit/miss
-//!   counters; `SweepConfig::no_elab_cache` / `--no-elab-cache` opt
-//!   out),
+//!   backend that asks again ([`Session::elab_stats`] exposes the
+//!   hit/miss counters),
 //! * [`store`] — the persistent artifact store: each compiled model's
 //!   canonical model and MCF XML go to a content-addressed, versioned,
 //!   checksummed file ([`ArtifactStore`]), so a later process finds the
@@ -68,6 +66,8 @@
 //! Heterogeneous scenario sets (different interconnects or limits — not
 //! just SP grids) go through [`Session::batch`]; progress streaming for
 //! both goes through [`Session::sweep_with`] / [`Session::batch_with`].
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod ring;

@@ -57,12 +57,6 @@ pub struct Scenario {
     /// `prophet_estimator::analytic` for the agreement contract between
     /// the two.
     pub backend: Backend,
-    /// Escape hatch: when `true`, this scenario elaborates its op lists
-    /// from scratch instead of using the session's shared
-    /// [`ElaborationCache`]. Results are identical either way (the cache
-    /// is keyed on everything elaboration reads); disabling only trades
-    /// speed for memory.
-    pub no_elab_cache: bool,
 }
 
 impl Scenario {
@@ -95,12 +89,6 @@ impl Scenario {
     /// Select the evaluation backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Elaborate this scenario uncached (see [`Scenario::no_elab_cache`]).
-    pub fn without_elab_cache(mut self) -> Self {
-        self.no_elab_cache = true;
         self
     }
 }
@@ -140,12 +128,6 @@ pub struct SweepConfig {
     /// Evaluation engine used for every point (simulation by default;
     /// analytic makes large sweeps dramatically faster).
     pub backend: Backend,
-    /// Escape hatch (CLI `--no-elab-cache`): when `true`, every point
-    /// elaborates from scratch instead of sharing the session's
-    /// [`ElaborationCache`]. Results are bit-identical either way; a
-    /// cached sweep just flattens once per distinct SP point instead of
-    /// once per evaluation.
-    pub no_elab_cache: bool,
 }
 
 /// One sweep point's outcome under the unified error type.
@@ -212,8 +194,8 @@ pub struct Session {
 // The serve layer shares one `Session` per model across all connection
 // worker threads via `Arc<Session>`; keep that capability pinned at
 // compile time (every field is owned data or an `Arc` over the
-// lock-free elaboration cache — no interior mutability that isn't
-// thread-safe).
+// elaboration cache, whose index is behind a `Mutex` — no interior
+// mutability that isn't thread-safe).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Session>();
@@ -292,21 +274,19 @@ impl Session {
     /// [`ElaborationCache`] (flattened once per distinct
     /// `(SP, comm, limits)` key across evaluations, sweeps and backends;
     /// a traced simulation uses its own traced entry, with the trace
-    /// markers every other evaluation omits) unless the scenario sets
-    /// [`no_elab_cache`](Scenario::no_elab_cache).
+    /// markers every other evaluation omits).
     ///
     /// # Errors
     /// [`Error::Machine`] for invalid SP, [`Error::Estimate`] for
     /// simulation failures.
     pub fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, Error> {
         let machine = MachineModel::new(scenario.system, scenario.comm)?;
-        let cache = (!scenario.no_elab_cache).then_some(&*self.elab);
         Ok(Estimator::run_backend_cached(
             scenario.backend,
             &self.program,
             &machine,
             &scenario.options,
-            cache,
+            &self.elab,
             &mut BatchScratch::new(),
         )?)
     }
@@ -355,7 +335,7 @@ impl Session {
         mut on_point: impl FnMut(usize, &PointResult),
     ) -> SweepReport {
         let program = &self.program;
-        let elab = (!config.no_elab_cache).then_some(&*self.elab);
+        let elab = &*self.elab;
         // Trace files are per-evaluation artifacts; a sweep only needs
         // predicted times, so force tracing off exactly once here.
         let options = EstimatorOptions {
@@ -526,6 +506,7 @@ fn run_indexed_chunked<T: Send, S>(
 mod tests {
     use super::*;
     use crate::transform::transform_invocations;
+    use prophet_estimator::{elaborate, BatchProgram, ElabForm, FlattenLimits};
     use prophet_uml::ModelBuilder;
 
     fn amdahl_model() -> Model {
@@ -685,39 +666,46 @@ mod tests {
         let session = Session::new(amdahl_model()).unwrap();
         let points = mpi_grid(&[1, 2, 4, 8], 1);
         let cached = session.sweep(&points);
-        let before = session.elab_stats();
-        let uncached = session.sweep_with(
-            &points,
-            &SweepConfig {
-                no_elab_cache: true,
-                ..Default::default()
-            },
-            |_, _| {},
-        );
-        assert_eq!(
-            session.elab_stats(),
-            before,
-            "no_elab_cache must not touch the cache"
-        );
-        for (c, u) in cached.times().iter().zip(uncached.times().iter()) {
-            assert_eq!(c.unwrap().to_bits(), u.unwrap().to_bits());
+        let options = EstimatorOptions {
+            trace: false,
+            ..Default::default()
+        };
+        for (pt, c) in points.iter().zip(cached.times()) {
+            let machine = MachineModel::new(pt.sp, CommParams::default()).unwrap();
+            let uncached = Estimator::run(session.program(), &machine, &options).unwrap();
+            assert_eq!(c.unwrap().to_bits(), uncached.predicted_time.to_bits());
         }
     }
 
     #[test]
-    fn scenario_escape_hatch_bypasses_the_cache() {
+    fn cached_evaluations_match_the_uncached_reference() {
         let session = Session::new(amdahl_model()).unwrap();
         let sp = SystemParams::flat_mpi(2, 1);
+        let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+        let program = session.program();
+        let limits = FlattenLimits::default();
+
         let cached = session.evaluate(&Scenario::new(sp)).unwrap();
-        let direct = session
-            .evaluate(&Scenario::new(sp).without_elab_cache())
+        let direct = Estimator::run(program, &machine, &EstimatorOptions::default()).unwrap();
+        assert_eq!(
+            cached.predicted_time.to_bits(),
+            direct.predicted_time.to_bits()
+        );
+
+        let scenario = Scenario::new(sp).with_backend(Backend::Analytic);
+        let cached = session.evaluate(&scenario).unwrap();
+        let lean = elaborate(program, &machine, limits, ElabForm::Lean).unwrap();
+        let direct = BatchProgram::prepare(&lean, &machine)
+            .unwrap()
+            .evaluate(&program.name, &mut BatchScratch::new())
             .unwrap();
         assert_eq!(
             cached.predicted_time.to_bits(),
             direct.predicted_time.to_bits()
         );
+        // One traced entry (the simulation) and one lean (the analytic).
         let stats = session.elab_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (0, 2), "{stats:?}");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * `PROPHET_BENCH_BUDGET_MS` — per-benchmark measurement budget
 //!   (default 200 ms).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

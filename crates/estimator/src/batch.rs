@@ -458,8 +458,8 @@ impl BatchProgram {
     }
 }
 
-// Batch programs are cached inside the elaboration cache's lock-free
-// nodes and shared by reference across sweep workers.
+// Batch programs are cached inside the elaboration cache's shared
+// entries and used by reference across sweep workers.
 const _: () = {
     const fn thread_safe<T: Send + Sync>() {}
     thread_safe::<BatchProgram>();

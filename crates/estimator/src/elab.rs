@@ -31,26 +31,24 @@
 //!   analytic evaluation of a lean entry also stores the
 //!   [`BatchProgram`] compiled from it, which every later analytic
 //!   evaluation replays.
-//! * **Concurrency.** Sharded, insert-only, lock-free index: each shard
-//!   is an atomic singly-linked list pushed with compare-exchange
-//!   (losers rescan, so a key is interned exactly once), and each
-//!   entry's value is a [`OnceLock`] — the first worker to need an SP
-//!   point elaborates it while any concurrent worker for the *same*
-//!   point waits on the `OnceLock` instead of flattening again. Workers
-//!   for different points never contend.
+//! * **Concurrency.** One `Mutex<HashMap>` index from key to a shared
+//!   entry, locked only to find or insert the entry — never while
+//!   elaborating. Each entry's value is a [`OnceLock`]: the first worker
+//!   to need an SP point elaborates it outside the lock while any
+//!   concurrent worker for the *same* point waits on the `OnceLock`
+//!   instead of flattening again. Workers for different points never
+//!   wait on each other's elaboration.
 //! * **Invalidation.** None, by construction: entries are immutable and
 //!   the inputs are content-hashed, so a cache can never serve an op
 //!   list that doesn't match its key. A *different* program requires a
 //!   different cache (a new `Session`).
-//! * **Memory bounds.** The cache holds at most `capacity` entries
-//!   (default [`DEFAULT_CAPACITY`]); once full, new keys bypass the
-//!   cache — they flatten uncached and are dropped after use, counted
-//!   in [`ElabStats::bypasses`]. Each entry's size is the flattened
-//!   model itself (bounded per rank by [`FlattenLimits::max_ops`]), so
-//!   capacity bounds entry *count*; callers sweeping enormous grids of
-//!   enormous models can lower it or disable caching entirely
-//!   (`SweepConfig::no_elab_cache` / `--no-elab-cache`). The cache also
-//!   counts the bytes it retains
+//! * **Memory bounds.** The cache holds at most 1024 entries; once
+//!   full, new keys bypass the cache — they flatten uncached and are
+//!   dropped after use, counted in [`ElabStats::bypasses`]. The bound is
+//!   checked under the index lock, so it is exact under concurrency.
+//!   Each entry's size is the flattened model itself (bounded per rank
+//!   by [`FlattenLimits::max_ops`]), so the bound caps entry *count*.
+//!   The cache also counts the bytes it retains
 //!   ([`ElaborationCache::retained_bytes`]): each entry adds its ops'
 //!   bytes once when its slot fills, and its
 //!   [`BatchProgram`]'s arrays once when that is stored. Entries are
@@ -68,10 +66,11 @@ use crate::flatten::{flatten_rank, ElabForm, FlattenError, FlattenLimits, PrimOp
 use crate::names::ElementNames;
 use crate::program::Program;
 use prophet_machine::MachineModel;
+use std::collections::{hash_map, HashMap};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The elaboration of one scenario, shared by every evaluation of it.
 pub type RankOps = Arc<Elaboration>;
@@ -207,7 +206,7 @@ pub fn elaborate(
 
 /// Content key of one elaboration: everything [`elaborate`] reads
 /// besides the program itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ElabKey {
     nodes: usize,
     cpus_per_node: usize,
@@ -238,47 +237,20 @@ impl ElabKey {
             form,
         }
     }
-
-    /// FNV-1a content hash (stable; shard + bucket selector).
-    fn hash(&self) -> u64 {
-        let mut h = crate::flatten::Fnv::new();
-        h.word(self.nodes as u64);
-        h.word(self.cpus_per_node as u64);
-        h.word(self.processes as u64);
-        h.word(self.threads_per_process as u64);
-        for bits in self.comm_bits {
-            h.word(bits);
-        }
-        h.word(self.limits.max_ops as u64);
-        h.word(self.limits.max_loop_iterations);
-        h.word(self.form as u64);
-        h.finish()
-    }
 }
 
-/// One interned key: the value slot fills exactly once.
-struct Node {
-    hash: u64,
-    key: ElabKey,
+/// One cached key: the value slot fills exactly once.
+#[derive(Default)]
+struct Entry {
     slot: OnceLock<Result<RankOps, FlattenError>>,
     /// The entry's elaboration compiled for batch analytic evaluation,
     /// built on first [`ElaborationCache::get_or_flatten_batched`].
     /// Simulation-only sessions never pay for it.
     batch: OnceLock<Arc<BatchProgram>>,
-    /// Immutable after publication (set before the CAS that links it).
-    next: *mut Node,
 }
 
-struct Shard {
-    head: AtomicPtr<Node>,
-}
-
-/// Shard count: enough to keep concurrent sweep workers on distinct SP
-/// points from touching the same list head.
-const SHARDS: usize = 16;
-
-/// Default entry capacity of [`ElaborationCache::new`].
-pub const DEFAULT_CAPACITY: usize = 1024;
+/// Entry bound of every [`ElaborationCache`].
+const CAPACITY: usize = 1024;
 
 /// Counter snapshot of an [`ElaborationCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -306,12 +278,6 @@ impl ElabStats {
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses + self.bypasses
     }
-
-    /// Elaborations performed (cache-filling misses + capacity
-    /// bypasses). In a cached sweep this is the flatten count.
-    pub fn flattens(&self) -> u64 {
-        self.misses + self.bypasses
-    }
 }
 
 /// SP-keyed memoization of [`elaborate`] for one compiled program.
@@ -319,10 +285,9 @@ impl ElabStats {
 /// See the [module docs](self) for keying, invalidation, concurrency and
 /// memory-bound details. Shareable by reference across sweep worker
 /// threads; `prophet_core::Session` owns one per compiled model.
+#[derive(Default)]
 pub struct ElaborationCache {
-    shards: [Shard; SHARDS],
-    entries: AtomicUsize,
-    capacity: usize,
+    index: Mutex<HashMap<ElabKey, Arc<Entry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
@@ -330,36 +295,10 @@ pub struct ElaborationCache {
     bytes: AtomicUsize,
 }
 
-// The cache is auto-`Send`/`Sync` (its fields are atomics and plain
-// data), but `AtomicPtr` erases the shared `Node` payload from the
-// compiler's view: soundness additionally requires that everything a
-// published `&Node` exposes is itself thread-safe. Assert that here so
-// a future non-`Sync` ingredient (an `Rc`/`Cell` inside `PrimOp`,
-// `FlattenError`, …) becomes a compile error instead of a data race.
-// The remaining manual invariants are structural: nodes are only ever
-// appended (`next` is immutable after the publishing CAS), values fill
-// through a `OnceLock`, and no node is freed before the cache drops.
-const _: () = {
-    const fn thread_safe<T: Send + Sync>() {}
-    thread_safe::<ElabKey>();
-    thread_safe::<RankOps>();
-    thread_safe::<FlattenError>();
-    thread_safe::<OnceLock<Result<RankOps, FlattenError>>>();
-    thread_safe::<OnceLock<Arc<BatchProgram>>>();
-    thread_safe::<ElaborationCache>();
-};
-
-impl Default for ElaborationCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl fmt::Debug for ElaborationCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ElaborationCache")
             .field("entries", &self.len())
-            .field("capacity", &self.capacity)
             .field("bytes", &self.retained_bytes())
             .field("stats", &self.stats())
             .finish()
@@ -367,25 +306,9 @@ impl fmt::Debug for ElaborationCache {
 }
 
 impl ElaborationCache {
-    /// An empty cache with the [`DEFAULT_CAPACITY`] entry bound.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache bounded to `capacity` entries; keys beyond the
-    /// bound flatten uncached ([`ElabStats::bypasses`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            shards: std::array::from_fn(|_| Shard {
-                head: AtomicPtr::new(std::ptr::null_mut()),
-            }),
-            entries: AtomicUsize::new(0),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            bytes: AtomicUsize::new(0),
-        }
+        Self::default()
     }
 
     /// The lean elaboration for `(machine, limits)`:
@@ -442,16 +365,16 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
     ) -> Result<(RankOps, Arc<BatchProgram>), EstimatorError> {
-        let (node, ops) = self.lookup(program, machine, limits, ElabForm::Lean);
+        let (entry, ops) = self.lookup(program, machine, limits, ElabForm::Lean);
         let ops = ops?;
-        if let Some(batch) = node.and_then(|node| node.batch.get()) {
+        if let Some(batch) = entry.as_ref().and_then(|entry| entry.batch.get()) {
             return Ok((ops, Arc::clone(batch)));
         }
         let batch = Arc::new(BatchProgram::prepare(&ops, machine)?);
-        let batch = match node {
-            Some(node) => {
+        let batch = match entry {
+            Some(entry) => {
                 let mut stored = false;
-                let kept = node.batch.get_or_init(|| {
+                let kept = entry.batch.get_or_init(|| {
                     stored = true;
                     batch
                 });
@@ -465,7 +388,7 @@ impl ElaborationCache {
         Ok((ops, batch))
     }
 
-    /// The lookup the getters share: the interned node (`None` when the
+    /// The lookup the getters share: the cached entry (`None` when the
     /// cache is at capacity and the key bypassed it) and the
     /// elaboration, counted as a hit, a miss or a bypass.
     fn lookup(
@@ -474,15 +397,13 @@ impl ElaborationCache {
         machine: &MachineModel,
         limits: FlattenLimits,
         form: ElabForm,
-    ) -> (Option<&Node>, Result<RankOps, FlattenError>) {
-        let key = ElabKey::new(machine, limits, form);
-        let hash = key.hash();
-        let Some(node) = self.intern(key, hash) else {
+    ) -> (Option<Arc<Entry>>, Result<RankOps, FlattenError>) {
+        let Some(entry) = self.entry(ElabKey::new(machine, limits, form)) else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return (None, elaborate(program, machine, limits, form));
         };
         let mut filled = false;
-        let result = node.slot.get_or_init(|| {
+        let result = entry.slot.get_or_init(|| {
             filled = true;
             elaborate(program, machine, limits, form)
         });
@@ -494,7 +415,23 @@ impl ElaborationCache {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        (Some(node), result.clone())
+        let result = result.clone();
+        (Some(entry), result)
+    }
+
+    /// Find or insert the entry for `key`, holding the index lock only
+    /// for that. Returns `None` when the cache is at capacity and the
+    /// key is not already cached.
+    fn entry(&self, key: ElabKey) -> Option<Arc<Entry>> {
+        let mut index = self.index.lock().expect("elaboration index lock");
+        let len = index.len();
+        match index.entry(key) {
+            hash_map::Entry::Occupied(found) => Some(Arc::clone(found.get())),
+            hash_map::Entry::Vacant(vacant) if len < CAPACITY => {
+                Some(Arc::clone(vacant.insert(Arc::default())))
+            }
+            hash_map::Entry::Vacant(_) => None,
+        }
     }
 
     /// Counter snapshot (hits / misses / bypasses so far).
@@ -514,105 +451,14 @@ impl ElaborationCache {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Interned entries so far.
+    /// Cached entries so far.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.index.lock().expect("elaboration index lock").len()
     }
 
-    /// Whether no entry has been interned yet.
+    /// Whether no entry has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The entry bound this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Atomically claim one of the `capacity` entry slots; the claim is
-    /// either consumed by a successful insert or returned with
-    /// `fetch_sub`. Reserving *before* publishing keeps the bound hard
-    /// under concurrency (a plain load-then-insert would let two
-    /// threads racing past the same count both publish).
-    fn reserve_entry(&self) -> bool {
-        self.entries
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Find or insert the node for `key`. Returns `None` when the cache
-    /// is at capacity and the key is not already interned.
-    fn intern(&self, key: ElabKey, hash: u64) -> Option<&Node> {
-        let shard = &self.shards[hash as usize % SHARDS];
-        let mut new_node: *mut Node = std::ptr::null_mut();
-        let mut reserved = false;
-        let found = 'search: loop {
-            let head = shard.head.load(Ordering::Acquire);
-            let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: published nodes live until the cache drops.
-                let n = unsafe { &*cur };
-                if n.hash == hash && n.key == key {
-                    break 'search Some(n);
-                }
-                cur = n.next;
-            }
-            // Hold the slot reservation across CAS retries; it is
-            // consumed by a successful insert and released below
-            // otherwise.
-            if !reserved {
-                if !self.reserve_entry() {
-                    break 'search None;
-                }
-                reserved = true;
-            }
-            if new_node.is_null() {
-                new_node = Box::into_raw(Box::new(Node {
-                    hash,
-                    key,
-                    slot: OnceLock::new(),
-                    batch: OnceLock::new(),
-                    next: head,
-                }));
-            } else {
-                // SAFETY: not yet published; we still own it exclusively.
-                unsafe { (*new_node).next = head };
-            }
-            if shard
-                .head
-                .compare_exchange(head, new_node, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                // SAFETY: just published; lives until the cache drops.
-                return Some(unsafe { &*new_node });
-            }
-            // CAS lost: another key (or this one) was pushed — rescan.
-        };
-        // Not inserted: lost to an identical key, or at capacity.
-        if !new_node.is_null() {
-            // SAFETY: new_node was never published.
-            drop(unsafe { Box::from_raw(new_node) });
-        }
-        if reserved {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-        }
-        found
-    }
-}
-
-impl Drop for ElaborationCache {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let mut cur = *shard.head.get_mut();
-            while !cur.is_null() {
-                // SAFETY: exclusive access in Drop; each node was leaked
-                // from exactly one Box at publication.
-                let node = unsafe { Box::from_raw(cur) };
-                cur = node.next;
-            }
-        }
     }
 }
 
@@ -741,27 +587,34 @@ mod tests {
         assert_eq!(cache.stats().misses, 3);
     }
 
+    /// A one-rank machine whose intra-node latency is `i` ns: a distinct
+    /// cache key per `i` over the same one-op elaboration.
+    fn keyed(i: usize) -> MachineModel {
+        let comm = CommParams {
+            intra_latency: i as f64 * 1e-9,
+            ..CommParams::default()
+        };
+        MachineModel::new(SystemParams::flat_mpi(1, 1), comm).unwrap()
+    }
+
     #[test]
     fn capacity_bypasses_instead_of_evicting() {
-        let cache = ElaborationCache::with_capacity(1);
+        let cache = ElaborationCache::new();
         let p = program();
-        cache
-            .get_or_flatten(&p, &machine(1), FlattenLimits::default())
-            .unwrap();
+        let limits = FlattenLimits::default();
+        for i in 0..CAPACITY {
+            cache.get_or_flatten(&p, &keyed(i), limits).unwrap();
+        }
         // New key: over capacity → uncached flatten, no new entry.
-        cache
-            .get_or_flatten(&p, &machine(2), FlattenLimits::default())
-            .unwrap();
+        cache.get_or_flatten(&p, &keyed(CAPACITY), limits).unwrap();
         // Existing key still hits.
-        cache
-            .get_or_flatten(&p, &machine(1), FlattenLimits::default())
-            .unwrap();
-        assert_eq!(cache.len(), 1);
+        cache.get_or_flatten(&p, &keyed(0), limits).unwrap();
+        assert_eq!(cache.len(), CAPACITY);
         assert_eq!(
             cache.stats(),
             ElabStats {
                 hits: 1,
-                misses: 1,
+                misses: CAPACITY as u64,
                 bypasses: 1
             }
         );
@@ -847,25 +700,30 @@ mod tests {
 
     #[test]
     fn capacity_is_hard_under_concurrency() {
-        // 16 threads race distinct keys into a 4-entry cache: the slot
-        // reservation must keep the bound exact, not approximate.
-        let cache = ElaborationCache::with_capacity(4);
+        // 8 threads race half again as many distinct keys as the cache
+        // holds, started together and interleaved so all of them reach
+        // the bound at once: it must be exact, not approximate.
+        let cache = ElaborationCache::new();
         let p = program();
+        let (threads, keys) = (8, CAPACITY + CAPACITY / 2);
+        let start = std::sync::Barrier::new(threads);
         std::thread::scope(|scope| {
-            for procs in 1..=16usize {
-                let cache = &cache;
-                let p = &p;
+            for t in 0..threads {
+                let (cache, p, start) = (&cache, &p, &start);
                 scope.spawn(move || {
-                    cache
-                        .get_or_flatten(p, &machine(procs), FlattenLimits::default())
-                        .unwrap();
+                    start.wait();
+                    for i in (t..keys).step_by(threads) {
+                        cache
+                            .get_or_flatten(p, &keyed(i), FlattenLimits::default())
+                            .unwrap();
+                    }
                 });
             }
         });
         let stats = cache.stats();
-        assert!(cache.len() <= 4, "{} entries", cache.len());
-        assert_eq!(stats.misses as usize, cache.len(), "{stats:?}");
-        assert_eq!(stats.misses + stats.bypasses, 16, "{stats:?}");
+        assert_eq!(cache.len(), CAPACITY);
+        assert_eq!(stats.misses as usize, CAPACITY, "{stats:?}");
+        assert_eq!(stats.misses + stats.bypasses, keys as u64, "{stats:?}");
     }
 
     #[test]

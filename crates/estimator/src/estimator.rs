@@ -1,7 +1,7 @@
 //! The estimator driver: integrate program and machine models, simulate,
 //! and report.
 
-use crate::batch::{BatchProgram, BatchScratch};
+use crate::batch::BatchScratch;
 use crate::elab::{elaborate, ElaborationCache, RankOps};
 use crate::flatten::{ElabForm, FlattenError, FlattenLimits};
 use crate::interp::{OpProcess, Run};
@@ -151,15 +151,18 @@ impl Estimator {
     /// Evaluate `program` on `machine` with the selected `backend` —
     /// the one entry point behind every session evaluation and sweep.
     ///
-    /// The per-rank op lists come from `cache` (flattened at most once
-    /// per distinct `(SP, comm, limits, form)` key, shared across
-    /// threads and backends) or, with `None`, are elaborated uncached.
-    /// [`Backend::Simulation`] replays them on the DES kernel
-    /// ([`Estimator::run_ops`]): the traced form when `options.trace` is
-    /// set, the lean form otherwise. [`Backend::Analytic`] replays the
-    /// lean entry's [`BatchProgram`] into `scratch` (prepared once per
-    /// cache entry, or as a throwaway when uncached); the DES kernel is
-    /// never touched.
+    /// The per-rank op lists come from `cache`, flattened at most once
+    /// per distinct `(SP, comm, limits, form)` key and shared across
+    /// threads and backends. [`Backend::Simulation`] replays them on the
+    /// DES kernel ([`Estimator::run_ops`]): the traced form when
+    /// `options.trace` is set, the lean form otherwise.
+    /// [`Backend::Analytic`] replays the lean entry's
+    /// [`BatchProgram`](crate::BatchProgram) (prepared once per cache
+    /// entry) into `scratch`; the DES kernel is never touched. The
+    /// uncached references these match bit for bit are
+    /// [`Estimator::run`] and [`elaborate`] +
+    /// [`BatchProgram::prepare`](crate::BatchProgram::prepare) +
+    /// [`BatchProgram::evaluate`](crate::BatchProgram::evaluate).
     ///
     /// The cache must be dedicated to this `program` — `Session` owns
     /// one per compiled model.
@@ -168,23 +171,18 @@ impl Estimator {
         program: &Program,
         machine: &MachineModel,
         options: &EstimatorOptions,
-        cache: Option<&ElaborationCache>,
+        cache: &ElaborationCache,
         scratch: &mut BatchScratch,
     ) -> Result<Evaluation, EstimatorError> {
-        match (backend, cache) {
-            (Backend::Simulation, Some(cache)) => {
+        match backend {
+            Backend::Simulation => {
                 let form = ElabForm::for_trace(options.trace);
                 let rank_ops = cache.get_or_flatten_form(program, machine, options.limits, form)?;
                 Self::run_ops(&program.name, &rank_ops, machine, options)
             }
-            (Backend::Simulation, None) => Self::run(program, machine, options),
-            (Backend::Analytic, Some(cache)) => {
+            Backend::Analytic => {
                 let (_, batch) = cache.get_or_flatten_batched(program, machine, options.limits)?;
                 batch.evaluate(&program.name, scratch)
-            }
-            (Backend::Analytic, None) => {
-                let rank_ops = elaborate(program, machine, options.limits, ElabForm::Lean)?;
-                BatchProgram::prepare(&rank_ops, machine)?.evaluate(&program.name, scratch)
             }
         }
     }

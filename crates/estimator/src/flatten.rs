@@ -244,7 +244,7 @@ impl std::error::Error for FlattenError {
 /// Part of the elaboration-cache key ([`crate::elab::ElaborationCache`]):
 /// two scenarios with different limits may elaborate differently (one can
 /// fail where the other succeeds), so they never share a cache entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlattenLimits {
     /// Maximum primitive ops per process.
     pub max_ops: usize,
@@ -430,28 +430,26 @@ pub fn op_digest(names: &ElementNames, ops: &[PrimOp]) -> u64 {
     h.finish()
 }
 
-/// Incremental FNV-1a fold shared by [`op_digest`] and the
-/// elaboration-cache key hash ([`crate::elab`]) — one set of constants,
-/// one byte order.
-pub(crate) struct Fnv(u64);
+/// Incremental FNV-1a fold behind [`op_digest`].
+struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self(0xcbf29ce484222325)
     }
 
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
+    fn bytes(&mut self, b: &[u8]) {
         for &x in b {
             self.0 ^= x as u64;
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
     }
 
-    pub(crate) fn word(&mut self, v: u64) {
+    fn word(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }

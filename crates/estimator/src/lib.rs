@@ -74,6 +74,8 @@
 //!   evaluated eagerly at flatten time; inside thread teams each thread
 //!   sees a private copy of the environment.
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod batch;
 pub mod elab;

@@ -49,6 +49,8 @@
 //! assert!((t - 0.07).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod builtin;
 pub mod cpp;

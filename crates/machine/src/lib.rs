@@ -18,6 +18,8 @@
 //! The original system evaluated models on clusters described by SP; this
 //! crate is the simulated stand-in.
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod error;
 pub mod params;

@@ -45,6 +45,8 @@
 //! prophet-router) and `prophet optimize` on the CLI; library callers
 //! use [`OptimizeSession::optimize`] on any compiled [`Session`].
 
+#![forbid(unsafe_code)]
+
 use prophet_core::{Backend, Error as CoreError, Session, SweepConfig, SweepPoint};
 use prophet_machine::SystemParams;
 use std::fmt;

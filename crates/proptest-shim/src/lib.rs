@@ -19,6 +19,8 @@
 //!   atoms (`\PC` or a `[...]` character class) each followed by an
 //!   optional `{m,n}` repetition.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod option;

@@ -59,6 +59,8 @@
 //! assert_eq!(report.end_time, 1.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calendar;
 pub mod facility;
 pub mod kernel;

@@ -15,6 +15,8 @@
 //! * [`render`] — an ASCII timeline renderer standing in for the
 //!   *Animator*.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod event;
 pub mod render;

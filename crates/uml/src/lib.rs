@@ -51,6 +51,8 @@
 //! assert_eq!(model.element_count(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod model;
 pub mod profile;

@@ -20,6 +20,8 @@
 //!     structure used by the companion validation (CISIS 2008), built
 //!     synthetically per the substitution table.
 
+#![forbid(unsafe_code)]
+
 pub mod lfk;
 pub mod models;
 

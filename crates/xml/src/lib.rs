@@ -32,6 +32,8 @@
 //! assert!(out.contains("<action id=\"1\"/>"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod node;
 pub mod reader;

@@ -56,6 +56,8 @@
 //! See `examples/` for runnable end-to-end scenarios and
 //! `docs/ARCHITECTURE.md` for how the crates fit together.
 
+#![forbid(unsafe_code)]
+
 pub use prophet_check as check;
 pub use prophet_codegen as codegen;
 pub use prophet_core as core;

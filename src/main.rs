@@ -8,7 +8,7 @@
 //!                   [--threads T] [--backend simulation|analytic]
 //!                   [--trace <tf.txt>] [--timeline]
 //! prophet sweep     <model.xml> --nodes 1,2,4,8 [--cpus C] [--workers W]
-//!                   [--backend simulation|analytic] [--no-elab-cache]
+//!                   [--backend simulation|analytic]
 //! prophet optimize  <model.xml> [--nodes 1,2,...,16] [--cpus 1,2,4,8]
 //!                   [--objective min_time|min_cost|max_speedup_per_cost]
 //!                   [--deadline S] [--max-cost C] [--node-weight W]
@@ -27,9 +27,7 @@
 //! in closed form — much faster for sweeps, no trace.
 //!
 //! Sweeps flatten each distinct SP point once and share the elaboration
-//! across workers and repeat points (the session's elaboration cache);
-//! `--no-elab-cache` opts out and re-elaborates every evaluation —
-//! results are identical, only slower.
+//! across workers and repeat points (the session's elaboration cache).
 //!
 //! `optimize` is the inverse query: instead of enumerating a grid it
 //! searches the `(nodes, cpus)` lattice lazily (coarse seed, then
@@ -109,6 +107,8 @@
 //! missing argument — the offending token is named before the usage
 //! block).
 
+#![forbid(unsafe_code)]
+
 use prophet::check::{check_model, McfConfig};
 use prophet::codegen::generate_skeleton;
 use prophet::core::{
@@ -155,7 +155,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  prophet check <model.xml> [--mcf <mcf.xml>]\n  prophet transform <model.xml> [--full] [--skeleton]\n  prophet estimate <model.xml> [--nodes N] [--cpus C] [--processes P] [--threads T] [--backend simulation|analytic] [--trace <file>] [--timeline]\n  prophet sweep <model.xml> --nodes 1,2,4,8 [--cpus C] [--workers W] [--backend simulation|analytic] [--no-elab-cache]\n  prophet optimize <model.xml> [--nodes 1,2,...,16] [--cpus 1,2,4,8] [--objective min_time|min_cost|max_speedup_per_cost] [--deadline S] [--max-cost C] [--node-weight W] [--cpu-weight W] [--backend simulation|analytic] [--verify sim] [--margin F] [--stride K] [--workers W]\n  prophet serve [--addr A] [--workers W] [--store DIR] [--partition H:P,H:P,...] [--token T]\n  prophet router --shards H:P,H:P,... [--addr A] [--workers W] [--token T] [--probe-ms MS]\n  prophet warm --store DIR [--mcf <mcf.xml>] <model.xml>...\n  prophet store gc --store DIR --max-bytes BYTES\n  prophet metrics <url> [--watch SECS]\n  prophet demo sample|kernel6|jacobi|lapw0|pipeline|master_worker|task_farm|branching_pipeline|halo_ring|mapreduce"
+    "usage:\n  prophet check <model.xml> [--mcf <mcf.xml>]\n  prophet transform <model.xml> [--full] [--skeleton]\n  prophet estimate <model.xml> [--nodes N] [--cpus C] [--processes P] [--threads T] [--backend simulation|analytic] [--trace <file>] [--timeline]\n  prophet sweep <model.xml> --nodes 1,2,4,8 [--cpus C] [--workers W] [--backend simulation|analytic]\n  prophet optimize <model.xml> [--nodes 1,2,...,16] [--cpus 1,2,4,8] [--objective min_time|min_cost|max_speedup_per_cost] [--deadline S] [--max-cost C] [--node-weight W] [--cpu-weight W] [--backend simulation|analytic] [--verify sim] [--margin F] [--stride K] [--workers W]\n  prophet serve [--addr A] [--workers W] [--store DIR] [--partition H:P,H:P,...] [--token T]\n  prophet router --shards H:P,H:P,... [--addr A] [--workers W] [--token T] [--probe-ms MS]\n  prophet warm --store DIR [--mcf <mcf.xml>] <model.xml>...\n  prophet store gc --store DIR --max-bytes BYTES\n  prophet metrics <url> [--watch SECS]\n  prophet demo sample|kernel6|jacobi|lapw0|pipeline|master_worker|task_farm|branching_pipeline|halo_ring|mapreduce"
         .to_string()
 }
 
@@ -401,7 +401,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let config = SweepConfig {
         threads,
         backend,
-        no_elab_cache: has_flag(args, "--no-elab-cache"),
         ..Default::default()
     };
     let report = session.sweep_with(&points, &config, |_, _| {

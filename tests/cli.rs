@@ -190,30 +190,6 @@ fn sweep_accepts_workers_and_rejects_threads() {
 }
 
 #[test]
-fn sweep_no_elab_cache_flag_gives_identical_output() {
-    // The elaboration cache is a pure memoization: the sweep table must
-    // be byte-identical with and without it. (Repeated node counts in
-    // the flag collapse to one point each before the sweep runs.)
-    let model = temp_model("sweep-elab", "jacobi");
-    let model = model.to_str().unwrap();
-    let (ok, cached, err) = prophet(&["sweep", model, "--nodes", "1,2,4,2,1"]);
-    assert!(ok, "{err}");
-    let (ok, uncached, err) = prophet(&["sweep", model, "--nodes", "1,2,4,2,1", "--no-elab-cache"]);
-    assert!(ok, "{err}");
-    assert_eq!(cached, uncached);
-
-    // Unknown flags would be silently ignored by flag_value; make sure
-    // the documented spelling is the accepted one by checking usage.
-    let (_ok, _out, err) = prophet(&["--help"]);
-    let (ok2, usage, _) = prophet(&["help"]);
-    assert!(ok2);
-    assert!(
-        usage.contains("--no-elab-cache") || err.contains("--no-elab-cache"),
-        "usage must document --no-elab-cache: {usage}"
-    );
-}
-
-#[test]
 fn sweep_failed_points_render_on_one_row() {
     // A model whose cost divides by zero at exactly P=2: the P=2 row
     // fails, its neighbours evaluate. (A zero node count no longer

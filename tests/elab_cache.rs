@@ -2,17 +2,23 @@
 //! memoization.
 //!
 //! For every bundled workload model, an SP sweep served from the
-//! session's `ElaborationCache` must be **bit-identical** to the same
-//! sweep with the cache disabled — on both backends — and the hit/miss
+//! session's `ElaborationCache` must be **bit-identical** to the
+//! uncached reference evaluation of every point — `Estimator::run` for
+//! the simulation, `elaborate` + `BatchProgram::prepare` + `evaluate`
+//! for the analytic backend — and the hit/miss
 //! counters must match the predicted S-vs-S×R pattern: R sweeps over S
 //! SP points on both backends perform exactly S elaborations (the first
 //! sweep's misses); every other evaluation is a hit.
 
 use prophet::core::{Backend, ElabStats, Scenario, Session, SweepConfig};
-use prophet::machine::SystemParams;
+use prophet::estimator::{
+    elaborate, BatchProgram, BatchScratch, ElabForm, Estimator, EstimatorOptions,
+};
+use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::uml::Model;
 use prophet::workloads::models::{
-    jacobi_model, kernel6_model, lapw0_model, master_worker_model, pipeline_model, sample_model,
+    branching_pipeline_model, halo_ring_model, jacobi_model, kernel6_model, lapw0_model,
+    mapreduce_model, master_worker_model, pipeline_model, sample_model, task_farm_model,
 };
 
 /// How many times each grid is swept (the R of S×R).
@@ -48,18 +54,20 @@ fn cases() -> Vec<(&'static str, Model, Vec<SystemParams>)> {
             flat_grid(),
         ),
         ("lapw0", lapw0_model(32, 8, 1e-5), hybrid_grid()),
+        ("task_farm", task_farm_model(8, 0.002, 512), flat_grid()),
+        (
+            "branching_pipeline",
+            branching_pipeline_model(24, 0.004, 2048),
+            flat_grid(),
+        ),
+        ("halo_ring", halo_ring_model(16, 0.003, 4096), flat_grid()),
+        ("mapreduce", mapreduce_model(4096, 1e-6, 64), flat_grid()),
     ]
 }
 
-fn sweep_times(
-    session: &Session,
-    grid: &[SystemParams],
-    backend: Backend,
-    no_elab_cache: bool,
-) -> Vec<Option<f64>> {
+fn sweep_times(session: &Session, grid: &[SystemParams], backend: Backend) -> Vec<Option<f64>> {
     let config = SweepConfig {
         backend,
-        no_elab_cache,
         ..Default::default()
     };
     let points: Vec<_> = grid
@@ -67,6 +75,31 @@ fn sweep_times(
         .map(|&sp| prophet::core::SweepPoint { sp })
         .collect();
     session.sweep_with(&points, &config, |_, _| {}).times()
+}
+
+/// The uncached reference for [`sweep_times`]: every point elaborated
+/// from scratch and evaluated on `backend`, bypassing the session's
+/// cache.
+fn reference_times(session: &Session, grid: &[SystemParams], backend: Backend) -> Vec<Option<f64>> {
+    let program = session.program();
+    let options = EstimatorOptions {
+        trace: false,
+        ..Default::default()
+    };
+    let mut scratch = BatchScratch::new();
+    grid.iter()
+        .map(|&sp| {
+            let machine = MachineModel::new(sp, CommParams::default()).unwrap();
+            let evaluation = match backend {
+                Backend::Simulation => Estimator::run(program, &machine, &options),
+                Backend::Analytic => elaborate(program, &machine, options.limits, ElabForm::Lean)
+                    .map_err(Into::into)
+                    .and_then(|ops| BatchProgram::prepare(&ops, &machine))
+                    .and_then(|batch| batch.evaluate(&program.name, &mut scratch)),
+            };
+            evaluation.ok().map(|e| e.predicted_time)
+        })
+        .collect()
 }
 
 fn assert_bit_identical(name: &str, backend: Backend, a: &[Option<f64>], b: &[Option<f64>]) {
@@ -84,17 +117,21 @@ fn assert_bit_identical(name: &str, backend: Backend, a: &[Option<f64>], b: &[Op
     }
 }
 
-/// Headline equivalence: cached sweeps are bit-identical to uncached
-/// sweeps for every model × backend, on the first sweep (all misses)
-/// and on a repeat (all hits).
+/// Headline equivalence: cached sweeps are bit-identical to the
+/// uncached reference for every model × backend, on the first sweep
+/// (all misses) and on a repeat (all hits).
 #[test]
 fn cached_sweeps_are_bit_identical_to_uncached() {
     for (name, model, grid) in cases() {
         let session = Session::new(model).unwrap_or_else(|e| panic!("{name}: {e}"));
         for backend in [Backend::Simulation, Backend::Analytic] {
-            let uncached = sweep_times(&session, &grid, backend, true);
+            let uncached = reference_times(&session, &grid, backend);
+            assert!(
+                uncached.iter().all(Option::is_some),
+                "{name}/{backend}: {uncached:?}"
+            );
             for _ in 0..2 {
-                let cached = sweep_times(&session, &grid, backend, false);
+                let cached = sweep_times(&session, &grid, backend);
                 assert_bit_identical(name, backend, &cached, &uncached);
             }
         }
@@ -113,7 +150,7 @@ fn counters_match_the_s_vs_sxr_pattern() {
 
         // R sweeps on the simulation backend: S misses, S×(R−1) hits.
         for _ in 0..r {
-            sweep_times(&session, &grid, Backend::Simulation, false);
+            sweep_times(&session, &grid, Backend::Simulation);
         }
         let stats = session.elab_stats();
         assert_eq!(stats.misses, s, "{name}: {stats:?}");
@@ -123,16 +160,12 @@ fn counters_match_the_s_vs_sxr_pattern() {
         // The analytic backend reuses the same elaborations: no new
         // misses, S more hits — S×R×2 evaluations, S flattens total.
         for _ in 0..r {
-            sweep_times(&session, &grid, Backend::Analytic, false);
+            sweep_times(&session, &grid, Backend::Analytic);
         }
         let stats = session.elab_stats();
         assert_eq!(stats.misses, s, "{name}: backends must share: {stats:?}");
         assert_eq!(stats.hits, s * (2 * r - 1), "{name}: {stats:?}");
         assert_eq!(stats.lookups(), s * r * 2, "{name}: {stats:?}");
-
-        // Uncached sweeps leave the counters alone.
-        sweep_times(&session, &grid, Backend::Simulation, true);
-        assert_eq!(session.elab_stats(), stats, "{name}: bypass flag leaked");
     }
 }
 
@@ -144,7 +177,7 @@ fn counters_match_the_s_vs_sxr_pattern() {
 fn evaluate_and_sweep_share_one_cache() {
     let session = Session::new(jacobi_model(50_000, 3, 1e-8)).unwrap();
     let grid = flat_grid();
-    sweep_times(&session, &grid, Backend::Simulation, false);
+    sweep_times(&session, &grid, Backend::Simulation);
     let before = session.elab_stats();
 
     // Traced at a swept point: one miss for the traced form ...
@@ -175,9 +208,9 @@ fn evaluate_and_sweep_share_one_cache() {
     assert_eq!(stats.hits, before.hits + 3, "{stats:?}");
 
     // The cached traced run equals an uncached traced run exactly.
-    let uncached = session
-        .evaluate(&Scenario::new(grid[3]).without_elab_cache())
-        .unwrap();
+    let machine = MachineModel::new(grid[3], CommParams::default()).unwrap();
+    let uncached =
+        Estimator::run(session.program(), &machine, &EstimatorOptions::default()).unwrap();
     assert_eq!(e.trace.events, uncached.trace.events);
     assert_eq!(
         e.trace.end_time.to_bits(),
@@ -192,9 +225,7 @@ fn evaluate_and_sweep_share_one_cache() {
     // A comm-parameter change is part of the key: a miss, not a stale hit.
     let misses = session.elab_stats().misses;
     let fast = session
-        .evaluate(
-            &Scenario::new(grid[3]).with_comm(prophet::machine::CommParams::fast_interconnect()),
-        )
+        .evaluate(&Scenario::new(grid[3]).with_comm(CommParams::fast_interconnect()))
         .unwrap();
     assert_eq!(session.elab_stats().misses, misses + 1);
     // And the prediction differs (jacobi communicates), proving the

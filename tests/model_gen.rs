@@ -31,7 +31,9 @@
 
 use prophet::check::McfConfig;
 use prophet::core::{to_cpp, ArtifactKey, Backend, Scenario, Session};
-use prophet::estimator::{elaborate, evaluate_analytic, ElabForm, Estimator, EstimatorOptions};
+use prophet::estimator::{
+    elaborate, evaluate_analytic, BatchProgram, BatchScratch, ElabForm, Estimator, EstimatorOptions,
+};
 use prophet::machine::{CommParams, MachineModel, SystemParams};
 use prophet::serve::api::resolve_key;
 use prophet::serve::json::Json;
@@ -373,14 +375,13 @@ proptest! {
             }
         };
         for sp in grid() {
-            let eval = |backend: Backend, no_cache: bool| {
-                let mut scenario = Scenario::new(sp).without_trace().with_backend(backend);
-                scenario.no_elab_cache = no_cache;
+            let eval = |backend: Backend| {
+                let scenario = Scenario::new(sp).without_trace().with_backend(backend);
                 session.evaluate(&scenario).map(|e| e.predicted_time)
             };
-            let sim = eval(Backend::Simulation, false)
+            let sim = eval(Backend::Simulation)
                 .map_err(|e| TestCaseError::fail(format!("sim {sp:?}: {e}\nspec: {segs:?}")))?;
-            let ana = eval(Backend::Analytic, false)
+            let ana = eval(Backend::Analytic)
                 .map_err(|e| TestCaseError::fail(format!("ana {sp:?}: {e}\nspec: {segs:?}")))?;
             prop_assert!(
                 rel_diff(sim, ana) <= REL_TOL,
@@ -413,9 +414,15 @@ proptest! {
                 "lean and traced DES diverged at {:?}\nspec: {:?}", sp, segs
             );
             prop_assert_eq!(on_lean.0, sim.to_bits(), "at {:?}\nspec: {:?}", sp, segs);
-            // Cache transparency, both backends, bit-exact.
-            let sim_raw = eval(Backend::Simulation, true).unwrap();
-            let ana_raw = eval(Backend::Analytic, true).unwrap();
+            // Cache transparency against the uncached reference of each
+            // backend, bit-exact.
+            let program = session.program();
+            let sim_raw = Estimator::run(program, &machine, &untraced).unwrap().predicted_time;
+            let lean = elaborate(program, &machine, untraced.limits, ElabForm::Lean).unwrap();
+            let ana_raw = BatchProgram::prepare(&lean, &machine)
+                .and_then(|batch| batch.evaluate(&program.name, &mut BatchScratch::new()))
+                .unwrap()
+                .predicted_time;
             prop_assert_eq!(
                 sim.to_bits(), sim_raw.to_bits(),
                 "cached simulation diverged at {:?}\nspec: {:?}", sp, segs
@@ -431,9 +438,10 @@ proptest! {
         prop_assert_eq!(stats.hits, 4, "second backend must reuse: {:?}", stats);
     }
 
-    /// Cached sweeps of generated models are bit-identical to uncached
-    /// sweeps across repeated points (the repeat is what the cache
-    /// serves) — the sweep-level analogue of the scenario property.
+    /// Cached sweeps of generated models are bit-identical to the
+    /// uncached reference (`Estimator::run` per point) across repeated
+    /// points (the repeat is what the cache serves) — the sweep-level
+    /// analogue of the scenario property.
     #[test]
     fn generated_model_sweeps_are_cache_transparent(segs in workload()) {
         use prophet::core::{SweepConfig, SweepPoint};
@@ -446,16 +454,20 @@ proptest! {
             .into_iter()
             .map(|sp| SweepPoint { sp })
             .collect();
-        let sweep = |no_elab_cache: bool| {
-            let config = SweepConfig {
-                no_elab_cache,
-                ..Default::default()
-            };
-            session.sweep_with(&points, &config, |_, _| {}).times()
-        };
+        let untraced = EstimatorOptions { trace: false, ..Default::default() };
+        let uncached: Vec<Option<f64>> = points
+            .iter()
+            .map(|p| {
+                let machine = MachineModel::new(p.sp, CommParams::default()).unwrap();
+                Estimator::run(session.program(), &machine, &untraced)
+                    .ok()
+                    .map(|e| e.predicted_time)
+            })
+            .collect();
         for round in 0..2 {
-            let cached = sweep(false);
-            let uncached = sweep(true);
+            let cached = session
+                .sweep_with(&points, &SweepConfig::default(), |_, _| {})
+                .times();
             for (i, (c, u)) in cached.iter().zip(uncached.iter()).enumerate() {
                 prop_assert_eq!(
                     c.map(f64::to_bits), u.map(f64::to_bits),
